@@ -10,6 +10,7 @@ same capabilities as a command line tool with CSV persistence.
 """
 
 from .cosmology import (
+    Background,
     ConeData,
     CosmologyParams,
     Regime,

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cosmology import ConeData, CosmologyParams, curved_mass_sq, horizon_time
-from .thresholds import nonlinearity_weight, threshold_S
+from .cosmology import CosmologyParams, background, horizon_time
+from .thresholds import threshold_S
 
 __all__ = [
     "OdeProblem",
@@ -33,6 +33,8 @@ __all__ = [
     "save_trajectory_csv",
 ]
 
+# Blow-up needs |w| above this multiple of the data scale |w0| (|w1| when
+# w0 = 0) when the step collapses; a collapse below it is a stiffness failure.
 _DIVERGENCE_GUARD = 1e8
 _DT_FLOOR = 1e-13
 
@@ -90,21 +92,16 @@ class OdeProblem:
         if self.t_end <= 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
 
-    def mass_sq(self, t: float) -> float:
-        if self.mass_sq_fn is not None:
-            return self.mass_sq_fn(t)
-        return curved_mass_sq(self.params, t)
-
-    def weight(self, t: float) -> float:
-        if self.weight_fn is not None:
-            return self.weight_fn(t)
-        return nonlinearity_weight(self.params, self.r0, self.lam, self.p, t)
-
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        w, wdot = y
-        c2 = self.params.c ** 2
-        acc = c2 * (self.weight(t) * abs(w) ** self.p - self.mass_sq(t) * w)
-        return np.array([wdot, acc])
+    def coefficients(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """(M^2, b) as functions of t, built once; the override functions win."""
+        mass_sq, weight = self.mass_sq_fn, self.weight_fn
+        if mass_sq is None or weight is None:
+            bg = background(self.params, self.r0)
+            if mass_sq is None:
+                mass_sq = bg.mass_sq
+            if weight is None:
+                weight = bg.weight(self.lam, self.p)
+        return mass_sq, weight
 
 
 @dataclass
@@ -119,6 +116,8 @@ class Trajectory:
     t_star_err: Optional[float]
     rejections: int
     final_dt: float
+    steps_accepted: int
+    rhs_evals: int  # evaluations of the right-hand side, 1 + 6 per attempted step
 
 
 def _capped_t_end(problem: OdeProblem) -> float:
@@ -148,8 +147,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     w, wd = float(problem.w0), float(problem.w1)
     c2 = problem.params.c ** 2
     p_exp = problem.p
-    mass_sq = problem.mass_sq
-    weight = problem.weight
+    mass_sq, weight = problem.coefficients()
+    guard = _DIVERGENCE_GUARD * (abs(problem.w0) or abs(problem.w1))
 
     def acc(ti, wi):
         try:
@@ -173,11 +172,13 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     a71, a72, a73, a74, a75, a76 = _DP_A[6]
     b41, b42, b43, b44, b45, b46, b47 = (float(b) for b in _DP_B4)
     c2_, c3_, c4_, c5_ = (float(c) for c in _DP_C[1:5])
+    # the last stage is evaluated at the accepted solution, so it is the next
+    # step's first stage (FSAL); a rejected step keeps its first stage
+    g1 = acc(t, w)
     while t < t_end:
         dt = min(dt, t_end - t)
         # stage derivatives: (k_w, k_v) with k_w = v, k_v = acc
         v1 = wd
-        g1 = acc(t, w)
         w2 = w + dt * a21 * v1
         v2 = wd + dt * a21 * g1
         g2 = acc(t + c2_ * dt, w2)
@@ -209,7 +210,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
             fac = min_fac if bad else max(min_fac, safety * err ** (-0.2))
             dt *= fac
             if dt < _DT_FLOOR and (t_end - t) > 10.0 * _DT_FLOOR:
-                if abs(w) > _DIVERGENCE_GUARD:
+                if abs(w) > guard:
                     blowup = True
                     break
                 raise StiffnessError(
@@ -217,7 +218,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
                 )
             continue
         t += dt
-        w, wd = w7, v7
+        w, wd, g1 = w7, v7, g7
         ts.append(t)
         ws.append(w)
         wds.append(wd)
@@ -245,6 +246,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         t_star_err=t_star_err,
         rejections=rejections,
         final_dt=dt,
+        steps_accepted=len(ts) - 1,
+        rhs_evals=1 + 6 * (len(ts) - 1 + rejections),
     )
 
 
@@ -264,12 +267,13 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
         raise PreconditionError(f"w1 = {p.w1} < cNw0 = {p.params.c * p.N * p.w0}")
 
     c = p.params.c
+    mass_sq, weight = p.coefficients()
     results = {"exp_lower_bound": True, "weight_gap": True, "convexity": True, "wdot_floor": True}
     worst = {k: math.inf for k in results}
     for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
         tol = 1e-8 * (1.0 + abs(w))
-        b = p.weight(t)
-        msq = p.mass_sq(t)
+        b = weight(t)
+        msq = mass_sq(t)
         margin1 = w - p.w0 * math.exp(c * p.N * t)
         margin2 = (1.0 - p.theta) * b * w ** (p.p - 1.0) - msq - p.N ** 2
         # wddot from the ODE right side
@@ -343,6 +347,8 @@ def save_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:
             "t_star_err": traj.t_star_err,
             "rejections": traj.rejections,
             "final_dt": traj.final_dt,
+            "steps_accepted": traj.steps_accepted,
+            "rhs_evals": traj.rhs_evals,
         }
         with open(sidecar_path, "w") as fh:
             json.dump(meta, fh, indent=2)

@@ -10,8 +10,7 @@ back to a default.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cosmology import CosmologyParams

@@ -13,10 +13,11 @@ forms are authoritative; adaptive quadrature is used only as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Optional
 
 from scipy.integrate import quad
 
@@ -26,6 +27,10 @@ __all__ = [
     "ConeData",
     "MassBounds",
     "DomainError",
+    "Background",
+    "background",
+    "unit_ball_volume",
+    "weight_exponent",
     "horizon_time",
     "scale_factor",
     "hubble_rate",
@@ -74,6 +79,14 @@ class CosmologyParams:
         if self.a0 <= 0:
             raise ValueError(f"initial scale factor must be positive, got {self.a0}")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.c, self.m_sq, self.H, self.sigma, self.a0))
+
+    def __hash__(self):
+        # computed once: every scalar closed form looks its Background up by these params
+        return self._hash
+
 
 class Regime(Enum):
     MINKOWSKI = "minkowski"
@@ -97,56 +110,210 @@ class ConeData:
             raise ValueError(f"initial support radius must be positive, got {self.r0}")
 
 
+def unit_ball_volume(n: int) -> float:
+    """Volume of the unit ball in n dimensions: pi^(n/2) / Gamma(n/2 + 1)."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    return _ball_volume(n)
+
+
+def _ball_volume(n: int) -> float:
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def _is_log_branch(params: CosmologyParams) -> bool:
+    """Detect n(1+sigma) = 2, where the cone integral is logarithmic."""
+    sig = params.sigma
+    if isinstance(sig, (int, Fraction)):
+        return params.n * (1 + Fraction(sig)) == 2
+    return abs(params.n * (1.0 + sig) - 2.0) < _LOG_BRANCH_TOL
+
+
+@dataclass(frozen=True)
+class Background:
+    """The scalar closed forms of one background, with their constants computed once.
+
+    Built from the spacetime model and the initial support radius r0 (needed
+    only by the light cone r(t) and the weight b(t)).  Every method takes a
+    time in [0, T0), raises DomainError outside it and clamps just below a
+    finite horizon.  The power-law family is written through the bracket
+    1 + q H t / 2 with q = n(1+sigma); sigma = -1 is the exponential case.
+    Construction calls no public function of this module, so what a shared
+    cache holds never changes which of them run.
+    """
+
+    params: CosmologyParams
+    r0: Optional[float] = None
+    # copies of the model's scalars, read on every call
+    c: float = field(init=False, repr=False)
+    a0: float = field(init=False, repr=False)
+    H: float = field(init=False, repr=False)
+    m_sq: float = field(init=False, repr=False)
+    t0: float = field(init=False, repr=False)
+    t_clamp: float = field(init=False, repr=False)
+    de_sitter: bool = field(init=False, repr=False)  # sigma = -1
+    static: bool = field(init=False, repr=False)  # H = 0
+    log_branch: bool = field(init=False, repr=False)  # n(1+sigma) = 2
+    q: float = field(init=False, repr=False)
+    qH: float = field(init=False, repr=False)
+    two_over_q: float = field(init=False, repr=False)
+    shift: float = field(init=False, repr=False)  # sigma (nH/2c)^2
+    cone_coef: float = field(init=False, repr=False)
+    cone_exp: float = field(init=False, repr=False)
+    wn_2n: float = field(init=False, repr=False)  # omega_n^(2/n)
+
+    def __post_init__(self):
+        if self.r0 is not None and self.r0 <= 0:
+            raise ValueError(f"initial support radius must be positive, got {self.r0}")
+        p = self.params
+        n, c, H, a0 = p.n, p.c, p.H, p.a0
+        # the spacetime ends at T0 = -2/(n(1+sigma)H) when (1+sigma)H < 0
+        t0 = math.inf if (1.0 + p.sigma) * H >= 0 else -2.0 / (n * (1.0 + p.sigma) * H)
+        de_sitter = p.sigma == -1.0
+        log_branch = _is_log_branch(p)
+        q = qH = two_over_q = cone_exp = math.nan
+        if not de_sitter:
+            q = n * (1.0 + p.sigma)
+            qH = q * H
+            two_over_q = 2.0 / q
+            cone_exp = q / 2.0 - 1.0
+        if H == 0.0:
+            cone_coef = math.nan
+        elif de_sitter or log_branch:
+            cone_coef = c / (a0 * H)
+        else:
+            cone_coef = 2.0 * c / (a0 * H * (q - 2.0))
+        derived = {
+            "c": c,
+            "a0": a0,
+            "H": H,
+            "m_sq": p.m_sq,
+            "t0": t0,
+            "t_clamp": _HORIZON_CLAMP * t0 if math.isfinite(t0) else math.inf,
+            "de_sitter": de_sitter,
+            "static": H == 0.0,
+            "log_branch": log_branch,
+            "q": q,
+            "qH": qH,
+            "two_over_q": two_over_q,
+            "shift": p.sigma * (n * H / (2.0 * c)) ** 2,
+            "cone_coef": cone_coef,
+            "cone_exp": cone_exp,
+            "wn_2n": _ball_volume(n) ** (2.0 / n),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def check_time(self, t: float) -> float:
+        """Validate t in [0, T0) and clamp just below a finite horizon."""
+        if t < 0:
+            raise DomainError(f"time must be nonnegative, got {t}")
+        if t >= self.t0:
+            raise DomainError(f"time {t} is beyond the horizon T0 = {self.t0}")
+        if t > self.t_clamp:
+            t = self.t_clamp
+        return t
+
+    def a(self, t: float) -> float:
+        """a(t) = a0 exp(Ht) (sigma = -1), else a0 (1 + qHt/2)^(2/q)."""
+        return self._a(self.check_time(t))
+
+    def _a(self, t: float) -> float:
+        if self.de_sitter:
+            return self.a0 * math.exp(self.H * t)
+        return self.a0 * (1.0 + self.qH * t / 2.0) ** self.two_over_q
+
+    def hubble(self, t: float) -> float:
+        """adot/a = H (a/a0)^(-n(1+sigma)/2); equals H at t = 0."""
+        t = self.check_time(t)
+        if self.de_sitter:
+            return self.H
+        return self.H / (1.0 + self.qH * t / 2.0)
+
+    def mass_sq(self, t: float) -> float:
+        """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)Ht/2)^-2.
+
+        At sigma = -1 the bracket is 1 and this reduces to the constant
+        m^2 - (nH/2c)^2.
+        """
+        t = self.check_time(t)
+        if self.de_sitter:
+            return self.m_sq + self.shift
+        return self.m_sq + self.shift * (1.0 + self.qH * t / 2.0) ** (-2.0)
+
+    def r(self, t: float) -> float:
+        """Light-cone radius r(t) = r0 + int_0^t c/a(s) ds, in closed form."""
+        return self._r(self.check_time(t))
+
+    def a_r(self, t: float) -> tuple[float, float]:
+        """(a(t), r(t)), computing a once."""
+        t = self.check_time(t)
+        a = self._a(t)
+        return a, self._r(t, a)
+
+    def _r(self, t: float, a: Optional[float] = None) -> float:
+        if self.static:
+            return self.r0 + self.c * t / self.a0
+        if self.de_sitter:
+            return self.r0 + self.cone_coef * (1.0 - math.exp(-self.H * t))
+        if self.log_branch:
+            return self.r0 + self.cone_coef * math.log1p(self.H * t)
+        if a is None:
+            a = self._a(t)
+        return self.r0 + self.cone_coef * ((a / self.a0) ** self.cone_exp - 1.0)
+
+    def b(self, a: float, r: float, lam: float, expo: float) -> float:
+        """b = lambda * (omega_n^(2/n) a r^2)^expo from a(t) and r(t); expo = -n(p-1)/2."""
+        return lam * (self.wn_2n * a * r * r) ** expo
+
+    def weight(self, lam: float, p: float) -> Callable[[float], float]:
+        """b(t) = lambda * (omega_n^(2/n) a(t) r(t)^2)^(-n(p-1)/2) as a function of t.
+
+        Checks lambda > 0 and p > 1 once, not on every call.
+        """
+        expo = weight_exponent(self.params.n, lam, p)
+        a_r, b = self.a_r, self.b
+
+        def weight_at(t: float) -> float:
+            a, r = a_r(t)
+            return b(a, r, lam, expo)
+
+        return weight_at
+
+
+def weight_exponent(n: int, lam: float, p: float) -> float:
+    """The exponent -n(p-1)/2 of b(t), after checking lambda > 0 and p > 1."""
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    if p <= 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    return -n * (p - 1.0) / 2.0
+
+
+@lru_cache(maxsize=256)
+def background(params: CosmologyParams, r0: Optional[float] = None) -> Background:
+    """The shared Background of (params, r0), built once per distinct pair."""
+    return Background(params, r0)
+
+
 def horizon_time(params: CosmologyParams) -> float:
     """End of the spacetime: inf when (1+sigma)H >= 0, else -2/(n(1+sigma)H)."""
-    s = (1.0 + params.sigma) * params.H
-    if s >= 0:
-        return math.inf
-    return -2.0 / (params.n * (1.0 + params.sigma) * params.H)
-
-
-def _check_time(params: CosmologyParams, t: float) -> float:
-    """Validate t in [0, T0) and clamp just below a finite horizon."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    t0 = horizon_time(params)
-    if t >= t0:
-        raise DomainError(f"time {t} is beyond the horizon T0 = {t0}")
-    if math.isfinite(t0):
-        t = min(t, _HORIZON_CLAMP * t0)
-    return t
+    return background(params).t0
 
 
 def scale_factor(params: CosmologyParams, t: float) -> float:
     """a(t) on [0, T0)."""
-    t = _check_time(params, t)
-    if params.sigma == -1.0:
-        return params.a0 * math.exp(params.H * t)
-    q = params.n * (1.0 + params.sigma)
-    return params.a0 * (1.0 + q * params.H * t / 2.0) ** (2.0 / q)
+    return background(params).a(t)
 
 
 def hubble_rate(params: CosmologyParams, t: float) -> float:
     """adot/a = H (a/a0)^(-n(1+sigma)/2); equals H at t = 0."""
-    t = _check_time(params, t)
-    if params.sigma == -1.0:
-        return params.H
-    q = params.n * (1.0 + params.sigma)
-    return params.H / (1.0 + q * params.H * t / 2.0)
+    return background(params).hubble(t)
 
 
 def curved_mass_sq(params: CosmologyParams, t: float) -> float:
-    """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)Ht/2)^-2.
-
-    At sigma = -1 the bracket is 1 and this reduces to the constant
-    m^2 - (nH/2c)^2.
-    """
-    t = _check_time(params, t)
-    shift = params.sigma * (params.n * params.H / (2.0 * params.c)) ** 2
-    if params.sigma == -1.0:
-        return params.m_sq + shift
-    q = params.n * (1.0 + params.sigma)
-    return params.m_sq + shift * (1.0 + q * params.H * t / 2.0) ** (-2.0)
+    """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)Ht/2)^-2."""
+    return background(params).mass_sq(t)
 
 
 def curved_mass_sq_from_derivatives(
@@ -159,7 +326,7 @@ def curved_mass_sq_from_derivatives(
     near t = 0.  The step balances truncation against roundoff on the local
     timescale, which shrinks toward a finite horizon.
     """
-    t = _check_time(params, t)
+    t = background(params).check_time(t)
     t0 = horizon_time(params)
     if dt is None:
         scale = 1.0 + t
@@ -200,34 +367,15 @@ def mass_sign_change_time(params: CosmologyParams) -> Optional[float]:
     return -2.0 / (params.n * (1.0 + params.sigma) * params.H) * (1.0 - crit / m)
 
 
-def _is_log_branch(params: CosmologyParams) -> bool:
-    """Detect n(1+sigma) = 2, where the cone integral is logarithmic."""
-    sig = params.sigma
-    if isinstance(sig, (int, Fraction)):
-        return params.n * (1 + Fraction(sig)) == 2
-    return abs(params.n * (1.0 + sig) - 2.0) < _LOG_BRANCH_TOL
-
-
 def cone_radius(cone: ConeData, t: float) -> float:
     """Light-cone radius r(t) = r0 + int_0^t c/a(s) ds, in closed form."""
-    p = cone.params
-    t = _check_time(p, t)
-    c, a0, H = p.c, p.a0, p.H
-    if H == 0.0:
-        return cone.r0 + c * t / a0
-    if p.sigma == -1.0:
-        return cone.r0 + c / (a0 * H) * (1.0 - math.exp(-H * t))
-    if _is_log_branch(p):
-        return cone.r0 + c / (a0 * H) * math.log1p(H * t)
-    q = p.n * (1.0 + p.sigma)
-    ratio = scale_factor(p, t) / a0
-    return cone.r0 + 2.0 * c / (a0 * H * (q - 2.0)) * (ratio ** (q / 2.0 - 1.0) - 1.0)
+    return background(cone.params, cone.r0).r(t)
 
 
 def cone_radius_quadrature(cone: ConeData, t: float, tol: float = 1e-12) -> float:
     """r(t) by adaptive quadrature of c/a(s); cross-check for cone_radius."""
     p = cone.params
-    t = _check_time(p, t)
+    t = background(p).check_time(t)
     if t == 0.0:
         return cone.r0
     val, _ = quad(lambda s: p.c / scale_factor(p, s), 0.0, t, epsabs=tol, epsrel=1e-12, limit=200)
@@ -308,38 +456,34 @@ def classify_regime(params: CosmologyParams) -> Regime:
 def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
     """Vectorized (a(t), r(t), M^2(t)) over an array of times in [0, T0).
 
-    Same closed forms as the scalar operations; used by grid suprema and
-    quadrature-heavy callers.
+    Same closed forms and constants as the scalar Background methods; used
+    by grid suprema and quadrature-heavy callers.
     """
     import numpy as np
 
+    bg = background(params)
     ts = np.asarray(ts, dtype=float)
-    n, c, H, sigma, a0 = params.n, params.c, params.H, params.sigma, params.a0
-    t0 = horizon_time(params)
-    if ts.size and (ts.min() < 0 or ts.max() >= t0):
+    c, H, a0 = bg.c, bg.H, bg.a0
+    if ts.size and (ts.min() < 0 or ts.max() >= bg.t0):
         raise DomainError("times must lie in [0, T0)")
-    if math.isfinite(t0):
-        ts = np.minimum(ts, _HORIZON_CLAMP * t0)
-    shift = sigma * (n * H / (2.0 * c)) ** 2
-    if sigma == -1.0:
-        with np.errstate(over="ignore"):
+    ts = np.minimum(ts, bg.t_clamp)
+    # a(t) can underflow to 0 and r(t) overflow to inf just before a crunch
+    with np.errstate(over="ignore", divide="ignore"):
+        if bg.de_sitter:
             a = a0 * np.exp(H * ts)
-            msq = np.full_like(ts, params.m_sq + shift)
-            if H == 0.0:
-                r = r0 + c * ts / a0
-            else:
-                r = r0 + c / (a0 * H) * (1.0 - np.exp(-H * ts))
-        return a, r, msq
-    q = n * (1.0 + sigma)
-    bracket = 1.0 + q * H * ts / 2.0
-    a = a0 * bracket ** (2.0 / q)
-    msq = params.m_sq + shift * bracket ** (-2.0)
-    if H == 0.0:
-        r = r0 + c * ts / a0
-    elif abs(q - 2.0) < _LOG_BRANCH_TOL:
-        r = r0 + c / (a0 * H) * np.log1p(H * ts)
-    else:
-        r = r0 + 2.0 * c / (a0 * H * (q - 2.0)) * (bracket ** (1.0 - 2.0 / q) - 1.0)
+            msq = np.full_like(ts, bg.m_sq + bg.shift)
+        else:
+            bracket = 1.0 + bg.qH * ts / 2.0
+            a = a0 * bracket ** bg.two_over_q
+            msq = bg.m_sq + bg.shift * bracket ** (-2.0)
+        if bg.static:
+            r = r0 + c * ts / a0
+        elif bg.de_sitter:
+            r = r0 + bg.cone_coef * (1.0 - np.exp(-H * ts))
+        elif bg.log_branch:
+            r = r0 + bg.cone_coef * np.log1p(H * ts)
+        else:
+            r = r0 + bg.cone_coef * ((a / a0) ** bg.cone_exp - 1.0)
     return a, r, msq
 
 

@@ -17,8 +17,15 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .cosmology import ConeData, CosmologyParams, cone_radius, curved_mass_sq, horizon_time, scale_factor
-from .thresholds import unit_ball_volume
+from .cosmology import (
+    ConeData,
+    CosmologyParams,
+    cone_radius,
+    curved_mass_sq,
+    horizon_time,
+    scale_factor,
+    unit_ball_volume,
+)
 
 __all__ = [
     "FieldState",
@@ -35,6 +42,7 @@ __all__ = [
     "save_diagnostics_csv",
 ]
 
+# A state diverges once its sup exceeds this multiple of its data scale.
 _SUP_GUARD = 1e8
 # Fraction of the data scale below which grid values count as numerical dust
 # when measuring the support radius.  Chosen about 15x above the dispersive
@@ -59,13 +67,20 @@ class FieldState:
     v: np.ndarray  # time derivative of u
     t: float
     diverged: bool = False
+    # sup of |u| and |v| of the data this state evolved from; by default the
+    # state's own, so a state built from data carries its data scale
+    data_scale: Optional[float] = None
+
+    def __post_init__(self):
+        if self.data_scale is None:
+            self.data_scale = max(float(np.max(np.abs(self.u))), float(np.max(np.abs(self.v))))
 
     @property
     def dr(self) -> float:
         return float(self.r[1] - self.r[0])
 
     def copy(self) -> "FieldState":
-        return FieldState(self.r, self.u.copy(), self.v.copy(), self.t, self.diverged)
+        return FieldState(self.r, self.u.copy(), self.v.copy(), self.t, self.diverged, self.data_scale)
 
 
 @dataclass
@@ -197,9 +212,9 @@ def step(
     vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     un[-1] = 0.0
     vn[-1] = 0.0
-    new = FieldState(r=r, u=un, v=vn, t=t + dt)
+    new = FieldState(r=r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
     sup = float(np.max(np.abs(un)))
-    if not math.isfinite(sup) or sup > _SUP_GUARD:
+    if not math.isfinite(sup) or sup > _SUP_GUARD * state.data_scale:
         new.diverged = True
     return new
 

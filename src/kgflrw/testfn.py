@@ -34,8 +34,9 @@ from .cosmology import (
     curved_mass_sq,
     horizon_time,
     scale_factor,
+    unit_ball_volume,
 )
-from .thresholds import analytic_scaling_conditions, unit_ball_volume
+from .thresholds import analytic_scaling_conditions
 
 __all__ = [
     "CutoffProfile",
@@ -504,9 +505,12 @@ def hypothesis_13_14(
     pp = _holder_conjugate(p)
     scale = max(1.0, r0, 1.0 / params.c)
 
+    # the grid search and the fits share one evaluation per radius
+    @lru_cache(maxsize=None)
     def ii(R):
         return II_prime(params, r0, R, tol=tol)
 
+    @lru_cache(maxsize=None)
     def iii(R):
         return III_prime(params, r0, R, p, tol=tol)
 

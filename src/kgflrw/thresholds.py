@@ -9,18 +9,22 @@ parameter point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional, Union
 
 from .cosmology import (
     ConeData,
     CosmologyParams,
+    background,
     background_arrays,
     cone_radius,
     curved_mass_bounds,
     curved_mass_sq,
     horizon_time,
+    scale_factor,
+    unit_ball_volume,
+    weight_exponent,
 )
 
 __all__ = [
@@ -74,32 +78,19 @@ class ThresholdReport:
         return asdict(self)
 
 
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in n dimensions: pi^(n/2) / Gamma(n/2 + 1)."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
 def nonlinearity_weight(
     params: CosmologyParams, r0: float, lam: float, p: float, t: float
 ) -> float:
     """b(t) = lambda * (omega_n^(2/n) a(t) r(t)^2)^(-n(p-1)/2).
 
     Strictly positive for lambda > 0; equivalently
-    lambda / (omega_n^(p-1) (a r^2)^(n(p-1)/2)).
+    lambda / (omega_n^(p-1) (a r^2)^(n(p-1)/2)).  Repeated evaluation on one
+    background should use ``background(params, r0).weight(lam, p)``.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if p <= 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    cone = ConeData(r0, params)
-    from .cosmology import scale_factor
-
+    expo = weight_exponent(params.n, lam, p)
     a = scale_factor(params, t)
-    r = cone_radius(cone, t)
-    wn = unit_ball_volume(params.n)
-    return lam * (wn ** (2.0 / params.n) * a * r * r) ** (-params.n * (p - 1.0) / 2.0)
+    r = cone_radius(ConeData(r0, params), t)
+    return background(params, r0).b(a, r, lam, expo)
 
 
 def damping_rate_N(

@@ -2,6 +2,7 @@
 detection and extrapolation, positivity checks, and persistence."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,8 @@ from kgflrw.comparison_ode import (
     save_trajectory_csv,
     verify_lemma21,
 )
-from kgflrw.cosmology import CosmologyParams
+from kgflrw.cosmology import CosmologyParams, DomainError
+from kgflrw.thresholds import damping_rate_N, threshold_S
 
 
 def _oracle_problem(p=2.0, b=1.0, w0=1.0, c=1.0, t_end_factor=2.0):
@@ -165,3 +167,104 @@ class TestPersistence:
         meta = json.loads(meta_path.read_text())
         assert meta["blowup"] is True
         assert meta["t_star"] == pytest.approx(traj.t_star)
+        assert meta["steps_accepted"] == traj.steps_accepted == traj.t.size - 1
+        assert meta["rhs_evals"] == traj.rhs_evals == 1 + 6 * (traj.steps_accepted + traj.rejections)
+
+
+# The per-call closed forms as integrate_comparison once evaluated them at
+# every stage: each call re-validates t and rebuilds every constant.
+
+
+def _per_call_time(params, t):
+    s = (1.0 + params.sigma) * params.H
+    t0 = math.inf if s >= 0 else -2.0 / (params.n * (1.0 + params.sigma) * params.H)
+    if t < 0 or t >= t0:
+        raise DomainError(f"time {t} outside [0, {t0})")
+    return min(t, (1.0 - 1e-12) * t0) if math.isfinite(t0) else t
+
+
+def _per_call_a(params, t):
+    t = _per_call_time(params, t)
+    if params.sigma == -1.0:
+        return params.a0 * math.exp(params.H * t)
+    q = params.n * (1.0 + params.sigma)
+    return params.a0 * (1.0 + q * params.H * t / 2.0) ** (2.0 / q)
+
+
+def _per_call_mass_sq(params, t):
+    t = _per_call_time(params, t)
+    shift = params.sigma * (params.n * params.H / (2.0 * params.c)) ** 2
+    if params.sigma == -1.0:
+        return params.m_sq + shift
+    q = params.n * (1.0 + params.sigma)
+    return params.m_sq + shift * (1.0 + q * params.H * t / 2.0) ** (-2.0)
+
+
+def _per_call_r(params, r0, t):
+    t = _per_call_time(params, t)
+    c, a0, H = params.c, params.a0, params.H
+    if H == 0.0:
+        return r0 + c * t / a0
+    if params.sigma == -1.0:
+        return r0 + c / (a0 * H) * (1.0 - math.exp(-H * t))
+    q = params.n * (1.0 + params.sigma)
+    if abs(q - 2.0) < 1e-12:
+        return r0 + c / (a0 * H) * math.log1p(H * t)
+    ratio = _per_call_a(params, t) / a0
+    return r0 + 2.0 * c / (a0 * H * (q - 2.0)) * (ratio ** (q / 2.0 - 1.0) - 1.0)
+
+
+def _per_call_weight(params, r0, lam, p, t):
+    n = params.n
+    wn = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    a, r = _per_call_a(params, t), _per_call_r(params, r0, t)
+    return lam * (wn ** (2.0 / n) * a * r * r) ** (-n * (p - 1.0) / 2.0)
+
+
+def _acceptance_4_problems(count):
+    """The first ``count`` problems of the acceptance-4 positivity suite."""
+    from test_acceptance import _random_background
+
+    rng = np.random.default_rng(17)
+    for _ in range(count):
+        params = _random_background(rng, case=int(rng.integers(1, 4)))
+        N, _ = damping_rate_N(params)
+        r0 = float(rng.uniform(0.3, 1.5))
+        lam = float(rng.uniform(0.5, 2.0))
+        p = float(rng.uniform(1.5, 2.5))
+        theta = float(rng.uniform(0.2, 0.8))
+        w0 = 2.0 * threshold_S(params, r0, lam, p, theta, N) + 1.0
+        yield OdeProblem(params=params, r0=r0, lam=lam, p=p, theta=theta, N=N,
+                         w0=w0, w1=1.05 * params.c * N * w0, t_end=2.0)
+
+
+class TestBackgroundPath:
+    def test_matches_per_call_formulas_bit_for_bit(self):
+        blowups = 0
+        for problem in _acceptance_4_problems(20):
+            prm, r0, lam, p = problem.params, problem.r0, problem.lam, problem.p
+            per_call = dataclasses.replace(
+                problem,
+                mass_sq_fn=lambda t: _per_call_mass_sq(prm, t),
+                weight_fn=lambda t: _per_call_weight(prm, r0, lam, p, t),
+            )
+            fast = integrate_comparison(problem, rtol=1e-8)
+            ref = integrate_comparison(per_call, rtol=1e-8)
+            assert np.array_equal(fast.t, ref.t)
+            assert np.array_equal(fast.w, ref.w)
+            assert np.array_equal(fast.wdot, ref.wdot)
+            assert fast.t_star == ref.t_star and fast.t_star_err == ref.t_star_err
+            assert fast.rejections == ref.rejections
+            assert verify_lemma21(fast, problem) == verify_lemma21(ref, per_call)
+            blowups += fast.blowup
+        assert 0 < blowups < 20
+
+    def test_last_stage_is_reused(self):
+        # 1 + 6 evaluations per attempted step: the first stage of every step
+        # after the first is the last stage of the step accepted before it
+        calls = []
+        problem, _ = _oracle_problem()
+        counting = dataclasses.replace(problem, weight_fn=lambda t: calls.append(t) or 1.0)
+        traj = integrate_comparison(counting)
+        assert traj.blowup and traj.rejections > 0
+        assert len(calls) == 1 + 6 * (traj.steps_accepted + traj.rejections) == traj.rhs_evals

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgflrw.cosmology import (
+    Background,
     ConeData,
     CosmologyParams,
     DomainError,
@@ -21,6 +22,7 @@ from kgflrw.cosmology import (
     curved_mass_bounds,
     curved_mass_sq,
     curved_mass_sq_from_derivatives,
+    background,
     horizon_time,
     hubble_rate,
     mass_sign_change_time,
@@ -246,3 +248,79 @@ class TestRegimeAndArrays:
             CosmologyParams(n=2, a0=-1.0)
         with pytest.raises(ValueError):
             ConeData(0.0, MINKOWSKI)
+
+
+@st.composite
+def _regime_points(draw):
+    """(params, r0) over the (H, sigma) plane, with the branch points drawn often."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["free", "de_sitter", "static", "near_log"]))
+    H = 0.0 if kind == "static" else draw(st.floats(-1.5, 1.5, allow_subnormal=False))
+    if kind == "de_sitter":
+        sigma = -1.0
+    elif kind == "near_log":
+        # n(1+sigma) = 2 + eps: inside and outside the log-branch tolerance
+        eps = draw(st.sampled_from([-1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3]))
+        sigma = (2.0 + eps) / n - 1.0
+    else:
+        sigma = draw(st.floats(-3.0, 2.0))
+    params = CosmologyParams(
+        n=n, H=H, sigma=sigma,
+        m_sq=draw(st.floats(-2.0, 2.0)),
+        c=draw(st.floats(0.5, 2.0)),
+        a0=draw(st.floats(0.5, 2.0)),
+    )
+    return params, draw(st.floats(0.2, 2.0))
+
+
+class TestBackground:
+    @given(point=_regime_points())
+    def test_scalars_match_arrays(self, point):
+        # numpy's exp/pow/log1p may differ from math's by an ulp, so the bar
+        # is round-off of the terms each closed form sums: r0 + coef (X - 1)
+        # cancels near n(1+sigma) = 2, where |coef| ~ 1/|n(1+sigma) - 2|,
+        # and X = (a/a0)^(q/2-1) carries a's round-off times |q/2 - 1|
+        params, r0 = point
+        bg = Background(params, r0)
+        t0 = horizon_time(params)
+        ts = np.linspace(0.0, 0.9 * t0 if math.isfinite(t0) else 5.0, 9)
+        a, r, msq = background_arrays(params, r0, ts)
+        amplify = 1.0 if bg.de_sitter else 1.0 + abs(bg.cone_exp)
+        coef = 0.0 if bg.static else abs(bg.cone_coef)
+        for j, t in enumerate(ts.tolist()):
+            a_s, r_s = bg.a_r(t)
+            m_s = bg.mass_sq(t)
+            assert (a_s, r_s) == (bg.a(t), bg.r(t))
+            assert abs(a[j] - a_s) <= 1e-15 * abs(a_s)
+            assert abs(msq[j] - m_s) <= 1e-15 * (abs(bg.m_sq) + abs(m_s - bg.m_sq))
+            assert abs(r[j] - r_s) <= 1e-15 * amplify * (abs(r_s) + abs(r_s - r0) + coef)
+
+    @given(point=_regime_points())
+    def test_module_functions_are_the_background(self, point):
+        params, r0 = point
+        bg = background(params, r0)
+        t0 = horizon_time(params)
+        t = 0.5 * t0 if math.isfinite(t0) else 1.5
+        assert bg.t0 == t0
+        assert scale_factor(params, t) == bg.a(t)
+        assert curved_mass_sq(params, t) == bg.mass_sq(t)
+        assert cone_radius(ConeData(r0, params), t) == bg.r(t)
+        assert hubble_rate(params, t) == bg.hubble(t)
+
+    def test_domain_and_argument_checks(self):
+        bg = Background(CRUNCH, 0.5)
+        for method in (bg.a, bg.r, bg.mass_sq, bg.a_r, bg.hubble):
+            with pytest.raises(DomainError):
+                method(-1e-9)
+            with pytest.raises(DomainError):
+                method(2.0 / 3.0)
+        # the clamp keeps evaluation finite just below a finite horizon
+        assert bg.a(2.0 / 3.0 * (1.0 - 1e-15)) == bg.a(2.0 / 3.0 * (1.0 - 1e-12))
+        with pytest.raises(ValueError):
+            bg.weight(0.0, 2.0)
+        with pytest.raises(ValueError):
+            bg.weight(-1.0, 2.0)
+        with pytest.raises(ValueError):
+            bg.weight(1.0, 1.0)
+        with pytest.raises(ValueError):
+            Background(CRUNCH, 0.0)

@@ -147,6 +147,19 @@ class TestRunUntil:
         means = np.array(diag.mean)
         assert means[-2] > means[0]
 
+    def test_divergence_guard_is_scale_free(self):
+        # a linear static run cannot blow up, whatever the size of its data
+        params = CosmologyParams(n=1, m_sq=1.0)
+        runs = [
+            run_until(params, 0.0, 2.0,
+                      init_field(n=1, r0=1.0, r_max=3.0, num_nodes=1025, w0=w0),
+                      1.0, 1.0, output_interval=0.25)
+            for w0 in (1.0, 1e9)
+        ]
+        assert not runs[0].diverged and not runs[1].diverged
+        assert runs[1].t == runs[0].t
+        np.testing.assert_allclose(runs[1].mean, 1e9 * np.array(runs[0].mean), rtol=1e-12)
+
     def test_snapshots_carry_grid(self):
         params = CosmologyParams(n=1, m_sq=1.0)
         state = init_field(n=1, r0=1.0, r_max=4.0, num_nodes=513, w0=1.0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kgflrw.cosmology import CosmologyParams
+from kgflrw import testfn
 from kgflrw.field_solver import init_field, run_until
 from kgflrw.testfn import (
     CoverageError,
@@ -175,6 +176,35 @@ class TestScalingFits:
         assert ev.h13 and ev.h14
         assert not ev.disagreement
         assert ev.fit_II.slope == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("params, p, slides", [
+        (CosmologyParams(n=1), 2.0, False),                  # power-law growth
+        (CosmologyParams(n=1, H=1.0, sigma=-1.0), 2.0, True),  # exponential growth
+    ])
+    def test_each_radius_is_integrated_once(self, monkeypatch, params, p, slides):
+        calls = {"II": [], "III": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[2])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(testfn, "II_prime", counted("II", II_prime))
+        monkeypatch.setattr(testfn, "III_prime", counted("III", III_prime))
+        ev = hypothesis_13_14(params, 0.5, p, tol=1e-8)
+        for name, fit, integral in (
+            ("II", ev.fit_II, lambda R: II_prime(params, 0.5, R, tol=1e-8)),
+            ("III", ev.fit_III, lambda R: III_prime(params, 0.5, R, p, tol=1e-8)),
+        ):
+            assert len(calls[name]) == len(set(calls[name])) >= len(fit.R)
+            # a window that overflows slides down and keeps what it already has
+            assert slides or len(calls[name]) == len(fit.R) == 11
+            # the fit is the one a fresh evaluation over its grid gives
+            ref = scaling_exponent(integral, fit.R, with_log_factor=True)
+            assert np.array_equal(fit.values, ref.values)
+            assert (fit.slope, fit.exponential) == (ref.slope, ref.exponential)
+        assert not ev.disagreement
 
     def test_save_fit_round_trip(self, tmp_path):
         fit = scaling_exponent(lambda R: R**3, [1.0, 2.0, 4.0, 8.0])
