@@ -161,7 +161,8 @@ def cmd_identity(spec: RunSpec, out_dir) -> int:
     if R <= 2.0 * spec.r0:
         raise ConfigError(f"R = {R} must exceed 2 r0 = {2.0 * spec.r0}")
     t_cap = _time_cap(spec, R)
-    if t_cap < min(R, 0.99 * horizon_time(spec.params())):
+    window = min(R, 0.99 * horizon_time(spec.params()))
+    if t_cap < window:
         raise ConfigError(f"t_end = {t_cap} does not cover the cutoff window [0, {R}]")
     state = _pde_state(spec, t_cap)
     diag = field_solver.run_until(
@@ -169,6 +170,13 @@ def cmd_identity(spec: RunSpec, out_dir) -> int:
         output_interval=spec.output_interval, safety=spec.safety,
         keep_snapshots=True,
     )
+    if diag.diverged and diag.divergence_time < window:
+        t_div, two_r0 = diag.divergence_time, 2.0 * spec.r0
+        fits = (f"choose 2 r0 = {two_r0} < R <= {t_div:.6g}" if t_div > two_r0
+                else f"no R > 2 r0 = {two_r0} fits")
+        raise ConfigError(
+            f"the field diverges at t = {t_div:.6g}, inside the cutoff window [0, R = {R}]; {fits}"
+        )
     residual, parts = weak_identity_residual(
         diag, spec.params(), spec.lam, spec.p, R, return_parts=True
     )

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cosmology import CosmologyParams, background, horizon_time
+from .cosmology import CosmologyParams, background
 from .thresholds import threshold_S
 
 __all__ = [
@@ -120,13 +120,6 @@ class Trajectory:
     rhs_evals: int  # evaluations of the right-hand side, 1 + 6 per attempted step
 
 
-def _capped_t_end(problem: OdeProblem) -> float:
-    t0 = horizon_time(problem.params)
-    if math.isfinite(t0):
-        return min(problem.t_end, (1.0 - 1e-9) * t0)
-    return problem.t_end
-
-
 def _extrapolate_t_star(t1, w1, t2, w2, p) -> float:
     """Blow-up time from the power-law asymptote w ~ C (t* - t)^(-2/(p-1))."""
     kappa = (abs(w1) / abs(w2)) ** ((p - 1.0) / 2.0)
@@ -142,7 +135,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     exceeds the divergence guard; a collapse without divergence raises
     StiffnessError.  Runs are deterministic for fixed inputs.
     """
-    t_end = _capped_t_end(problem)
+    t_end = min(problem.t_end, background(problem.params).t_end_cap)
     t = 0.0
     w, wd = float(problem.w0), float(problem.w1)
     c2 = problem.params.c ** 2

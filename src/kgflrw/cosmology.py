@@ -49,6 +49,8 @@ __all__ = [
 # Fraction of T0 kept usable when the horizon is finite; evaluation at the
 # horizon itself is singular.
 _HORIZON_CLAMP = 1.0 - 1e-12
+# Fraction of a finite T0 at which runs, and the threshold grids, end.
+_RUN_END = 1.0 - 1e-9
 _LOG_BRANCH_TOL = 1e-12
 
 
@@ -151,6 +153,7 @@ class Background:
     m_sq: float = field(init=False, repr=False)
     t0: float = field(init=False, repr=False)
     t_clamp: float = field(init=False, repr=False)
+    t_end_cap: float = field(init=False, repr=False)  # last time a run reaches
     de_sitter: bool = field(init=False, repr=False)  # sigma = -1
     static: bool = field(init=False, repr=False)  # H = 0
     log_branch: bool = field(init=False, repr=False)  # n(1+sigma) = 2
@@ -161,6 +164,7 @@ class Background:
     cone_coef: float = field(init=False, repr=False)
     cone_exp: float = field(init=False, repr=False)
     wn_2n: float = field(init=False, repr=False)  # omega_n^(2/n)
+    log_wn_2n: float = field(init=False, repr=False)  # log omega_n^(2/n)
 
     def __post_init__(self):
         if self.r0 is not None and self.r0 <= 0:
@@ -190,6 +194,7 @@ class Background:
             "m_sq": p.m_sq,
             "t0": t0,
             "t_clamp": _HORIZON_CLAMP * t0 if math.isfinite(t0) else math.inf,
+            "t_end_cap": _RUN_END * t0 if math.isfinite(t0) else math.inf,
             "de_sitter": de_sitter,
             "static": H == 0.0,
             "log_branch": log_branch,
@@ -200,6 +205,7 @@ class Background:
             "cone_coef": cone_coef,
             "cone_exp": cone_exp,
             "wn_2n": _ball_volume(n) ** (2.0 / n),
+            "log_wn_2n": (2.0 / n) * math.log(_ball_volume(n)),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -218,9 +224,9 @@ class Background:
         """a(t) = a0 exp(Ht) (sigma = -1), else a0 (1 + qHt/2)^(2/q)."""
         return self._a(self.check_time(t))
 
-    def _a(self, t: float) -> float:
+    def _a(self, t, xp=math):
         if self.de_sitter:
-            return self.a0 * math.exp(self.H * t)
+            return self.a0 * xp.exp(self.H * t)
         return self.a0 * (1.0 + self.qH * t / 2.0) ** self.two_over_q
 
     def hubble(self, t: float) -> float:
@@ -236,7 +242,9 @@ class Background:
         At sigma = -1 the bracket is 1 and this reduces to the constant
         m^2 - (nH/2c)^2.
         """
-        t = self.check_time(t)
+        return self._mass_sq(self.check_time(t))
+
+    def _mass_sq(self, t):
         if self.de_sitter:
             return self.m_sq + self.shift
         return self.m_sq + self.shift * (1.0 + self.qH * t / 2.0) ** (-2.0)
@@ -251,13 +259,13 @@ class Background:
         a = self._a(t)
         return a, self._r(t, a)
 
-    def _r(self, t: float, a: Optional[float] = None) -> float:
+    def _r(self, t, a=None, xp=math):
         if self.static:
             return self.r0 + self.c * t / self.a0
         if self.de_sitter:
-            return self.r0 + self.cone_coef * (1.0 - math.exp(-self.H * t))
+            return self.r0 + self.cone_coef * (1.0 - xp.exp(-self.H * t))
         if self.log_branch:
-            return self.r0 + self.cone_coef * math.log1p(self.H * t)
+            return self.r0 + self.cone_coef * xp.log1p(self.H * t)
         if a is None:
             a = self._a(t)
         return self.r0 + self.cone_coef * ((a / self.a0) ** self.cone_exp - 1.0)
@@ -265,6 +273,10 @@ class Background:
     def b(self, a: float, r: float, lam: float, expo: float) -> float:
         """b = lambda * (omega_n^(2/n) a r^2)^expo from a(t) and r(t); expo = -n(p-1)/2."""
         return lam * (self.wn_2n * a * r * r) ** expo
+
+    def log_b(self, log_a, log_r, lam: float, expo: float):
+        """log b from log a(t) and log r(t); also over arrays, where b itself overflows."""
+        return math.log(lam) + expo * (self.log_wn_2n + log_a + 2.0 * log_r)
 
     def weight(self, lam: float, p: float) -> Callable[[float], float]:
         """b(t) = lambda * (omega_n^(2/n) a(t) r(t)^2)^(-n(p-1)/2) as a function of t.
@@ -326,8 +338,9 @@ def curved_mass_sq_from_derivatives(
     near t = 0.  The step balances truncation against roundoff on the local
     timescale, which shrinks toward a finite horizon.
     """
-    t = background(params).check_time(t)
-    t0 = horizon_time(params)
+    bg = background(params)
+    t = bg.check_time(t)
+    t0 = bg.t0
     if dt is None:
         scale = 1.0 + t
         if math.isfinite(t0):
@@ -358,13 +371,14 @@ def mass_sign_change_time(params: CosmologyParams) -> Optional[float]:
     m > sqrt(|sigma|) n |H| / 2c; otherwise M^2 keeps its sign and None is
     returned.
     """
-    if (1.0 + params.sigma) * params.H >= 0 or params.sigma >= 0 or params.m_sq <= 0:
+    t0 = background(params).t0
+    if not math.isfinite(t0) or params.sigma >= 0 or params.m_sq <= 0:
         return None
     m = math.sqrt(params.m_sq)
     crit = math.sqrt(abs(params.sigma)) * params.n * abs(params.H) / (2.0 * params.c)
     if m <= crit:
         return None
-    return -2.0 / (params.n * (1.0 + params.sigma) * params.H) * (1.0 - crit / m)
+    return t0 * (1.0 - crit / m)
 
 
 def cone_radius(cone: ConeData, t: float) -> float:
@@ -413,18 +427,14 @@ def cone_entry_time(cone: ConeData, R: float, tol: float = 1e-10, max_iter: int 
     target = R / 2.0
     if cone.r0 >= target:
         return 0.0 if cone.r0 == target else None
-    t0 = horizon_time(cone.params)
-    t_cap = _HORIZON_CLAMP * t0 if math.isfinite(t0) else None
-
-    hi = 1.0
-    if t_cap is not None:
-        hi = min(hi, t_cap)
+    t_cap = background(cone.params).t_clamp
+    hi = min(1.0, t_cap)
     for _ in range(max_iter):
         if cone_radius(cone, hi) >= target:
             break
-        if t_cap is not None and hi >= t_cap:
+        if hi >= t_cap:
             return None
-        hi = min(hi * 2.0, t_cap) if t_cap is not None else hi * 2.0
+        hi = min(hi * 2.0, t_cap)
     else:
         return None
     if cone_radius(cone, hi) < target:
@@ -456,35 +466,20 @@ def classify_regime(params: CosmologyParams) -> Regime:
 def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
     """Vectorized (a(t), r(t), M^2(t)) over an array of times in [0, T0).
 
-    Same closed forms and constants as the scalar Background methods; used
-    by grid suprema and quadrature-heavy callers.
+    Evaluates the scalar Background bodies with numpy's functions; used by
+    grid suprema and quadrature-heavy callers.
     """
     import numpy as np
 
-    bg = background(params)
+    bg = background(params, r0)
     ts = np.asarray(ts, dtype=float)
-    c, H, a0 = bg.c, bg.H, bg.a0
     if ts.size and (ts.min() < 0 or ts.max() >= bg.t0):
         raise DomainError("times must lie in [0, T0)")
     ts = np.minimum(ts, bg.t_clamp)
     # a(t) can underflow to 0 and r(t) overflow to inf just before a crunch
     with np.errstate(over="ignore", divide="ignore"):
-        if bg.de_sitter:
-            a = a0 * np.exp(H * ts)
-            msq = np.full_like(ts, bg.m_sq + bg.shift)
-        else:
-            bracket = 1.0 + bg.qH * ts / 2.0
-            a = a0 * bracket ** bg.two_over_q
-            msq = bg.m_sq + bg.shift * bracket ** (-2.0)
-        if bg.static:
-            r = r0 + c * ts / a0
-        elif bg.de_sitter:
-            r = r0 + bg.cone_coef * (1.0 - np.exp(-H * ts))
-        elif bg.log_branch:
-            r = r0 + bg.cone_coef * np.log1p(H * ts)
-        else:
-            r = r0 + bg.cone_coef * ((a / a0) ** bg.cone_exp - 1.0)
-    return a, r, msq
+        a = bg._a(ts, np)
+        return a, bg._r(ts, a, np), np.full_like(ts, bg._mass_sq(ts))
 
 
 @dataclass(frozen=True)
@@ -501,8 +496,8 @@ class MassBounds:
 
 def curved_mass_bounds(params: CosmologyParams) -> MassBounds:
     """Analytic envelope of M^2, by case on (H, sigma)."""
-    n, c, H, sigma, m_sq = params.n, params.c, params.H, params.sigma, params.m_sq
-    shift = sigma * (n * H / (2.0 * c)) ** 2
+    H, sigma, m_sq = params.H, params.sigma, params.m_sq
+    shift = background(params).shift
     if H == 0.0 or sigma == 0.0:
         return MassBounds("i", m_sq, m_sq, m_sq, m_sq, m_sq)
     if sigma == -1.0:

@@ -20,9 +20,9 @@ from scipy.integrate import simpson
 from .cosmology import (
     ConeData,
     CosmologyParams,
+    background,
     cone_radius,
     curved_mass_sq,
-    horizon_time,
     scale_factor,
     unit_ball_volume,
 )
@@ -286,8 +286,7 @@ def run_until(
     support must stay within r(t) + 2 dr.
     """
     cone = ConeData(r0, params)
-    t0 = horizon_time(params)
-    t_cap = min(t_end, (1.0 - 1e-9) * t0) if math.isfinite(t0) else t_end
+    t_cap = min(t_end, background(params).t_end_cap)
     if check_cone:
         r_need = cone_radius(cone, t_cap)
         if state.r[-1] <= r_need:
@@ -307,12 +306,16 @@ def run_until(
     peak_mag = 0.0
 
     def record(st: FieldState):
+        # a diverged state gets no energy, is measured against the peak
+        # before it, and its support is not checked against the cone
         nonlocal peak_mag
-        peak_mag = max(peak_mag, float(np.max(np.abs(st.u))), float(np.max(np.abs(st.v))))
+        live = not st.diverged
+        if live:
+            peak_mag = max(peak_mag, float(np.max(np.abs(st.u))), float(np.max(np.abs(st.v))))
         diag.t.append(st.t)
         diag.mean.append(spatial_mean(st, n))
         diag.sup.append(float(np.max(np.abs(st.u))))
-        diag.energy.append(energy(st, params, lam=0.0) if linear_static else math.nan)
+        diag.energy.append(energy(st, params, lam=0.0) if linear_static and live else math.nan)
         sr = support_radius(st, scale=peak_mag)
         rc = cone_radius(cone, st.t)
         diag.support_radius.append(sr)
@@ -320,7 +323,7 @@ def run_until(
         diag.mass_integral.append(mass_acc)
         if keep_snapshots:
             diag.snapshots.append((st.t, st.u.copy(), st.v.copy()))
-        if check_cone and sr > rc + 2.0 * st.dr:
+        if check_cone and live and sr > rc + 2.0 * st.dr:
             raise ConeViolationError(
                 f"support radius {sr} exceeds cone radius {rc} + 2 dr at t = {st.t}"
             )
@@ -338,15 +341,7 @@ def run_until(
         if state.diverged:
             diag.diverged = True
             diag.divergence_time = state.t
-            diag.t.append(state.t)
-            diag.mean.append(spatial_mean(state, n))
-            diag.sup.append(float(np.max(np.abs(state.u))))
-            diag.energy.append(math.nan)
-            diag.support_radius.append(support_radius(state, scale=peak_mag))
-            diag.cone_radius.append(cone_radius(cone, state.t))
-            diag.mass_integral.append(mass_acc)
-            if keep_snapshots:
-                diag.snapshots.append((state.t, state.u.copy(), state.v.copy()))
+            record(state)
             break
         if state.t >= next_record - 1e-12:
             record(state)

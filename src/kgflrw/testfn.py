@@ -29,6 +29,7 @@ from scipy.interpolate import CubicSpline
 from .cosmology import (
     ConeData,
     CosmologyParams,
+    background,
     cone_entry_time,
     cone_radius,
     curved_mass_sq,
@@ -262,9 +263,9 @@ def verify_cutoff_bounds(
 
 def _quad_cap(params: CosmologyParams, R: float) -> tuple[float, bool]:
     """Upper integration limit min(R, T0-) and whether truncation occurred."""
-    t0 = horizon_time(params)
-    if math.isfinite(t0) and t0 < R:
-        return (1.0 - 1e-12) * t0, True
+    bg = background(params)
+    if bg.t0 < R:
+        return bg.t_clamp, True
     return R, False
 
 

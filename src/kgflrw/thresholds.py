@@ -20,8 +20,6 @@ from .cosmology import (
     background_arrays,
     cone_radius,
     curved_mass_bounds,
-    curved_mass_sq,
-    horizon_time,
     scale_factor,
     unit_ball_volume,
     weight_exponent,
@@ -156,13 +154,34 @@ def _require_mass_window(params: CosmologyParams, N: float, bounds=None) -> None
         raise CaseMismatchError(f"N^2 + inf M^2 = {N*N + bounds.inf_m_sq} < 0")
 
 
-def _s_integrand(params, r0, lam, p, theta, N, t):
-    msq = curved_mass_sq(params, t)
-    val = N * N + msq
-    if val <= 1e-12 * (N * N + abs(msq) + 1.0):
-        return 0.0
-    b = nonlinearity_weight(params, r0, lam, p, t)
-    return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * b)) ** (1.0 / (p - 1.0))
+def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float] = None):
+    """Grid maximum of a data threshold's log integrand: (top, ts, best).
+
+    ``log_value(ts, a, r, log_window)`` is the log integrand from the times,
+    a(t), r(t) and log(N^2 + M^2(t)).  The grid is t = 0 plus ``grid_size``
+    points log-spaced over six decades below t_max, which defaults to
+    1e3 max(1, 1/cN) and ends before a finite horizon; working in logs
+    survives huge scale factors.  Times where N^2 + M^2 vanishes (possible
+    only at round-off level under the mass hypothesis) contribute zero.
+    ``top`` is the maximum, -inf when every sample is zero and inf above the
+    overflow guard; ``best`` is its index in the grid ``ts``.
+    """
+    import numpy as np
+
+    if t_max is None:
+        t_max = 1e3 * max(1.0, 1.0 / (bg.c * N)) if N > 0 else 1e3
+    t_max = min(t_max, bg.t_end_cap)
+    ts = np.concatenate(([0.0], t_max * 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))))
+    a, r, msq = background_arrays(bg.params, bg.r0, ts)
+    window = N * N + msq
+    # the mass hypothesis makes inf(N^2 + M^2) = 0; clamp roundoff residue
+    window = np.where(window <= 1e-12 * (N * N + np.abs(msq) + 1.0), 0.0, window)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_vals = log_value(ts, a, r, np.log(window))
+    log_vals = np.where(window > 0.0, log_vals, -np.inf)
+    best = int(np.argmax(log_vals))
+    top = float(log_vals[best])
+    return (math.inf if top > math.log(_S_OVERFLOW) else top), ts, best
 
 
 def threshold_S(
@@ -184,36 +203,30 @@ def threshold_S(
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    t0 = horizon_time(params)
-    if t_max is None:
-        t_max = 1e3 * max(1.0, 1.0 / (params.c * N)) if N > 0 else 1e3
-    if math.isfinite(t0):
-        t_max = min(t_max, (1.0 - 1e-9) * t0)
-
     import numpy as np
 
-    f = lambda t: _s_integrand(params, r0, lam, p, theta, N, t)
-    # log-spaced grid plus t = 0; work in logs to survive huge scale factors
-    ts = np.concatenate(([0.0], t_max * 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))))
-    a, r, msq = background_arrays(params, r0, ts)
-    wn = unit_ball_volume(params.n)
-    window = N * N + msq
-    # the mass hypothesis makes inf(N^2 + M^2) = 0; clamp roundoff residue
-    window = np.where(window <= 1e-12 * (N * N + np.abs(msq) + 1.0), 0.0, window)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_b = math.log(lam) - params.n * (p - 1.0) / 2.0 * (
-            (2.0 / params.n) * math.log(wn) + np.log(a) + 2.0 * np.log(r)
-        )
-        log_vals = -params.c * N * ts + (np.log(window) - math.log(1.0 - theta) - log_b) / (p - 1.0)
-    log_vals = np.where(window > 0.0, log_vals, -np.inf)
-    best = int(np.argmax(log_vals))
-    if log_vals[best] == -np.inf:
-        return 0.0
-    if log_vals[best] > math.log(_S_OVERFLOW):
-        return math.inf
-    ts = ts.tolist()
-    vals = np.exp(log_vals).tolist()
+    bg = background(params, r0)
+    expo = weight_exponent(params.n, lam, p)
+    c = bg.c
+
+    def log_value(ts, a, r, log_window):
+        log_b = bg.log_b(np.log(a), np.log(r), lam, expo)
+        return -c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
+
+    top, ts, best = _log_grid_sup(bg, N, log_value, grid_size, t_max)
+    if not math.isfinite(top):
+        return math.exp(top)
+    mass_sq, weight = bg.mass_sq, bg.weight(lam, p)
+
+    def f(t):
+        msq = mass_sq(t)
+        val = N * N + msq
+        if val <= 1e-12 * (N * N + abs(msq) + 1.0):
+            return 0.0
+        return math.exp(-c * N * t) * (val / ((1.0 - theta) * weight(t))) ** (1.0 / (p - 1.0))
+
     # golden-section refinement on the bracketing interval
+    ts = ts.tolist()
     lo = ts[best - 1] if best > 0 else ts[0]
     hi = ts[best + 1] if best + 1 < len(ts) else ts[-1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -231,7 +244,7 @@ def threshold_S(
             f1 = f(x1)
         if hi - lo < 1e-12 * max(1.0, hi):
             break
-    return max(vals[best], f1, f2)
+    return max(float(np.exp(top)), f1, f2)
 
 
 Number = Union[int, float, Fraction]
@@ -417,26 +430,17 @@ def _prior_S(params: CosmologyParams, r0, lam, p, theta, N, grid_size=4000) -> f
     """Earlier-work data threshold: the sup carries max{a0 r0^2, a r^2}."""
     import numpy as np
 
-    wn = unit_ball_volume(params.n)
-    t0 = horizon_time(params)
-    t_max = 1e3 * max(1.0, 1.0 / (params.c * N)) if N > 0 else 1e3
-    if math.isfinite(t0):
-        t_max = min(t_max, (1.0 - 1e-9) * t0)
-    ts = np.concatenate(([0.0], t_max * 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))))
-    a, r, msq = background_arrays(params, r0, ts)
-    window = N * N + msq
-    window = np.where(window <= 1e-12 * (N * N + np.abs(msq) + 1.0), 0.0, window)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    log_wn = math.log(unit_ball_volume(params.n))
+
+    def log_value(ts, a, r, log_window):
         log_bulk = params.n / 2.0 * np.log(np.maximum(params.a0 * r0 * r0, a * r * r))
-        log_vals = (
-            math.log(wn) - params.c * N * ts + log_bulk
-            + (np.log(window) - math.log((1.0 - theta) * lam)) / (p - 1.0)
+        return (
+            log_wn - params.c * N * ts + log_bulk
+            + (log_window - math.log((1.0 - theta) * lam)) / (p - 1.0)
         )
-    log_vals = np.where(window > 0.0, log_vals, -np.inf)
-    top = float(np.max(log_vals))
-    if top == -math.inf:
-        return 0.0
-    return math.inf if top > math.log(_S_OVERFLOW) else math.exp(top)
+
+    top, _, _ = _log_grid_sup(background(params, r0), N, log_value, grid_size)
+    return math.exp(top)
 
 
 def compare_prior_conditions(

@@ -1,8 +1,11 @@
 """Unit tests for config parsing/validation and the command line front end,
 including sweep determinism and resumability."""
 
+import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +223,39 @@ class TestSweep:
         assert len(boundary) == 3
         for line in boundary[1:]:
             assert float(line.split(",")[1]) == pytest.approx(0.6)
+
+
+def _readme_configs():
+    """The README's JSON blocks: the run config, then the sweep config."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+class TestReadmeExamples:
+    def test_sweep_example_shows_admissible_points_at_any_job_count(self, tmp_path):
+        run_config, sweep_config = _readme_configs()
+        parse_config_dict(run_config)
+        parse_config_dict(sweep_config)
+        cfg = _write_config(tmp_path, sweep_config)
+        outputs = []
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", cfg, "--out", str(out_dir), "--jobs", str(jobs)]) == 0
+            outputs.append((out_dir / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = list(csv.DictReader(outputs[0].decode().splitlines()))
+        assert len(rows) == 90
+        assert sum(row["verdict"] == "admissible" for row in rows) > 0
+
+    def test_identity_on_a_diverging_run_is_exit_1(self, tmp_path, capsys):
+        # the README run diverges at t = 0.82, before any window R > 2 r0 = 1 ends
+        cfg = _write_config(tmp_path, _readme_configs()[0])
+        assert main(["identity", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "diverges at t = 0.82" in err
+        assert "R = 3.0" in err and "2 r0 = 1.0" in err
+
+    def test_identity_without_divergence_is_exit_0(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5, "w0": 0.1, "R": 1.5})
+        assert main(["identity", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] < 1e-4
