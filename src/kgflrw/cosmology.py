@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -51,7 +50,6 @@ __all__ = [
 _HORIZON_CLAMP = 1.0 - 1e-12
 # Fraction of a finite T0 at which runs, and the threshold grids, end.
 _RUN_END = 1.0 - 1e-9
-_LOG_BRANCH_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -123,14 +121,6 @@ def _ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _is_log_branch(params: CosmologyParams) -> bool:
-    """Detect n(1+sigma) = 2, where the cone integral is logarithmic."""
-    sig = params.sigma
-    if isinstance(sig, (int, Fraction)):
-        return params.n * (1 + Fraction(sig)) == 2
-    return abs(params.n * (1.0 + sig) - 2.0) < _LOG_BRANCH_TOL
-
-
 @dataclass(frozen=True)
 class Background:
     """The scalar closed forms of one background, with their constants computed once.
@@ -156,13 +146,12 @@ class Background:
     t_end_cap: float = field(init=False, repr=False)  # last time a run reaches
     de_sitter: bool = field(init=False, repr=False)  # sigma = -1
     static: bool = field(init=False, repr=False)  # H = 0
-    log_branch: bool = field(init=False, repr=False)  # n(1+sigma) = 2
     q: float = field(init=False, repr=False)
     qH: float = field(init=False, repr=False)
     two_over_q: float = field(init=False, repr=False)
     shift: float = field(init=False, repr=False)  # sigma (nH/2c)^2
-    cone_coef: float = field(init=False, repr=False)
-    cone_exp: float = field(init=False, repr=False)
+    cone_coef: float = field(init=False, repr=False)  # c/(a0 H)
+    cone_exp: float = field(init=False, repr=False)  # q/2 - 1
     wn_2n: float = field(init=False, repr=False)  # omega_n^(2/n)
     log_wn_2n: float = field(init=False, repr=False)  # log omega_n^(2/n)
 
@@ -174,19 +163,7 @@ class Background:
         # the spacetime ends at T0 = -2/(n(1+sigma)H) when (1+sigma)H < 0
         t0 = math.inf if (1.0 + p.sigma) * H >= 0 else -2.0 / (n * (1.0 + p.sigma) * H)
         de_sitter = p.sigma == -1.0
-        log_branch = _is_log_branch(p)
-        q = qH = two_over_q = cone_exp = math.nan
-        if not de_sitter:
-            q = n * (1.0 + p.sigma)
-            qH = q * H
-            two_over_q = 2.0 / q
-            cone_exp = q / 2.0 - 1.0
-        if H == 0.0:
-            cone_coef = math.nan
-        elif de_sitter or log_branch:
-            cone_coef = c / (a0 * H)
-        else:
-            cone_coef = 2.0 * c / (a0 * H * (q - 2.0))
+        q = n * (1.0 + p.sigma)
         derived = {
             "c": c,
             "a0": a0,
@@ -197,13 +174,12 @@ class Background:
             "t_end_cap": _RUN_END * t0 if math.isfinite(t0) else math.inf,
             "de_sitter": de_sitter,
             "static": H == 0.0,
-            "log_branch": log_branch,
             "q": q,
-            "qH": qH,
-            "two_over_q": two_over_q,
+            "qH": q * H,
+            "two_over_q": math.nan if de_sitter else 2.0 / q,
             "shift": p.sigma * (n * H / (2.0 * c)) ** 2,
-            "cone_coef": cone_coef,
-            "cone_exp": cone_exp,
+            "cone_coef": math.nan if H == 0.0 else c / (a0 * H),
+            "cone_exp": q / 2.0 - 1.0,
             "wn_2n": _ball_volume(n) ** (2.0 / n),
             "log_wn_2n": (2.0 / n) * math.log(_ball_volume(n)),
         }
@@ -254,21 +230,31 @@ class Background:
         return self._r(self.check_time(t))
 
     def a_r(self, t: float) -> tuple[float, float]:
-        """(a(t), r(t)), computing a once."""
+        """(a(t), r(t)), checking t once."""
         t = self.check_time(t)
-        a = self._a(t)
-        return a, self._r(t, a)
+        return self._a(t), self._r(t)
 
-    def _r(self, t, a=None, xp=math):
+    def _r(self, t, xp=math):
         if self.static:
             return self.r0 + self.c * t / self.a0
+        return self.r0 + self.cone_coef * self._cone_growth(self._log_a(t, xp), xp)
+
+    def _log_a(self, t, xp=math):
+        """L = log(a/a0): Ht at sigma = -1, else (2/q) log1p(qHt/2)."""
         if self.de_sitter:
-            return self.r0 + self.cone_coef * (1.0 - xp.exp(-self.H * t))
-        if self.log_branch:
-            return self.r0 + self.cone_coef * xp.log1p(self.H * t)
-        if a is None:
-            a = self._a(t)
-        return self.r0 + self.cone_coef * ((a / self.a0) ** self.cone_exp - 1.0)
+            return self.H * t
+        return self.two_over_q * xp.log1p(self.qH * t / 2.0)
+
+    def _cone_growth(self, L, xp=math):
+        """(r - r0) a0 H / c = expm1(e L) / e with e = q/2 - 1, and L itself at e = 0.
+
+        One form for every (H, sigma): e = -1 gives de Sitter's 1 - exp(-Ht)
+        and e = 0 the logarithmic cone of n(1+sigma) = 2.  expm1 keeps full
+        relative accuracy as e L -> 0, where (a/a0)^e - 1 cancels.  Raises
+        OverflowError where e L exceeds the float range (a(t) underflows).
+        """
+        e = self.cone_exp
+        return L if e == 0.0 else xp.expm1(e * L) / e
 
     def b(self, a: float, r: float, lam: float, expo: float) -> float:
         """b = lambda * (omega_n^(2/n) a r^2)^expo from a(t) and r(t); expo = -n(p-1)/2."""
@@ -338,9 +324,8 @@ def curved_mass_sq_from_derivatives(
     near t = 0.  The step balances truncation against roundoff on the local
     timescale, which shrinks toward a finite horizon.
     """
-    bg = background(params)
-    t = bg.check_time(t)
-    t0 = bg.t0
+    t = background(params).check_time(t)
+    t0 = horizon_time(params)
     if dt is None:
         scale = 1.0 + t
         if math.isfinite(t0):
@@ -397,24 +382,15 @@ def cone_radius_quadrature(cone: ConeData, t: float, tol: float = 1e-12) -> floa
 
 
 def cone_radius_limit(cone: ConeData) -> float:
-    """sup of r(t) over [0, T0); inf when the cone is unbounded."""
-    p = cone.params
-    if p.H == 0.0:
+    """sup of r(t) over [0, T0); inf when the cone is unbounded.
+
+    log(a/a0) tends to +inf (H > 0) or -inf (H < 0) at the end of the time
+    domain, so the closed form's limit is its value there.
+    """
+    bg = background(cone.params, cone.r0)
+    if bg.static:
         return math.inf
-    if p.sigma == -1.0:
-        return cone.r0 + p.c / (p.a0 * p.H) if p.H > 0 else math.inf
-    if _is_log_branch(p):
-        # log(1 + H t): unbounded as t -> T0 (H<0) or t -> inf (H>0)
-        return math.inf
-    q = p.n * (1.0 + p.sigma)
-    # r(t) - r0 = coef * ((1 + qHt/2)^(1 - 2/q) - 1)
-    e = 1.0 - 2.0 / q
-    bracket_to_inf = q * p.H > 0  # T0 = inf; bracket term grows, else it -> 0
-    term = (math.inf if e > 0 else 0.0) if bracket_to_inf else (0.0 if e > 0 else math.inf)
-    coef = 2.0 * p.c / (p.a0 * p.H * (q - 2.0))
-    if math.isinf(term):
-        return math.inf
-    return cone.r0 + coef * (term - 1.0)
+    return bg.r0 + bg.cone_coef * bg._cone_growth(math.copysign(math.inf, bg.H))
 
 
 def cone_entry_time(cone: ConeData, R: float, tol: float = 1e-10, max_iter: int = 200) -> Optional[float]:
@@ -478,8 +454,7 @@ def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
     ts = np.minimum(ts, bg.t_clamp)
     # a(t) can underflow to 0 and r(t) overflow to inf just before a crunch
     with np.errstate(over="ignore", divide="ignore"):
-        a = bg._a(ts, np)
-        return a, bg._r(ts, a, np), np.full_like(ts, bg._mass_sq(ts))
+        return bg._a(ts, np), bg._r(ts, np), np.full_like(ts, bg._mass_sq(ts))
 
 
 @dataclass(frozen=True)

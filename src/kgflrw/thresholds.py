@@ -158,13 +158,11 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float
     """Grid maximum of a data threshold's log integrand: (top, ts, best).
 
     ``log_value(ts, a, r, log_window)`` is the log integrand from the times,
-    a(t), r(t) and log(N^2 + M^2(t)).  The grid is t = 0 plus ``grid_size``
-    points log-spaced over six decades below t_max, which defaults to
-    1e3 max(1, 1/cN) and ends before a finite horizon; working in logs
-    survives huge scale factors.  Times where N^2 + M^2 vanishes (possible
-    only at round-off level under the mass hypothesis) contribute zero.
-    ``top`` is the maximum, -inf when every sample is zero and inf above the
-    overflow guard; ``best`` is its index in the grid ``ts``.
+    a(t), r(t) and log(N^2 + M^2(t)); times where N^2 + M^2 vanishes count
+    as zero.  The grid is t = 0 plus ``grid_size`` points log-spaced over six
+    decades below t_max (default 1e3 max(1, 1/cN), capped before a finite
+    horizon); logs survive huge scale factors.  ``top`` is -inf when every
+    sample is zero and inf above the overflow guard.
     """
     import numpy as np
 
@@ -207,11 +205,10 @@ def threshold_S(
 
     bg = background(params, r0)
     expo = weight_exponent(params.n, lam, p)
-    c = bg.c
 
     def log_value(ts, a, r, log_window):
         log_b = bg.log_b(np.log(a), np.log(r), lam, expo)
-        return -c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
+        return -params.c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
 
     top, ts, best = _log_grid_sup(bg, N, log_value, grid_size, t_max)
     if not math.isfinite(top):
@@ -223,7 +220,7 @@ def threshold_S(
         val = N * N + msq
         if val <= 1e-12 * (N * N + abs(msq) + 1.0):
             return 0.0
-        return math.exp(-c * N * t) * (val / ((1.0 - theta) * weight(t))) ** (1.0 / (p - 1.0))
+        return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * weight(t))) ** (1.0 / (p - 1.0))
 
     # golden-section refinement on the bracketing interval
     ts = ts.tolist()

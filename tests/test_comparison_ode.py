@@ -205,13 +205,10 @@ def _per_call_r(params, r0, t):
     c, a0, H = params.c, params.a0, params.H
     if H == 0.0:
         return r0 + c * t / a0
-    if params.sigma == -1.0:
-        return r0 + c / (a0 * H) * (1.0 - math.exp(-H * t))
     q = params.n * (1.0 + params.sigma)
-    if abs(q - 2.0) < 1e-12:
-        return r0 + c / (a0 * H) * math.log1p(H * t)
-    ratio = _per_call_a(params, t) / a0
-    return r0 + 2.0 * c / (a0 * H * (q - 2.0)) * (ratio ** (q / 2.0 - 1.0) - 1.0)
+    L = H * t if params.sigma == -1.0 else 2.0 / q * math.log1p(q * H * t / 2.0)
+    e = q / 2.0 - 1.0
+    return r0 + c / (a0 * H) * (L if e == 0.0 else math.expm1(e * L) / e)
 
 
 def _per_call_weight(params, r0, lam, p, t):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from kgflrw.cosmology import (
     Background,
@@ -198,6 +199,44 @@ class TestCone:
             ref = cone_radius_quadrature(cone, float(t))
             assert closed == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("eps", [-1e-9, -1e-11, -3e-12, -1e-13, 1e-13, 3e-12, 1e-11, 1e-9])
+    @pytest.mark.parametrize("H", [0.8, -0.8])
+    def test_closed_form_accurate_beside_the_log_cone(self, n, eps, H):
+        # n(1+sigma) = 2 + eps: one closed form on both sides of the
+        # logarithmic cone, with no cancellation as eps -> 0
+        params = CosmologyParams(n=n, H=H, sigma=(2.0 + eps) / n - 1.0)
+        cone = ConeData(0.7, params)
+        t0 = horizon_time(params)
+        for t in np.linspace(0.0, 0.9 * t0 if math.isfinite(t0) else 5.0, 7)[1:].tolist():
+            assert cone_radius(cone, t) == pytest.approx(cone_radius_quadrature(cone, t), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("eps", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("H", [0.8, -0.8])
+    def test_closed_form_accurate_beside_de_sitter(self, n, eps, H):
+        # the reference integrates c/a with a = a0 exp((2/q) log1p(qHs/2)):
+        # a(t)'s power form carries (2/q) ulps, about 1e-7 relative at this q
+        params = CosmologyParams(n=n, H=H, sigma=-1.0 + eps, c=1.3, a0=0.8)
+        q = n * (1.0 + params.sigma)
+        cone = ConeData(0.7, params)
+        for t in np.linspace(0.0, 5.0, 7)[1:].tolist():
+            integral, _ = quad(lambda s: 1.3 / (0.8 * math.exp(2.0 / q * math.log1p(q * H * s / 2.0))),
+                               0.0, t, epsabs=0.0, epsrel=1e-13)
+            assert cone_radius(cone, t) == pytest.approx(0.7 + integral, rel=1e-10)
+
+    def test_underflowing_scale_factor_overflows_the_cone(self):
+        # a(t) underflows to 0 long before this crunch, where r ~ e^4600; the
+        # comparison ODE's right-hand side maps the OverflowError to inf
+        params = CosmologyParams(n=1, H=-1.0, sigma=-0.999)
+        t = 0.9 * horizon_time(params)
+        assert scale_factor(params, t) == 0.0
+        with pytest.raises(OverflowError):
+            cone_radius(ConeData(0.5, params), t)
+        with pytest.raises(OverflowError):
+            background(params, 0.5).weight(1.0, 2.0)(t)
+        assert background_arrays(params, 0.5, [t])[1][0] == math.inf
+
     def test_entry_time_solves_half_R(self):
         cone = ConeData(0.25, CRUNCH)
         t = cone_entry_time(cone, 3.0)
@@ -259,8 +298,8 @@ def _regime_points(draw):
     if kind == "de_sitter":
         sigma = -1.0
     elif kind == "near_log":
-        # n(1+sigma) = 2 + eps: inside and outside the log-branch tolerance
-        eps = draw(st.sampled_from([-1e-3, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1e-3]))
+        # n(1+sigma) = 2 + eps, around the logarithmic cone
+        eps = draw(st.sampled_from([-1e-3, -1e-9, -3e-12, -1e-13, 0.0, 1e-13, 3e-12, 1e-9, 1e-3]))
         sigma = (2.0 + eps) / n - 1.0
     else:
         sigma = draw(st.floats(-3.0, 2.0))
@@ -276,24 +315,27 @@ def _regime_points(draw):
 class TestBackground:
     @given(point=_regime_points())
     def test_scalars_match_arrays(self, point):
-        # numpy's exp/pow/log1p may differ from math's by an ulp, so the bar
-        # is round-off of the terms each closed form sums: r0 + coef (X - 1)
-        # cancels near n(1+sigma) = 2, where |coef| ~ 1/|n(1+sigma) - 2|,
-        # and X = (a/a0)^(q/2-1) carries a's round-off times |q/2 - 1|
+        # numpy's exp/pow/log1p/expm1 may differ from math's by an ulp, so
+        # the bar is round-off of the terms each closed form sums.  In
+        # r - r0 = (c/a0H) expm1(x)/e with x = e L, e = q/2 - 1, L = log(a/a0),
+        # an ulp of L moves expm1(x) by x e^x / expm1(x) < 1 + max(x, 0) ulps
         params, r0 = point
         bg = Background(params, r0)
         t0 = horizon_time(params)
         ts = np.linspace(0.0, 0.9 * t0 if math.isfinite(t0) else 5.0, 9)
         a, r, msq = background_arrays(params, r0, ts)
-        amplify = 1.0 if bg.de_sitter else 1.0 + abs(bg.cone_exp)
-        coef = 0.0 if bg.static else abs(bg.cone_coef)
         for j, t in enumerate(ts.tolist()):
-            a_s, r_s = bg.a_r(t)
+            try:
+                a_s, r_s = bg.a_r(t)
+            except OverflowError:  # a(t) underflows before a crunch
+                assert r[j] == math.inf
+                continue
             m_s = bg.mass_sq(t)
             assert (a_s, r_s) == (bg.a(t), bg.r(t))
             assert abs(a[j] - a_s) <= 1e-15 * abs(a_s)
             assert abs(msq[j] - m_s) <= 1e-15 * (abs(bg.m_sq) + abs(m_s - bg.m_sq))
-            assert abs(r[j] - r_s) <= 1e-15 * amplify * (abs(r_s) + abs(r_s - r0) + coef)
+            amplify = 1.0 + max(bg.cone_exp * bg._log_a(t), 0.0)
+            assert r[j] == r_s or abs(r[j] - r_s) <= 1e-15 * (abs(r_s) + abs(r_s - r0) * amplify)
 
     @given(point=_regime_points())
     def test_module_functions_are_the_background(self, point):
