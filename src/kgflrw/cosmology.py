@@ -235,26 +235,18 @@ class Background:
         return self._a(t), self._r(t)
 
     def _r(self, t, xp=math):
-        if self.static:
-            return self.r0 + self.c * t / self.a0
-        return self.r0 + self.cone_coef * self._cone_growth(self._log_a(t, xp), xp)
+        """r0 + c/(a0 H) expm1(e L)/e with e = q/2 - 1 and L = log(a/a0), L itself at e = 0.
 
-    def _log_a(self, t, xp=math):
-        """L = log(a/a0): Ht at sigma = -1, else (2/q) log1p(qHt/2)."""
-        if self.de_sitter:
-            return self.H * t
-        return self.two_over_q * xp.log1p(self.qH * t / 2.0)
-
-    def _cone_growth(self, L, xp=math):
-        """(r - r0) a0 H / c = expm1(e L) / e with e = q/2 - 1, and L itself at e = 0.
-
-        One form for every (H, sigma): e = -1 gives de Sitter's 1 - exp(-Ht)
+        One form for every (H, sigma): e = -1 is de Sitter's 1 - exp(-Ht)
         and e = 0 the logarithmic cone of n(1+sigma) = 2.  expm1 keeps full
         relative accuracy as e L -> 0, where (a/a0)^e - 1 cancels.  Raises
         OverflowError where e L exceeds the float range (a(t) underflows).
         """
+        if self.static:
+            return self.r0 + self.c * t / self.a0
+        L = self.H * t if self.de_sitter else self.two_over_q * xp.log1p(self.qH * t / 2.0)
         e = self.cone_exp
-        return L if e == 0.0 else xp.expm1(e * L) / e
+        return self.r0 + self.cone_coef * (L if e == 0.0 else xp.expm1(e * L) / e)
 
     def b(self, a: float, r: float, lam: float, expo: float) -> float:
         """b = lambda * (omega_n^(2/n) a r^2)^expo from a(t) and r(t); expo = -n(p-1)/2."""
@@ -384,13 +376,13 @@ def cone_radius_quadrature(cone: ConeData, t: float, tol: float = 1e-12) -> floa
 def cone_radius_limit(cone: ConeData) -> float:
     """sup of r(t) over [0, T0); inf when the cone is unbounded.
 
-    log(a/a0) tends to +inf (H > 0) or -inf (H < 0) at the end of the time
-    domain, so the closed form's limit is its value there.
+    L = log(a/a0) tends to +-inf with the sign of H at the end of the time
+    domain, so expm1(e L)/e tends to -1/e when e H < 0 and diverges otherwise.
     """
     bg = background(cone.params, cone.r0)
-    if bg.static:
+    if bg.static or bg.cone_exp * bg.H >= 0:
         return math.inf
-    return bg.r0 + bg.cone_coef * bg._cone_growth(math.copysign(math.inf, bg.H))
+    return bg.r0 - bg.cone_coef / bg.cone_exp
 
 
 def cone_entry_time(cone: ConeData, R: float, tol: float = 1e-10, max_iter: int = 200) -> Optional[float]:

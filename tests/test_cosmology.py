@@ -219,10 +219,13 @@ class TestCone:
         # a(t)'s power form carries (2/q) ulps, about 1e-7 relative at this q
         params = CosmologyParams(n=n, H=H, sigma=-1.0 + eps, c=1.3, a0=0.8)
         q = n * (1.0 + params.sigma)
+
+        def c_over_a(s):
+            return params.c / (params.a0 * math.exp(2.0 / q * math.log1p(q * H * s / 2.0)))
+
         cone = ConeData(0.7, params)
         for t in np.linspace(0.0, 5.0, 7)[1:].tolist():
-            integral, _ = quad(lambda s: 1.3 / (0.8 * math.exp(2.0 / q * math.log1p(q * H * s / 2.0))),
-                               0.0, t, epsabs=0.0, epsrel=1e-13)
+            integral, _ = quad(c_over_a, 0.0, t, epsabs=0.0, epsrel=1e-13)
             assert cone_radius(cone, t) == pytest.approx(0.7 + integral, rel=1e-10)
 
     def test_underflowing_scale_factor_overflows_the_cone(self):
@@ -334,7 +337,8 @@ class TestBackground:
             assert (a_s, r_s) == (bg.a(t), bg.r(t))
             assert abs(a[j] - a_s) <= 1e-15 * abs(a_s)
             assert abs(msq[j] - m_s) <= 1e-15 * (abs(bg.m_sq) + abs(m_s - bg.m_sq))
-            amplify = 1.0 + max(bg.cone_exp * bg._log_a(t), 0.0)
+            L = bg.H * t if bg.de_sitter else bg.two_over_q * math.log1p(bg.qH * t / 2.0)
+            amplify = 1.0 + max(bg.cone_exp * L, 0.0)
             assert r[j] == r_s or abs(r[j] - r_s) <= 1e-15 * (abs(r_s) + abs(r_s - r0) * amplify)
 
     @given(point=_regime_points())
