@@ -127,6 +127,9 @@ def cmd_pde(spec: RunSpec, out_dir, keep_snapshots: bool = False):
         "final_mean": diag.mean[-1],
         "final_sup": diag.sup[-1],
         "mass_integral": diag.mass_integral[-1],
+        "steps": diag.steps,
+        "node_steps": diag.node_steps,
+        "stop_reason": diag.stop_reason,
     }
     _print_json(payload, out_dir, "pde.json")
     if out_dir is not None:

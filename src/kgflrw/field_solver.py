@@ -5,6 +5,8 @@ CFL-limited step.  Compactly supported data plus the finite propagation
 speed justify a homogeneous Dirichlet condition at the outer edge; the run
 records the spatial mean, sup norm, energy, support radius and light-cone
 radius, and accumulates the space-time integral of |M^2 u| as a diagnostic.
+A step updates only the nodes its stencil can reach from the nonzero part
+of the field; the rest of the grid is exactly zero and stays so.
 """
 
 from __future__ import annotations
@@ -15,17 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .cosmology import (
-    ConeData,
-    CosmologyParams,
-    background,
-    cone_radius,
-    curved_mass_sq,
-    scale_factor,
-    unit_ball_volume,
-)
+from .cosmology import CosmologyParams, background, scale_factor, unit_ball_volume
 
 __all__ = [
     "FieldState",
@@ -98,6 +91,9 @@ class Diagnostics:
     snapshot_grid: Optional[np.ndarray] = None  # shared radial grid of the snapshots
     diverged: bool = False
     divergence_time: Optional[float] = None
+    steps: int = 0  # RK4 steps taken
+    node_steps: int = 0  # nodes those steps updated, summed over the steps
+    stop_reason: Optional[str] = None  # "t_end", "horizon" or "diverged"
 
 
 def bump_profile(r: np.ndarray, r0: float) -> np.ndarray:
@@ -117,8 +113,32 @@ def spatial_mean(state_or_u, n: int, r: Optional[np.ndarray] = None) -> float:
         u = state_or_u
         if r is None:
             raise ValueError("grid required when passing a bare array")
-    wn = unit_ball_volume(n)
-    return float(n * wn * simpson(u * r ** (n - 1), x=r))
+    return float(_mean_weights(r, n) @ u)
+
+
+def _simpson_weights(r: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y = Simpson's rule for int y dr on the uniform grid r.
+
+    The composite 1/3 rule for an odd node count; for an even one, the 1/3
+    rule up to the last interval plus the same last-interval correction as
+    scipy.integrate.simpson, h (-1, 8, 5)/12 on the last three nodes.
+    """
+    if r.size < 3:
+        raise ValueError(f"Simpson's rule needs at least 3 nodes, got {r.size}")
+    h = r[1] - r[0]
+    odd = r.size - 1 + r.size % 2
+    w = np.zeros_like(r)
+    w[:odd] = 2.0 * h / 3.0
+    w[1:odd:2] = 4.0 * h / 3.0
+    w[0] = w[odd - 1] = h / 3.0
+    if odd < r.size:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+    return w
+
+
+def _mean_weights(r: np.ndarray, n: int) -> np.ndarray:
+    """Weights w with w @ u = n omega_n int u r^(n-1) dr (Simpson)."""
+    return n * unit_ball_volume(n) * r ** (n - 1) * _simpson_weights(r)
 
 
 def init_field(
@@ -176,10 +196,23 @@ def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> f
     return safety * state.dr * scale_factor(params, state.t) / params.c
 
 
-def _rhs(params: CosmologyParams, lam: float, p: float, t: float, u, v, r, n):
-    a = scale_factor(params, t)
-    msq = curved_mass_sq(params, t)
-    c2 = params.c ** 2
+def _window(state: FieldState) -> int:
+    """Number of leading nodes a step of this state updates: min(e + 6, N).
+
+    e is the last node where u or v is nonzero (-1 for a zero state).  An
+    RK4 step with the three-point stencil carries nonzero values at most
+    two nodes beyond e, so every node from e + 3 on stays exactly zero;
+    _rhs pins the window's last node, which is zero anyway.
+    """
+    nonzero = np.flatnonzero((state.u != 0.0) | (state.v != 0.0))
+    end = int(nonzero[-1]) if nonzero.size else -1
+    return min(end + 6, state.r.size)
+
+
+def _rhs(bg, lam: float, p: float, t: float, u, v, r, n):
+    a = bg.a(t)
+    msq = bg.mass_sq(t)
+    c2 = bg.c ** 2
     lap = radial_laplacian(u, r, n)
     force = lam * a ** (-n * (p - 1.0) / 2.0) * np.abs(u) ** p if lam != 0.0 else 0.0
     dv = c2 * (lap / a ** 2 - msq * u + force)
@@ -197,23 +230,31 @@ def step(
     dt: Optional[float] = None,
     safety: float = 0.4,
 ) -> FieldState:
-    """One classical RK4 step of the first-order system (u, v)."""
+    """One classical RK4 step of the first-order system (u, v).
+
+    Only the first ``_window(state)`` nodes are stepped; the nodes beyond
+    them are set to zero.  Each stepped node sees the same arithmetic as on
+    the full grid, so the result equals a full-grid step bit for bit.
+    """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
     if dt is None:
         dt = cfl_dt(params, state, safety)
-    n, r, t = params.n, state.r, state.t
-    u, v = state.u, state.v
-    k1u, k1v = _rhs(params, lam, p, t, u, v, r, n)
-    k2u, k2v = _rhs(params, lam, p, t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v, r, n)
-    k3u, k3v = _rhs(params, lam, p, t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v, r, n)
-    k4u, k4v = _rhs(params, lam, p, t + dt, u + dt * k3u, v + dt * k3v, r, n)
-    un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    bg = background(params)
+    m = _window(state)
+    n, t = params.n, state.t
+    r, u, v = state.r[:m], state.u[:m], state.v[:m]
+    k1u, k1v = _rhs(bg, lam, p, t, u, v, r, n)
+    k2u, k2v = _rhs(bg, lam, p, t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v, r, n)
+    k3u, k3v = _rhs(bg, lam, p, t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v, r, n)
+    k4u, k4v = _rhs(bg, lam, p, t + dt, u + dt * k3u, v + dt * k3v, r, n)
+    un, vn = np.zeros_like(state.u), np.zeros_like(state.v)
+    un[:m] = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+    vn[:m] = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     un[-1] = 0.0
     vn[-1] = 0.0
-    new = FieldState(r=r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
-    sup = float(np.max(np.abs(un)))
+    new = FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
+    sup = float(np.max(np.abs(un[:m])))
     if not math.isfinite(sup) or sup > _SUP_GUARD * state.data_scale:
         new.diverged = True
     return new
@@ -285,18 +326,17 @@ def run_until(
     A cone-containment failure raises ConeViolationError: the numerical
     support must stay within r(t) + 2 dr.
     """
-    cone = ConeData(r0, params)
-    t_cap = min(t_end, background(params).t_end_cap)
+    bg = background(params, r0)
+    t_cap = min(t_end, bg.t_end_cap)
     if check_cone:
-        r_need = cone_radius(cone, t_cap)
+        r_need = bg.r(t_cap)
         if state.r[-1] <= r_need:
             raise ValueError(
                 f"outer radius {state.r[-1]} does not cover the light cone r({t_cap}) = {r_need}"
             )
     if output_interval is None:
         output_interval = t_cap / 200.0
-    n = params.n
-    wn = unit_ball_volume(n)
+    weights = _mean_weights(state.r, params.n)
     diag = Diagnostics()
     if keep_snapshots:
         diag.snapshot_grid = state.r.copy()
@@ -313,11 +353,11 @@ def run_until(
         if live:
             peak_mag = max(peak_mag, float(np.max(np.abs(st.u))), float(np.max(np.abs(st.v))))
         diag.t.append(st.t)
-        diag.mean.append(spatial_mean(st, n))
+        diag.mean.append(float(weights @ st.u))
         diag.sup.append(float(np.max(np.abs(st.u))))
         diag.energy.append(energy(st, params, lam=0.0) if linear_static and live else math.nan)
         sr = support_radius(st, scale=peak_mag)
-        rc = cone_radius(cone, st.t)
+        rc = bg.r(st.t)
         diag.support_radius.append(sr)
         diag.cone_radius.append(rc)
         diag.mass_integral.append(mass_acc)
@@ -330,17 +370,22 @@ def run_until(
 
     record(state)
     next_record = output_interval
+    diag.stop_reason = "t_end" if t_cap == t_end else "horizon"
     while state.t < t_cap:
         dt = min(cfl_dt(params, state, safety), t_cap - state.t)
+        m = _window(state)  # the nodes step updates; both states are zero beyond them
         new = step(params, lam, p, state, dt=dt)
+        diag.steps += 1
+        diag.node_steps += m
         # accumulate the |M^2 u| space-time integral with a midpoint rule
-        msq = curved_mass_sq(params, 0.5 * (state.t + new.t))
-        mid_u = 0.5 * (np.abs(state.u) + np.abs(new.u))
-        mass_acc += dt * abs(msq) * float(n * wn * simpson(mid_u * state.r ** (n - 1), x=state.r))
+        msq = bg.mass_sq(0.5 * (state.t + new.t))
+        mid_u = 0.5 * (np.abs(state.u[:m]) + np.abs(new.u[:m]))
+        mass_acc += dt * abs(msq) * float(weights[:m] @ mid_u)
         state = new
         if state.diverged:
             diag.diverged = True
             diag.divergence_time = state.t
+            diag.stop_reason = "diverged"
             record(state)
             break
         if state.t >= next_record - 1e-12:

@@ -165,7 +165,12 @@ class TestCliCommands:
         payload = json.loads((out_dir / "pde.json").read_text())
         assert payload["diverged"] is False
         assert payload["final_t"] == pytest.approx(0.5, abs=1e-9)
-        assert (out_dir / "diagnostics.csv").exists()
+        assert payload["stop_reason"] == "t_end"
+        assert payload["steps"] > 0
+        # the default grid has 512 nodes per unit radius out to the cone at t_end plus 0.5
+        assert 0 < payload["node_steps"] < payload["steps"] * (512 * 2 + 1)
+        header = (out_dir / "diagnostics.csv").read_text().splitlines()[0]
+        assert header == "t,mean,sup,energy,support_radius,cone_radius,mass_integral"
 
 
 class TestSweep:

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import simpson
 
-from kgflrw.cosmology import ConeData, CosmologyParams, cone_radius
+from kgflrw.cosmology import ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor
 from kgflrw.field_solver import (
     Diagnostics,
     FieldState,
     ResolutionError,
+    _simpson_weights,
+    _window,
     cfl_dt,
     energy,
     init_field,
@@ -46,6 +50,22 @@ class TestInitField:
     def test_velocity_via_ratio(self):
         state = init_field(n=1, r0=1.0, r_max=3.0, num_nodes=513, w0=2.0, w1_over_w0=0.5)
         assert spatial_mean(state.v, 1, state.r) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestSimpsonWeights:
+    @pytest.mark.parametrize("num_nodes", [3, 4, 1025, 3968, 6145])
+    def test_match_scipy_simpson(self, num_nodes):
+        # odd counts are the composite 1/3 rule, even ones add scipy's
+        # last-interval correction
+        r = np.linspace(0.0, num_nodes / 512.0, num_nodes)
+        w = _simpson_weights(r)
+        rng = np.random.default_rng(num_nodes)
+        for y in (rng.standard_normal(num_nodes), np.exp(-r) * np.cos(40.0 * r), np.ones_like(r)):
+            assert abs(w @ y - simpson(y, x=r)) <= 1e-14 * np.sum(np.abs(w * y))
+
+    def test_needs_three_nodes(self):
+        with pytest.raises(ValueError):
+            _simpson_weights(np.array([0.0, 1.0]))
 
 
 class TestLaplacian:
@@ -119,6 +139,105 @@ class TestStepping:
             energy(state, CosmologyParams(n=1, H=1.0))
 
 
+def _full_grid_step(params, lam, p, state, dt):
+    """RK4 over every node of the grid: the reference the windowed step must equal."""
+    n, r, t = params.n, state.r, state.t
+
+    def rhs(t, u, v):
+        a = scale_factor(params, t)
+        msq = curved_mass_sq(params, t)
+        c2 = params.c ** 2
+        lap = radial_laplacian(u, r, n)
+        force = lam * a ** (-n * (p - 1.0) / 2.0) * np.abs(u) ** p if lam != 0.0 else 0.0
+        dv = c2 * (lap / a ** 2 - msq * u + force)
+        dv[-1] = 0.0
+        du = v.copy()
+        du[-1] = 0.0
+        return du, dv
+
+    u, v = state.u, state.v
+    k1u, k1v = rhs(t, u, v)
+    k2u, k2v = rhs(t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v)
+    k3u, k3v = rhs(t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v)
+    k4u, k4v = rhs(t + dt, u + dt * k3u, v + dt * k3v)
+    un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+    vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    un[-1] = 0.0
+    vn[-1] = 0.0
+    return FieldState(r=r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
+
+
+class TestWindowedStep:
+    # (H, sigma): static, expanding and contracting de Sitter, a power law,
+    # and a contraction toward a big crunch
+    BACKGROUNDS = [(0.0, 0.0), (0.7, -1.0), (-0.5, -1.0), (0.6, 0.0), (-0.8, 1.0 / 3.0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3]),
+        background=st.sampled_from(BACKGROUNDS),
+        m_sq=st.sampled_from([1.0, 0.0, -1.0]),
+        lam_p=st.sampled_from([(0.0, 2.0), (1.0, 2.0), (0.5, 2.5), (2.0, 3.0)]),
+        num_nodes=st.integers(97, 140),
+        gap=st.integers(0, 12),
+        data=st.sampled_from([(1.0, 0.0), (0.3, -2.0), (0.0, 0.0)]),
+        steps=st.integers(1, 25),
+    )
+    # the footprint starts one node short of the Dirichlet node
+    @example(n=3, background=(0.0, 0.0), m_sq=1.0, lam_p=(1.0, 2.0), num_nodes=128,
+             gap=0, data=(1.0, 0.5), steps=5)
+    # the zero state
+    @example(n=2, background=(0.7, -1.0), m_sq=-1.0, lam_p=(0.5, 2.5), num_nodes=101,
+             gap=6, data=(0.0, 0.0), steps=3)
+    def test_equals_full_grid_step_bit_for_bit(self, n, background, m_sq, lam_p, num_nodes,
+                                                gap, data, steps):
+        H, sigma = background
+        lam, p = lam_p
+        params = CosmologyParams(n=n, m_sq=m_sq, H=H, sigma=sigma)
+        r_max = 2.0
+        dr = r_max / (num_nodes - 1)
+        # the bump's last nonzero node lies gap + 1 nodes inside the outer one
+        state = init_field(n=n, r0=r_max - (gap + 0.5) * dr, r_max=r_max,
+                           num_nodes=num_nodes, w0=data[0], w1=data[1])
+        ref = state
+        for _ in range(steps):
+            dt = cfl_dt(params, state)
+            state = step(params, lam, p, state, dt=dt)
+            ref = _full_grid_step(params, lam, p, ref, dt)
+            assert state.t == ref.t
+            assert state.u.tobytes() == ref.u.tobytes()
+            assert state.v.tobytes() == ref.v.tobytes()
+            assert state.u[-1] == 0.0 and state.v[-1] == 0.0
+
+    @pytest.mark.parametrize("num_nodes", [64, 65])
+    def test_data_on_the_whole_grid_resets_the_dirichlet_node(self, num_nodes):
+        rng = np.random.default_rng(num_nodes)
+        r = np.linspace(0.0, 1.0, num_nodes)
+        state = FieldState(r=r, u=rng.standard_normal(num_nodes), v=rng.standard_normal(num_nodes), t=0.0)
+        params = CosmologyParams(n=3, m_sq=-1.0, H=0.5, sigma=0.0)
+        ref = state
+        for _ in range(3):
+            dt = cfl_dt(params, state)
+            state = step(params, 1.0, 2.5, state, dt=dt)
+            ref = _full_grid_step(params, 1.0, 2.5, ref, dt)
+            assert state.u.tobytes() == ref.u.tobytes()
+            assert state.v.tobytes() == ref.v.tobytes()
+            assert state.u[-1] == 0.0 and state.v[-1] == 0.0
+
+    def test_window_covers_footprint_plus_stencil_reach(self):
+        state = init_field(n=1, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0)
+        last = int(np.flatnonzero(state.u)[-1])
+        assert _window(state) == last + 6
+        new = step(CosmologyParams(n=1, m_sq=1.0), 0.0, 2.0, state)
+        assert np.all(new.u[last + 3:] == 0.0) and np.all(new.v[last + 3:] == 0.0)
+        assert _window(new) == int(np.flatnonzero(new.u != 0.0)[-1]) + 6
+        # a footprint at the outer node makes the window the whole grid
+        edge = init_field(n=1, r0=3.0 - 0.5 * state.dr, r_max=3.0, num_nodes=257, w0=1.0)
+        assert _window(edge) == 257
+        zero = init_field(n=1, r0=1.0, r_max=3.0, num_nodes=257, w0=0.0)
+        assert _window(zero) == 5
+
+
 class TestRunUntil:
     def test_cone_containment_and_records(self):
         params = CosmologyParams(n=1, m_sq=1.0)
@@ -129,6 +248,20 @@ class TestRunUntil:
         cone = ConeData(1.0, params)
         for t, sr in zip(diag.t, diag.support_radius):
             assert sr <= cone_radius(cone, t) + 2.0 * state.dr
+
+    def test_counts_steps_and_stepped_nodes(self):
+        params = CosmologyParams(n=2, m_sq=1.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=513, w0=1.0)
+        diag = run_until(params, 0.0, 2.0, state, 1.0, 1.0, output_interval=0.25)
+        steps, node_steps = 0, 0
+        while state.t < 1.0:
+            # a step updates the nonzero footprint plus six nodes
+            node_steps += min(int(np.flatnonzero((state.u != 0) | (state.v != 0))[-1]) + 6, 513)
+            state = step(params, 0.0, 2.0, state, dt=min(cfl_dt(params, state), 1.0 - state.t))
+            steps += 1
+        assert (diag.steps, diag.node_steps) == (steps, node_steps)
+        assert node_steps < steps * 513
+        assert diag.stop_reason == "t_end"
 
     def test_outer_radius_must_cover_cone(self):
         params = CosmologyParams(n=1)
@@ -142,6 +275,7 @@ class TestRunUntil:
         diag = run_until(params, 1.0, 2.0, state, 4.0, 0.5, output_interval=0.1)
         assert diag.diverged
         assert diag.divergence_time is not None and diag.divergence_time < 4.0
+        assert diag.stop_reason == "diverged"
         assert math.isfinite(diag.mass_integral[-1])
         # the mean grows monotonically up to the divergence
         means = np.array(diag.mean)
@@ -178,6 +312,7 @@ class TestRunUntil:
         diag = run_until(params, 0.0, 2.0, state, 5.0, 0.5)
         assert diag.t[-1] < 2.0 / 3.0
         assert diag.t[-1] == pytest.approx(2.0 / 3.0, rel=1e-6)
+        assert diag.stop_reason == "horizon"
 
 
 def test_save_diagnostics_round_trip(tmp_path):
