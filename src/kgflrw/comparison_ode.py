@@ -2,9 +2,9 @@
 
 The spatial mean of the field obeys the differential inequality
 c^-2 wddot + M^2(t) w - b(t)|w|^p >= 0; this module integrates its extremal
-equality member with an embedded Dormand-Prince 5(4) pair, detects the
-finite-time divergence, and verifies the four positivity properties the
-mean is guaranteed to satisfy.
+equality member with an embedded Dormand-Prince 5(4) pair, finds the
+finite-time divergence as the root of a rescaled variable, and verifies the
+four positivity properties the mean is guaranteed to satisfy.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ __all__ = [
     "save_trajectory_csv",
 ]
 
-# Blow-up needs |w| above this multiple of the data scale |w0| (|w1| when
-# w0 = 0) when the step collapses; a collapse below it is a stiffness failure.
-_DIVERGENCE_GUARD = 1e8
+# The loop leaves (w, wdot) for the rescaled zeta = (w_s/w)^k once an accepted
+# sample has |w| above this multiple of the data scale |w0| (|w1| when w0 = 0)
+# and |w| is growing.
+_SWITCH = 1e3
 _DT_FLOOR = 1e-13
 
 # Dormand-Prince 5(4) tableau
@@ -60,7 +61,7 @@ class BlowupNotReachedError(RuntimeError):
 
 
 class StiffnessError(RuntimeError):
-    """Step size collapsed without the divergence guard firing."""
+    """Step size collapsed below the floor before t_end, in either phase."""
 
 
 class PreconditionError(ValueError):
@@ -92,16 +93,17 @@ class OdeProblem:
         if self.t_end <= 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
 
-    def coefficients(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """(M^2, b) as functions of t, built once; the override functions win."""
+    def coefficients(self) -> Callable[[float], tuple[float, float]]:
+        """(M^2, b) as one function of t, built once; the override functions win."""
         mass_sq, weight = self.mass_sq_fn, self.weight_fn
-        if mass_sq is None or weight is None:
-            bg = background(self.params, self.r0)
-            if mass_sq is None:
-                mass_sq = bg.mass_sq
-            if weight is None:
-                weight = bg.weight(self.lam, self.p)
-        return mass_sq, weight
+        if mass_sq is None and weight is None:
+            return background(self.params, self.r0).mass_sq_weight(self.lam, self.p)
+        bg = background(self.params, self.r0)
+        if mass_sq is None:
+            mass_sq = bg.mass_sq
+        if weight is None:
+            weight = bg.weight(self.lam, self.p)
+        return lambda t: (mass_sq(t), weight(t))
 
 
 @dataclass
@@ -118,44 +120,75 @@ class Trajectory:
     final_dt: float
     steps_accepted: int
     rhs_evals: int  # evaluations of the right-hand side, 1 + 6 per attempted step
+    stop_reason: str  # "t_end", "horizon" or "blowup"
+    t_switch: Optional[float]  # last switch to zeta = (w_s/w)^k; None if never
 
 
-def _extrapolate_t_star(t1, w1, t2, w2, p) -> float:
-    """Blow-up time from the power-law asymptote w ~ C (t* - t)^(-2/(p-1))."""
-    kappa = (abs(w1) / abs(w2)) ** ((p - 1.0) / 2.0)
-    if kappa >= 1.0:
-        return t2
-    return (t1 - kappa * t2) / (1.0 - kappa)
+def _taylor_root(z, zd, zdd) -> tuple[float, float]:
+    """(s, correction): first root of z + zd s + zdd s^2/2 for z > 0 > zd.
+
+    The correction |zdd| tau^2 / (2|zd|), tau = z/|zd|, is the shift the
+    quadratic term makes to the linear root tau.
+    """
+    tau = z / -zd
+    s = 2.0 * z / (math.sqrt(max(zd * zd - 2.0 * zdd * z, 0.0)) - zd)
+    return s, abs(zdd) * tau * tau / (-2.0 * zd)
 
 
 def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory:
     """Integrate to t_end or blow-up with an embedded RK 5(4) pair.
 
-    Blow-up is declared when the step collapses below the floor while |w|
-    exceeds the divergence guard; a collapse without divergence raises
-    StiffnessError.  Runs are deterministic for fixed inputs.
+    The pair steps (w, wdot) until an accepted sample has |w| above _SWITCH
+    times the data scale and growing.  It then steps zeta = (w_s/w)^k with
+    k = (p-1)/2 and w_s the switching value: zeta starts at 1, its equation
+    does not depend on the data scale, and on the power-law asymptote it
+    vanishes linearly at the blow-up time t*.  Steps there stay below half
+    the linear root distance zeta/|zeta'|; once the quadratic term moves
+    that root by at most rtol max(1, t), t* is the root of zeta's
+    second-order Taylor polynomial.  A run whose |w| falls back below |w_s|
+    returns to (w, wdot).  Samples are always (t, w, wdot).  A step
+    collapse raises StiffnessError.  Runs are deterministic for fixed inputs.
     """
     t_end = min(problem.t_end, background(problem.params).t_end_cap)
     t = 0.0
-    w, wd = float(problem.w0), float(problem.w1)
+    x, xd = float(problem.w0), float(problem.w1)
     c2 = problem.params.c ** 2
     p_exp = problem.p
-    mass_sq, weight = problem.coefficients()
-    guard = _DIVERGENCE_GUARD * (abs(problem.w0) or abs(problem.w1))
+    k = (p_exp - 1.0) / 2.0
+    k1 = (k + 1.0) / k
+    coef = problem.coefficients()
+    switch_at = _SWITCH * (abs(problem.w0) or abs(problem.w1))
 
-    def acc(ti, wi):
+    def acc_w(ti, wi, _):
         try:
-            return c2 * (weight(ti) * abs(wi) ** p_exp - mass_sq(ti) * wi)
+            msq, b = coef(ti)
+            return c2 * (b * abs(wi) ** p_exp - msq * wi)
         except OverflowError:
             return math.inf
+
+    def acc_zeta(w_s):
+        # zeta'' = [(k+1)/k zeta'^2 - k c^2 b sgn(w_s) |w_s|^(2k)] / zeta + k c^2 M^2 zeta
+        kc2 = k * c2
+        load = kc2 * math.copysign(abs(w_s) ** (2.0 * k), w_s)
+
+        def acc(ti, z, zd):
+            try:
+                msq, b = coef(ti)
+                return (k1 * zd * zd - load * b) / z + kc2 * msq * z
+            except (OverflowError, ZeroDivisionError):
+                return math.inf
+
+        return acc
 
     atol = 1e-12
     dt = min(1e-3, t_end / 10.0)
     ts = [t]
-    ws = [w]
-    wds = [wd]
+    ws = [x]
+    wds = [xd]
     rejections = 0
     blowup = False
+    w_s = t_switch = None  # w_s is set while the loop steps zeta
+    acc = acc_w
     safety, min_fac, max_fac = 0.9, 0.2, 5.0
     a21, = _DP_A[1]
     a31, a32 = _DP_A[2]
@@ -166,70 +199,90 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     b41, b42, b43, b44, b45, b46, b47 = (float(b) for b in _DP_B4)
     c2_, c3_, c4_, c5_ = (float(c) for c in _DP_C[1:5])
     # the last stage is evaluated at the accepted solution, so it is the next
-    # step's first stage (FSAL); a rejected step keeps its first stage
-    g1 = acc(t, w)
+    # step's first (FSAL); a rejected step keeps its first stage
+    g1 = acc(t, x, xd)
     while t < t_end:
+        if w_s is not None and xd < 0.0:
+            # zeta = 0 is singular: stop at the Taylor root once it is resolved
+            s, corr = _taylor_root(x, xd, g1)
+            if corr <= rtol * max(1.0, t) and t + s < t_end:
+                blowup = True
+                break
+            dt = min(dt, 0.5 * x / -xd)
         dt = min(dt, t_end - t)
-        # stage derivatives: (k_w, k_v) with k_w = v, k_v = acc
-        v1 = wd
-        w2 = w + dt * a21 * v1
-        v2 = wd + dt * a21 * g1
-        g2 = acc(t + c2_ * dt, w2)
-        w3 = w + dt * (a31 * v1 + a32 * v2)
-        v3 = wd + dt * (a31 * g1 + a32 * g2)
-        g3 = acc(t + c3_ * dt, w3)
-        w4 = w + dt * (a41 * v1 + a42 * v2 + a43 * v3)
-        v4 = wd + dt * (a41 * g1 + a42 * g2 + a43 * g3)
-        g4 = acc(t + c4_ * dt, w4)
-        w5 = w + dt * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
-        v5 = wd + dt * (a51 * g1 + a52 * g2 + a53 * g3 + a54 * g4)
-        g5 = acc(t + c5_ * dt, w5)
-        w6 = w + dt * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
-        v6 = wd + dt * (a61 * g1 + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5)
-        g6 = acc(t + dt, w6)
+        # stage derivatives: (k_x, k_v) with k_x = v, k_v = acc
+        v1 = xd
+        x2 = x + dt * a21 * v1
+        v2 = xd + dt * a21 * g1
+        g2 = acc(t + c2_ * dt, x2, v2)
+        x3 = x + dt * (a31 * v1 + a32 * v2)
+        v3 = xd + dt * (a31 * g1 + a32 * g2)
+        g3 = acc(t + c3_ * dt, x3, v3)
+        x4 = x + dt * (a41 * v1 + a42 * v2 + a43 * v3)
+        v4 = xd + dt * (a41 * g1 + a42 * g2 + a43 * g3)
+        g4 = acc(t + c4_ * dt, x4, v4)
+        x5 = x + dt * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
+        v5 = xd + dt * (a51 * g1 + a52 * g2 + a53 * g3 + a54 * g4)
+        g5 = acc(t + c5_ * dt, x5, v5)
+        x6 = x + dt * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+        v6 = xd + dt * (a61 * g1 + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5)
+        g6 = acc(t + dt, x6, v6)
         # 5th-order solution (FSAL row)
-        w7 = w + dt * (a71 * v1 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
-        v7 = wd + dt * (a71 * g1 + a73 * g3 + a74 * g4 + a75 * g5 + a76 * g6)
-        g7 = acc(t + dt, w7)
-        w_lo = w + dt * (b41 * v1 + b43 * v3 + b44 * v4 + b45 * v5 + b46 * v6 + b47 * v7)
-        v_lo = wd + dt * (b41 * g1 + b43 * g3 + b44 * g4 + b45 * g5 + b46 * g6 + b47 * g7)
-        bad = not (math.isfinite(w7) and math.isfinite(v7) and math.isfinite(w_lo) and math.isfinite(v_lo))
+        x7 = x + dt * (a71 * v1 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
+        v7 = xd + dt * (a71 * g1 + a73 * g3 + a74 * g4 + a75 * g5 + a76 * g6)
+        g7 = acc(t + dt, x7, v7)
+        x_lo = x + dt * (b41 * v1 + b43 * v3 + b44 * v4 + b45 * v5 + b46 * v6 + b47 * v7)
+        v_lo = xd + dt * (b41 * g1 + b43 * g3 + b44 * g4 + b45 * g5 + b46 * g6 + b47 * g7)
+        bad = not (math.isfinite(x7) and math.isfinite(v7) and math.isfinite(x_lo) and math.isfinite(v_lo))
+        bad = bad or (w_s is not None and x7 <= 0.0)
         if not bad:
-            sw = atol + rtol * max(abs(w), abs(w7))
-            sv = atol + rtol * max(abs(wd), abs(v7))
-            err = math.sqrt(0.5 * (((w7 - w_lo) / sw) ** 2 + ((v7 - v_lo) / sv) ** 2))
+            sw = atol + rtol * max(abs(x), abs(x7))
+            sv = atol + rtol * max(abs(xd), abs(v7))
+            err = math.sqrt(0.5 * (((x7 - x_lo) / sw) ** 2 + ((v7 - v_lo) / sv) ** 2))
         if bad or err > 1.0:
             rejections += 1
             fac = min_fac if bad else max(min_fac, safety * err ** (-0.2))
             dt *= fac
             if dt < _DT_FLOOR and (t_end - t) > 10.0 * _DT_FLOOR:
-                if abs(w) > guard:
-                    blowup = True
-                    break
                 raise StiffnessError(
-                    f"step collapsed to {dt:.3e} at t={t:.6g} with |w|={abs(w):.3e}"
+                    f"step collapsed to {dt:.3e} at t={t:.6g} with |w|={abs(ws[-1]):.3e}"
                 )
             continue
+        if w_s is None:
+            w, wd = x7, v7
+        else:
+            try:
+                w = w_s * x7 ** (-1.0 / k)
+            except OverflowError:
+                w = math.inf
+            wd = -w * v7 / (k * x7)
+            if not (math.isfinite(w) and math.isfinite(wd)):
+                # w leaves the float range (p near 1) before the root is resolved
+                blowup = True
+                break
         t += dt
-        w, wd, g1 = w7, v7, g7
+        x, xd, g1 = x7, v7, g7
         ts.append(t)
         ws.append(w)
         wds.append(wd)
         dt *= min(max_fac, max(min_fac, safety * (err + 1e-30) ** (-0.2)))
+        # switch variables at an accepted sample; zeta'' and w'' follow from
+        # the FSAL stage, so a switch costs no right-hand side
+        if w_s is None and abs(w) > switch_at and w * wd > 0.0:
+            w_s, t_switch, acc = w, t, acc_zeta(w)
+            x, xd = 1.0, -k * wd / w
+            g1 = k1 * xd * xd - k * g1 / w
+        elif w_s is not None and x > 1.0 and xd > 0.0:
+            g1 = w * (k1 * xd * xd / x - g1) / (k * x)
+            w_s, acc = None, acc_w
+            x, xd = w, wd
 
     t_star = t_star_err = None
     if blowup:
-        # power-law extrapolation from the last accepted pairs; the
-        # second-to-last pair supplies the error bar
-        t1, t2 = ts[-2], ts[-1]
-        est = _extrapolate_t_star(t1, ws[-2], t2, ws[-1], problem.p)
-        # extrapolation spread plus the accumulated-integration-error scale
-        spread = abs(est - t2) + (t2 - t1)
-        if len(ts) >= 3:
-            est_prev = _extrapolate_t_star(ts[-3], ws[-3], t1, ws[-2], problem.p)
-            spread += abs(est - est_prev)
-        t_star_err = spread + 100.0 * rtol * max(1.0, est)
-        t_star = est
+        s, corr = _taylor_root(x, xd, g1)
+        t_star = t + s
+        t_star_err = corr + 100.0 * rtol * max(1.0, t_star)
+    stop_reason = "blowup" if blowup else "t_end" if t_end == problem.t_end else "horizon"
     return Trajectory(
         t=np.array(ts),
         w=np.array(ws),
@@ -241,6 +294,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         final_dt=dt,
         steps_accepted=len(ts) - 1,
         rhs_evals=1 + 6 * (len(ts) - 1 + rejections),
+        stop_reason=stop_reason,
+        t_switch=t_switch,
     )
 
 
@@ -260,13 +315,12 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
         raise PreconditionError(f"w1 = {p.w1} < cNw0 = {p.params.c * p.N * p.w0}")
 
     c = p.params.c
-    mass_sq, weight = p.coefficients()
+    coef = p.coefficients()
     results = {"exp_lower_bound": True, "weight_gap": True, "convexity": True, "wdot_floor": True}
     worst = {k: math.inf for k in results}
     for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
         tol = 1e-8 * (1.0 + abs(w))
-        b = weight(t)
-        msq = mass_sq(t)
+        msq, b = coef(t)
         margin1 = w - p.w0 * math.exp(c * p.N * t)
         margin2 = (1.0 - p.theta) * b * w ** (p.p - 1.0) - msq - p.N ** 2
         # wddot from the ODE right side
@@ -342,6 +396,8 @@ def save_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:
             "final_dt": traj.final_dt,
             "steps_accepted": traj.steps_accepted,
             "rhs_evals": traj.rhs_evals,
+            "stop_reason": traj.stop_reason,
+            "t_switch": traj.t_switch,
         }
         with open(sidecar_path, "w") as fh:
             json.dump(meta, fh, indent=2)

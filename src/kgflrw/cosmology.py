@@ -270,6 +270,17 @@ class Background:
 
         return weight_at
 
+    def mass_sq_weight(self, lam: float, p: float) -> Callable[[float], tuple[float, float]]:
+        """(M^2(t), b(t)) as a function of t, checking t once per call; see `weight`."""
+        expo = weight_exponent(self.params.n, lam, p)
+        check, mass_sq, a, r, b = self.check_time, self._mass_sq, self._a, self._r, self.b
+
+        def mass_sq_weight_at(t: float) -> tuple[float, float]:
+            t = check(t)
+            return mass_sq(t), b(a(t), r(t), lam, expo)
+
+        return mass_sq_weight_at
+
 
 def weight_exponent(n: int, lam: float, p: float) -> float:
     """The exponent -n(p-1)/2 of b(t), after checking lambda > 0 and p > 1."""

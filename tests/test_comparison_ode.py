@@ -19,7 +19,7 @@ from kgflrw.comparison_ode import (
     save_trajectory_csv,
     verify_lemma21,
 )
-from kgflrw.cosmology import CosmologyParams, DomainError
+from kgflrw.cosmology import Background, CosmologyParams, DomainError
 from kgflrw.thresholds import damping_rate_N, threshold_S
 
 
@@ -169,6 +169,8 @@ class TestPersistence:
         assert meta["t_star"] == pytest.approx(traj.t_star)
         assert meta["steps_accepted"] == traj.steps_accepted == traj.t.size - 1
         assert meta["rhs_evals"] == traj.rhs_evals == 1 + 6 * (traj.steps_accepted + traj.rejections)
+        assert meta["stop_reason"] == traj.stop_reason == "blowup"
+        assert meta["t_switch"] == traj.t_switch and 0.0 < traj.t_switch < traj.t_star
 
 
 # The per-call closed forms as integrate_comparison once evaluated them at
@@ -258,10 +260,117 @@ class TestBackgroundPath:
 
     def test_last_stage_is_reused(self):
         # 1 + 6 evaluations per attempted step: the first stage of every step
-        # after the first is the last stage of the step accepted before it
+        # after the first is the last stage of the step accepted before it;
+        # the oracle never rejects a step, a tachyonic mass makes it
         calls = []
         problem, _ = _oracle_problem()
-        counting = dataclasses.replace(problem, weight_fn=lambda t: calls.append(t) or 1.0)
+        counting = dataclasses.replace(problem, mass_sq_fn=lambda t: -1.0,
+                                       weight_fn=lambda t: calls.append(t) or 1.0)
         traj = integrate_comparison(counting)
         assert traj.blowup and traj.rejections > 0
         assert len(calls) == 1 + 6 * (traj.steps_accepted + traj.rejections) == traj.rhs_evals
+
+    def test_rhs_checks_time_once(self, monkeypatch):
+        calls = []
+        check_time = Background.check_time
+        monkeypatch.setattr(Background, "check_time",
+                            lambda self, t: calls.append(t) or check_time(self, t))
+        # the first problem blows up, the second never switches
+        for problem in _acceptance_4_problems(2):
+            calls.clear()
+            traj = integrate_comparison(problem, rtol=1e-8)
+            assert len(calls) == traj.rhs_evals
+        assert traj.t_switch is None
+
+
+class TestRescaledBlowup:
+    def test_blowups_take_few_steps(self):
+        blowups = [traj for traj in (integrate_comparison(p, rtol=1e-8) for p in _acceptance_4_problems(20))
+                   if traj.blowup]
+        assert blowups
+        for traj in blowups:
+            assert traj.t_switch < traj.t_star and traj.stop_reason == "blowup"
+            assert traj.steps_accepted < 1000
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 2.5, 3.0])
+    def test_scale_free(self, p):
+        # w0 -> s w0 with b -> b s^(1-p) scales the oracle solution by s and
+        # leaves t* unchanged; the run must not notice the scale
+        s = 1e6
+        small, oracle = _oracle_problem(p=p, b=1.0, w0=1.0)
+        large, oracle_large = _oracle_problem(p=p, b=s ** (1.0 - p), w0=s)
+        assert oracle_large.t_star == pytest.approx(oracle.t_star, rel=1e-14)
+        a, b = integrate_comparison(small), integrate_comparison(large)
+        assert a.steps_accepted == b.steps_accepted and a.rejections == b.rejections
+        err_a = (a.t_star - oracle.t_star) / oracle.t_star
+        err_b = (b.t_star - oracle_large.t_star) / oracle_large.t_star
+        assert abs(err_a - err_b) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_error_bar_covers_oracle(self, p):
+        problem, oracle = _oracle_problem(p=p, b=0.9, w0=1.7, c=1.3)
+        traj = integrate_comparison(problem)
+        assert traj.blowup
+        assert abs(traj.t_star - oracle.t_star) <= traj.t_star_err
+        assert traj.t_star_err < 1e-7 * oracle.t_star
+
+    def test_run_that_crosses_the_switch_without_blowup(self):
+        # admissible problems whose mean passes 1e3 w0 but blows up after t_end
+        crossing = []
+        for problem in _acceptance_4_problems(20):
+            traj = integrate_comparison(problem, rtol=1e-8)
+            if traj.t_switch is not None and not traj.blowup:
+                crossing.append((problem, traj))
+        assert crossing
+        for problem, traj in crossing:
+            assert traj.t[-1] == problem.t_end and traj.stop_reason == "t_end"
+            assert traj.t_star is None and np.max(traj.w) > 1e3 * problem.w0
+            assert verify_lemma21(traj, problem)["all_pass"]
+
+    def test_falling_back_below_the_switch_returns_to_w(self):
+        # an oscillator whose amplitude 2000 w0 crosses the switch on both
+        # signs: w = cos 3t + 2000 sin 3t
+        problem = OdeProblem(
+            params=CosmologyParams(n=1, m_sq=9.0), r0=1.0, lam=1.0, p=2.0, theta=0.5,
+            N=0.0, w0=1.0, w1=6000.0, t_end=10.0, weight_fn=lambda t: 0.0,
+        )
+        traj = integrate_comparison(problem)
+        assert not traj.blowup and traj.stop_reason == "t_end" and traj.t[-1] == 10.0
+        assert traj.t_switch > 9.0  # the last of its several crossings
+        exact = np.cos(3.0 * traj.t) + 2000.0 * np.sin(3.0 * traj.t)
+        assert np.max(np.abs(traj.w - exact)) <= 1e-8 * 2000.0
+        assert np.allclose(traj.wdot, -3.0 * np.sin(3.0 * traj.t) + 6000.0 * np.cos(3.0 * traj.t),
+                           rtol=0.0, atol=1e-8 * 6000.0)
+
+    def test_blowup_to_minus_infinity(self):
+        # b < 0 mirrors the oracle: w -> -w solves the problem with -b
+        problem, oracle = _oracle_problem(p=2.5, b=0.7, w0=1.3)
+        mirrored = dataclasses.replace(problem, w0=-problem.w0, w1=-problem.w1,
+                                       weight_fn=lambda t: -0.7)
+        traj = integrate_comparison(mirrored)
+        assert traj.blowup and traj.w[-1] < -1e3 * oracle.w0
+        assert abs(traj.t_star - oracle.t_star) <= traj.t_star_err
+
+    def test_p_near_one_stops_inside_the_float_range(self):
+        # w = w_s zeta^(-1/k) with 1/k = 100 leaves the float range before
+        # the quadratic term is resolved; the run stops there, honestly
+        problem = OdeProblem(
+            params=CosmologyParams(n=1, m_sq=-1.0), r0=0.5, lam=1.0, p=1.02, theta=0.5,
+            N=1.0, w0=1.0, w1=1.0, t_end=200.0,
+        )
+        traj = integrate_comparison(problem)
+        fine = integrate_comparison(problem, rtol=1e-12)
+        assert traj.blowup and np.all(np.isfinite(traj.w)) and np.all(np.isfinite(traj.wdot))
+        assert traj.w[-1] > 1e300
+        assert traj.t_star_err > 100.0 * 1e-10 * traj.t_star  # the Taylor term is in the bar
+        assert abs(traj.t_star - fine.t_star) <= traj.t_star_err
+
+    def test_stop_reasons(self):
+        problem, _ = _oracle_problem()
+        assert integrate_comparison(dataclasses.replace(problem, t_end=1.0)).stop_reason == "t_end"
+        crunch = OdeProblem(
+            params=CosmologyParams(n=3, H=-1.0, sigma=0.0, m_sq=0.5),
+            r0=0.5, lam=1.0, p=2.0, theta=0.5, N=0.0, w0=0.1, w1=0.0, t_end=10.0,
+        )
+        traj = integrate_comparison(crunch)
+        assert traj.stop_reason == "horizon" and traj.t_switch is None
