@@ -261,7 +261,7 @@ class TestBackgroundPath:
     def test_last_stage_is_reused(self):
         # 1 + 6 evaluations per attempted step: the first stage of every step
         # after the first is the last stage of the step accepted before it;
-        # the oracle never rejects a step, a tachyonic mass makes it
+        # the oracle run rejects no step, so a tachyonic mass is added
         calls = []
         problem, _ = _oracle_problem()
         counting = dataclasses.replace(problem, mass_sq_fn=lambda t: -1.0,
@@ -292,19 +292,22 @@ class TestRescaledBlowup:
             assert traj.t_switch < traj.t_star and traj.stop_reason == "blowup"
             assert traj.steps_accepted < 1000
 
+    @pytest.mark.parametrize("m_sq", [0.0, -1.0])
     @pytest.mark.parametrize("p", [1.3, 2.0, 2.5, 3.0])
-    def test_scale_free(self, p):
-        # w0 -> s w0 with b -> b s^(1-p) scales the oracle solution by s and
-        # leaves t* unchanged; the run must not notice the scale
+    def test_scale_free(self, p, m_sq):
+        # w0 -> s w0 with b -> b s^(1-p) scales the solution by s and leaves
+        # t* unchanged (the oracle's at m^2 = 0); the run must not notice
         s = 1e6
         small, oracle = _oracle_problem(p=p, b=1.0, w0=1.0)
         large, oracle_large = _oracle_problem(p=p, b=s ** (1.0 - p), w0=s)
         assert oracle_large.t_star == pytest.approx(oracle.t_star, rel=1e-14)
-        a, b = integrate_comparison(small), integrate_comparison(large)
+        a, b = (integrate_comparison(dataclasses.replace(prob, mass_sq_fn=lambda t: m_sq))
+                for prob in (small, large))
+        assert a.blowup and b.blowup
         assert a.steps_accepted == b.steps_accepted and a.rejections == b.rejections
-        err_a = (a.t_star - oracle.t_star) / oracle.t_star
-        err_b = (b.t_star - oracle_large.t_star) / oracle_large.t_star
-        assert abs(err_a - err_b) <= 1e-12
+        assert abs(a.t_star - b.t_star) <= 1e-12 * oracle.t_star
+        if m_sq == 0.0:
+            assert abs(a.t_star - oracle.t_star) <= a.t_star_err
 
     @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
     def test_error_bar_covers_oracle(self, p):
