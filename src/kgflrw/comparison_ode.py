@@ -96,9 +96,9 @@ class OdeProblem:
     def coefficients(self) -> Callable[[float], tuple[float, float]]:
         """(M^2, b) as one function of t, built once; the override functions win."""
         mass_sq, weight = self.mass_sq_fn, self.weight_fn
-        if mass_sq is None and weight is None:
-            return background(self.params, self.r0).mass_sq_weight(self.lam, self.p)
         bg = background(self.params, self.r0)
+        if mass_sq is None and weight is None:
+            return bg.mass_sq_weight(self.lam, self.p)
         if mass_sq is None:
             mass_sq = bg.mass_sq
         if weight is None:
