@@ -15,7 +15,6 @@ from .cosmology import (
     CosmologyParams,
     Regime,
     classify_regime,
-    cone_entry_time,
     cone_radius,
     curved_mass_sq,
     horizon_time,

@@ -26,8 +26,7 @@ import numpy as np
 from . import comparison_ode, field_solver
 from .config import ConfigError, RunSpec, parse_config, parse_config_dict
 from .cosmology import (
-    ConeData,
-    cone_radius,
+    background,
     classify_regime,
     curved_mass_bounds,
     horizon_time,
@@ -103,8 +102,7 @@ def cmd_ode(spec: RunSpec, out_dir) -> int:
 
 def _pde_state(spec: RunSpec, t_cap: float):
     params = spec.params()
-    cone = ConeData(spec.r0, params)
-    r_max = spec.r_max if spec.r_max is not None else cone_radius(cone, t_cap) + 0.5
+    r_max = spec.r_max if spec.r_max is not None else background(params, spec.r0).r(t_cap) + 0.5
     nodes = spec.num_nodes if spec.num_nodes is not None else int(512 * r_max) + 1
     return field_solver.init_field(
         n=spec.n, r0=spec.r0, r_max=r_max, num_nodes=nodes,

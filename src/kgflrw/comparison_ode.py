@@ -304,8 +304,10 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
 
     (1) w >= w0 e^(cNt); (2) (1-theta) b w^(p-1) - M^2 > N^2;
     (3) c^-2 wddot - N^2 w - theta b w^p >= 0 with wddot reconstructed from
-    the ODE right side; (4) wdot >= w1.  Tolerance 1e-8 (1 + |w|).
-    Raises PreconditionError when the entry condition fails.
+    the ODE right side; (4) wdot >= w1.  Tolerance 1e-8 (1 + |w|); a margin
+    that is not a number fails.  Where w > 0, (3) equals w times (2), and is
+    computed so, since b w^p can overflow where w (2) does not.  Raises
+    PreconditionError when the entry condition fails.
     """
     p = problem
     S = threshold_S(p.params, p.r0, p.lam, p.p, p.theta, p.N)
@@ -318,24 +320,30 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
     coef = p.coefficients()
     results = {"exp_lower_bound": True, "weight_gap": True, "convexity": True, "wdot_floor": True}
     worst = {k: math.inf for k in results}
-    for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
-        tol = 1e-8 * (1.0 + abs(w))
-        msq, b = coef(t)
-        margin1 = w - p.w0 * math.exp(c * p.N * t)
-        margin2 = (1.0 - p.theta) * b * w ** (p.p - 1.0) - msq - p.N ** 2
-        # wddot from the ODE right side
-        wddot = c * c * (b * abs(w) ** p.p - msq * w)
-        margin3 = wddot / (c * c) - p.N ** 2 * w - p.theta * b * w ** p.p
-        margin4 = wdot - p.w1
-        for key, margin in (
-            ("exp_lower_bound", margin1),
-            ("weight_gap", margin2),
-            ("convexity", margin3),
-            ("wdot_floor", margin4),
-        ):
-            worst[key] = min(worst[key], margin)
-            if margin < -tol:
-                results[key] = False
+    # a margin past the float range is +-inf and is judged as such; inf - inf
+    # is NaN and fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
+            tol = 1e-8 * (1.0 + abs(w))
+            msq, b = coef(t)
+            margin1 = w - p.w0 * math.exp(c * p.N * t)
+            margin2 = (1.0 - p.theta) * b * w ** (p.p - 1.0) - msq - p.N ** 2
+            if w > 0:
+                margin3 = w * margin2
+            else:  # (1) fails here already; wddot from the ODE right side
+                wddot = c * c * (b * abs(w) ** p.p - msq * w)
+                margin3 = wddot / (c * c) - p.N ** 2 * w - p.theta * b * w ** p.p
+            margin4 = wdot - p.w1
+            for key, margin in (
+                ("exp_lower_bound", margin1),
+                ("weight_gap", margin2),
+                ("convexity", margin3),
+                ("wdot_floor", margin4),
+            ):
+                if margin < worst[key] or math.isnan(margin):  # a NaN margin stays the worst
+                    worst[key] = margin
+                if not margin >= -tol:
+                    results[key] = False
     results["worst_margins"] = worst
     results["all_pass"] = all(results[k] for k in ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor"))
     return results

@@ -6,8 +6,9 @@ scale functions
     a(t) = a0 * exp(H t)                                   (sigma = -1)
     a(t) = a0 * (1 + n (1+sigma) H t / 2)^(2 / n(1+sigma)) (sigma != -1)
 
-on [0, T0), where T0 is finite exactly when (1+sigma) H < 0.  The closed
-forms are authoritative; adaptive quadrature is used only as a cross-check.
+on [0, T0), where T0 is finite exactly when (1+sigma) H < 0.  The light
+cone and its inverse are closed forms too.  The test suite cross-checks the
+cone against adaptive quadrature and M^2 against finite differences.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
-
-from scipy.integrate import quad
 
 __all__ = [
     "CosmologyParams",
@@ -34,12 +33,8 @@ __all__ = [
     "scale_factor",
     "hubble_rate",
     "curved_mass_sq",
-    "curved_mass_sq_from_derivatives",
     "mass_sign_change_time",
     "cone_radius",
-    "cone_radius_quadrature",
-    "cone_radius_limit",
-    "cone_entry_time",
     "classify_regime",
     "curved_mass_bounds",
     "background_arrays",
@@ -152,6 +147,7 @@ class Background:
     shift: float = field(init=False, repr=False)  # sigma (nH/2c)^2
     cone_coef: float = field(init=False, repr=False)  # c/(a0 H)
     cone_exp: float = field(init=False, repr=False)  # q/2 - 1
+    r_limit: Optional[float] = field(init=False, repr=False)  # sup of r(t), None without r0
     wn_2n: float = field(init=False, repr=False)  # omega_n^(2/n)
     log_wn_2n: float = field(init=False, repr=False)  # log omega_n^(2/n)
 
@@ -164,6 +160,13 @@ class Background:
         t0 = math.inf if (1.0 + p.sigma) * H >= 0 else -2.0 / (n * (1.0 + p.sigma) * H)
         de_sitter = p.sigma == -1.0
         q = n * (1.0 + p.sigma)
+        cone_coef = math.nan if H == 0.0 else c / (a0 * H)
+        e = q / 2.0 - 1.0
+        r_limit = None
+        if self.r0 is not None:
+            # L = log(a/a0) tends to +-inf with the sign of H at the end of the time
+            # domain, so expm1(e L)/e tends to -1/e when e H < 0 and diverges otherwise
+            r_limit = self.r0 - cone_coef / e if e * H < 0 else math.inf
         derived = {
             "c": c,
             "a0": a0,
@@ -178,8 +181,9 @@ class Background:
             "qH": q * H,
             "two_over_q": math.nan if de_sitter else 2.0 / q,
             "shift": p.sigma * (n * H / (2.0 * c)) ** 2,
-            "cone_coef": math.nan if H == 0.0 else c / (a0 * H),
-            "cone_exp": q / 2.0 - 1.0,
+            "cone_coef": cone_coef,
+            "cone_exp": e,
+            "r_limit": r_limit,
             "wn_2n": _ball_volume(n) ** (2.0 / n),
             "log_wn_2n": (2.0 / n) * math.log(_ball_volume(n)),
         }
@@ -247,6 +251,29 @@ class Background:
         L = self.H * t if self.de_sitter else self.two_over_q * xp.log1p(self.qH * t / 2.0)
         e = self.cone_exp
         return self.r0 + self.cone_coef * (L if e == 0.0 else xp.expm1(e * L) / e)
+
+    def cone_time(self, radius: float) -> Optional[float]:
+        """The t in [0, t_clamp] with r(t) = radius, or None when there is none.
+
+        The closed inverse of `_r`: e L = log1p(e (radius - r0)/(c/(a0 H))),
+        L itself at e = 0, then t = L/H at sigma = -1 and
+        t = 2 expm1(q L/2)/(q H) otherwise; t = (radius - r0) a0/c when static.
+        """
+        if not self.r0 <= radius < self.r_limit:
+            return None
+        if self.static:
+            t = (radius - self.r0) * self.a0 / self.c
+        else:
+            x = (radius - self.r0) / self.cone_coef
+            e = self.cone_exp
+            if e * x <= -1.0:  # beyond the limit by round-off
+                return None
+            L = x if e == 0.0 else math.log1p(e * x) / e
+            try:
+                t = L / self.H if self.de_sitter else 2.0 * math.expm1(self.q * L / 2.0) / self.qH
+            except OverflowError:
+                return None
+        return t if t <= self.t_clamp and math.isfinite(t) else None
 
     def b(self, a: float, r: float, lam: float, expo: float) -> float:
         """b = lambda * (omega_n^(2/n) a r^2)^expo from a(t) and r(t); expo = -n(p-1)/2."""
@@ -317,41 +344,6 @@ def curved_mass_sq(params: CosmologyParams, t: float) -> float:
     return background(params).mass_sq(t)
 
 
-def curved_mass_sq_from_derivatives(
-    params: CosmologyParams, t: float, dt: Optional[float] = None
-) -> float:
-    """M^2 from the defining derivative form, via 4th-order finite differences.
-
-    M^2 = m^2 - n(n-2)/(4c^2) (adot/a)^2 - n/(2c^2) (addot/a).  Used only as a
-    cross-check of the closed form.  Central stencil where it fits, one-sided
-    near t = 0.  The step balances truncation against roundoff on the local
-    timescale, which shrinks toward a finite horizon.
-    """
-    t = background(params).check_time(t)
-    t0 = horizon_time(params)
-    if dt is None:
-        scale = 1.0 + t
-        if math.isfinite(t0):
-            scale = min(scale, 0.4 * (t0 - t))
-        dt = 2e-3 * scale
-    elif math.isfinite(t0):
-        dt = min(dt, (t0 - t) / 8.0)
-    if t >= 2 * dt:
-        a = [scale_factor(params, t + k * dt) for k in (-2, -1, 0, 1, 2)]
-        a_here = a[2]
-        adot = (a[0] - 8 * a[1] + 8 * a[3] - a[4]) / (12.0 * dt)
-        addot = (-a[0] + 16 * a[1] - 30 * a[2] + 16 * a[3] - a[4]) / (12.0 * dt * dt)
-    else:
-        a = [scale_factor(params, t + k * dt) for k in range(6)]
-        a_here = a[0]
-        adot = (-25 * a[0] + 48 * a[1] - 36 * a[2] + 16 * a[3] - 3 * a[4]) / (12.0 * dt)
-        addot = (45 * a[0] - 154 * a[1] + 214 * a[2] - 156 * a[3] + 61 * a[4] - 10 * a[5]) / (
-            12.0 * dt * dt
-        )
-    n, c = params.n, params.c
-    return params.m_sq - n * (n - 2) / (4.0 * c * c) * (adot / a_here) ** 2 - n / (2.0 * c * c) * addot / a_here
-
-
 def mass_sign_change_time(params: CosmologyParams) -> Optional[float]:
     """Time T1 at which M^2 changes sign, when it exists.
 
@@ -372,62 +364,6 @@ def mass_sign_change_time(params: CosmologyParams) -> Optional[float]:
 def cone_radius(cone: ConeData, t: float) -> float:
     """Light-cone radius r(t) = r0 + int_0^t c/a(s) ds, in closed form."""
     return background(cone.params, cone.r0).r(t)
-
-
-def cone_radius_quadrature(cone: ConeData, t: float, tol: float = 1e-12) -> float:
-    """r(t) by adaptive quadrature of c/a(s); cross-check for cone_radius."""
-    p = cone.params
-    t = background(p).check_time(t)
-    if t == 0.0:
-        return cone.r0
-    val, _ = quad(lambda s: p.c / scale_factor(p, s), 0.0, t, epsabs=tol, epsrel=1e-12, limit=200)
-    return cone.r0 + val
-
-
-def cone_radius_limit(cone: ConeData) -> float:
-    """sup of r(t) over [0, T0); inf when the cone is unbounded.
-
-    L = log(a/a0) tends to +-inf with the sign of H at the end of the time
-    domain, so expm1(e L)/e tends to -1/e when e H < 0 and diverges otherwise.
-    """
-    bg = background(cone.params, cone.r0)
-    if bg.static or bg.cone_exp * bg.H >= 0:
-        return math.inf
-    return bg.r0 - bg.cone_coef / bg.cone_exp
-
-
-def cone_entry_time(cone: ConeData, R: float, tol: float = 1e-10, max_iter: int = 200) -> Optional[float]:
-    """The unique t with r(t) = R/2, or None when the cone never reaches R/2.
-
-    Bisection after exponential bracket expansion; r is strictly increasing.
-    """
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
-    target = R / 2.0
-    if cone.r0 >= target:
-        return 0.0 if cone.r0 == target else None
-    t_cap = background(cone.params).t_clamp
-    hi = min(1.0, t_cap)
-    for _ in range(max_iter):
-        if cone_radius(cone, hi) >= target:
-            break
-        if hi >= t_cap:
-            return None
-        hi = min(hi * 2.0, t_cap)
-    else:
-        return None
-    if cone_radius(cone, hi) < target:
-        return None
-    lo = 0.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if cone_radius(cone, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
 
 
 def classify_regime(params: CosmologyParams) -> Regime:

@@ -11,6 +11,10 @@ lim R^-2 (II'_R)^(1/p') = 0 and lim R^-2 (III'_R)^(1/p') = 0.
 It also evaluates the weak-solution integral identity on stored solver
 snapshots, with every derivative of the cutoff computed in closed form so
 that the reported residual measures solver and quadrature error only.
+
+scipy is imported inside the functions that call it, so importing the
+package, or any CLI subcommand that does not use this module, does not
+load it.
 """
 
 from __future__ import annotations
@@ -23,20 +27,9 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, simpson
-from scipy.interpolate import CubicSpline
 
-from .cosmology import (
-    ConeData,
-    CosmologyParams,
-    background,
-    cone_entry_time,
-    cone_radius,
-    curved_mass_sq,
-    horizon_time,
-    scale_factor,
-    unit_ball_volume,
-)
+from .cosmology import CosmologyParams, background, unit_ball_volume
+from .field_solver import _mean_weights
 from .thresholds import analytic_scaling_conditions
 
 __all__ = [
@@ -129,6 +122,9 @@ def build_cutoff() -> CutoffProfile:
     to the same level because the integrand is smooth with all derivatives
     vanishing at both endpoints.
     """
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
     total, err = quad(_bump_integrand, 0.5, 1.0, epsabs=1e-14, epsrel=1e-13)
     if err > 1e-12:
         raise RuntimeError(f"cutoff normalization quadrature error {err} too large")
@@ -204,14 +200,18 @@ def lap_psi_pow(
     pp = _holder_conjugate(p)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
-    s = r_arr / R
-    second = _pow_second_deriv_factor(cut, s, pp) / R**2
-    first = _pow_first_deriv_factor(cut, s, pp) / R
-    lap = second.copy()
-    live = first != 0.0
-    lap[live] += (n - 1.0) / r_arr[live] * first[live]
-    out = cut.eta(t_arr / R) ** pp * lap
+    out = cut.eta(t_arr / R) ** pp * _radial_lap_pow(cut, R, pp, r_arr, n)
     return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
+
+
+def _radial_lap_pow(cut: CutoffProfile, R: float, pp: float, r: np.ndarray, n: int) -> np.ndarray:
+    """Delta of eta(|x|/R)^p' at radii r: f'' + (n-1)/r f', the first term only where f' != 0."""
+    s = r / R
+    lap = _pow_second_deriv_factor(cut, s, pp) / R**2
+    first = _pow_first_deriv_factor(cut, s, pp) / R
+    live = first != 0.0
+    lap[live] += (n - 1.0) / r[live] * first[live]
+    return lap
 
 
 def verify_cutoff_bounds(
@@ -261,16 +261,10 @@ def verify_cutoff_bounds(
     }
 
 
-def _quad_cap(params: CosmologyParams, R: float) -> tuple[float, bool]:
-    """Upper integration limit min(R, T0-) and whether truncation occurred."""
-    bg = background(params)
-    if bg.t0 < R:
-        return bg.t_clamp, True
-    return R, False
-
-
 def _guarded_quad(fn, lo, hi, points, tol) -> float:
     """Adaptive quadrature that maps divergence to inf instead of garbage."""
+    from scipy.integrate import IntegrationWarning, quad
+
     if hi <= lo:
         return 0.0
     pts = [q for q in points if q is not None and lo < q < hi]
@@ -294,22 +288,24 @@ def II_prime(
 ):
     """Cutoff-layer growth integral omega_n int_{R/2}^R min(R, r(t))^n a^(n/2) dt.
 
-    Truncated at the horizon when the spacetime ends before t = R (flagged
-    through ``return_flag``).  Returns inf when the integral diverges at
-    the horizon.
+    a(t) and r(t) come from the problem's `Background`, and the kink where
+    the cone reaches R is its closed-form `cone_time(R)`.  Truncated at the
+    horizon when the spacetime ends before t = R (flagged through
+    ``return_flag``).  Returns inf when the integral diverges at the horizon.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    cone = ConeData(r0, params)
-    upper, truncated = _quad_cap(params, R)
+    bg = background(params, r0)
+    truncated = bg.t0 < R
+    upper = bg.t_clamp if truncated else R
     n = params.n
     wn = unit_ball_volume(n)
 
     def integrand(t):
-        return min(R, cone_radius(cone, t)) ** n * scale_factor(params, t) ** (n / 2.0)
+        a, r = bg.a_r(t)
+        return min(R, r) ** n * a ** (n / 2.0)
 
-    t_hit_R = cone_entry_time(cone, 2.0 * R)  # solves r(t) = R
-    val = wn * _guarded_quad(integrand, R / 2.0, upper, [t_hit_R], tol)
+    val = wn * _guarded_quad(integrand, R / 2.0, upper, [bg.cone_time(R)], tol)
     return (val, truncated) if return_flag else val
 
 
@@ -323,6 +319,8 @@ def III_prime(
 ):
     """Annulus growth integral int_0^R a^(n/2-2p') vol(R/2 < |x| < min(R, r(t))) dt.
 
+    The integrand starts where the cone enters the annulus,
+    `Background.cone_time(R/2)`, and has its kink at `cone_time(R)`.
     Exactly zero when the light cone never reaches radius R/2 before both
     t = R and the horizon; truncation at the horizon is flagged as for
     II_prime.
@@ -330,25 +328,26 @@ def III_prime(
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     pp = _holder_conjugate(p)
-    cone = ConeData(r0, params)
-    upper, truncated = _quad_cap(params, R)
+    bg = background(params, r0)
+    truncated = bg.t0 < R
+    upper = bg.t_clamp if truncated else R
     n = params.n
     wn = unit_ball_volume(n)
     half_vol = (R / 2.0) ** n
 
-    t_entry = cone_entry_time(cone, R)  # solves r(t) = R/2
+    t_entry = bg.cone_time(R / 2.0)
     if t_entry is None or t_entry >= upper:
         val = 0.0
         return (val, truncated) if return_flag else val
 
     def integrand(t):
-        annulus = min(R, cone_radius(cone, t)) ** n - half_vol
+        a, r = bg.a_r(t)
+        annulus = min(R, r) ** n - half_vol
         if annulus <= 0.0:
             return 0.0
-        return scale_factor(params, t) ** (n / 2.0 - 2.0 * pp) * wn * annulus
+        return a ** (n / 2.0 - 2.0 * pp) * wn * annulus
 
-    t_hit_R = cone_entry_time(cone, 2.0 * R)
-    val = _guarded_quad(integrand, t_entry, upper, [t_hit_R], tol)
+    val = _guarded_quad(integrand, t_entry, upper, [bg.cone_time(R)], tol)
     return (val, truncated) if return_flag else val
 
 
@@ -557,16 +556,24 @@ def weak_identity_residual(
     and the data term V.  An exact solution satisfies
     lam I = -c^-2 V + c^-2 II - III + IV, so the normalized defect
     |lam I + c^-2 V - c^-2 II + III - IV| / (lam I + |V|) measures solver
-    discretization plus quadrature error.  Requires snapshots spanning
-    [0, min(R, horizon)] and R > 2 r0 so the data sit on the cutoff plateau.
+    discretization plus quadrature error.  The cutoff is separable, so the
+    spatial factor eta(|x|/R)^p' and its radial Laplacian are formed once on
+    the snapshot grid and folded into the solver's Simpson weights; each
+    snapshot then costs three dot products and scalar time factors, with a
+    and M^2 from the run's `Background`.  Simpson's rule over the
+    (non-uniform) snapshot times gives the four time integrals.  Requires
+    snapshots spanning [0, min(R, horizon)] and R > 2 r0 so the data sit on
+    the cutoff plateau.
     """
+    from scipy.integrate import simpson
+
     cut = cutoff or build_cutoff()
     pp = _holder_conjugate(p)
     snaps = getattr(diag, "snapshots", None)
     if not snaps:
         raise CoverageError("run carries no snapshots; rerun with keep_snapshots")
-    t0 = horizon_time(params)
-    needed = min(R, (1.0 - 1e-6) * t0) if math.isfinite(t0) else R
+    bg = background(params)
+    needed = min(R, (1.0 - 1e-6) * bg.t0)
     ts_all = np.array([s[0] for s in snaps])
     if ts_all[0] > 1e-12:
         raise CoverageError(f"first snapshot at t = {ts_all[0]}, need t = 0 for the data term")
@@ -577,35 +584,33 @@ def weak_identity_residual(
     keep = ts_all <= needed * (1.0 + 1e-12)
     if keep.sum() < 5:
         raise CoverageError("fewer than five snapshots inside the cutoff window")
+    r = getattr(diag, "snapshot_grid", None)
+    if r is None:
+        raise CoverageError("diagnostics carry no radial grid for the snapshots")
 
     n = params.n
-    wn = unit_ball_volume(n)
-    c2 = params.c**2
+    weights = _mean_weights(r, n)
+    w_psi = weights * cut.eta(r / R) ** pp
+    w_lap = weights * _radial_lap_pow(cut, R, pp, r, n)
     ts = ts_all[keep]
-    I_t = np.empty_like(ts)
-    II_t = np.empty_like(ts)
-    III_t = np.empty_like(ts)
-    IV_t = np.empty_like(ts)
-    V_R = 0.0
-    for j, idx in enumerate(np.nonzero(keep)[0]):
-        t, u, v = snaps[idx]
-        r = getattr(diag, "snapshot_grid", None)
-        if r is None:
-            raise CoverageError("diagnostics carry no radial grid for the snapshots")
-        weight = n * wn * r ** (n - 1)
-        psi = cut.eta(t / R) ** pp * cut.eta(r / R) ** pp
-        a = scale_factor(params, t)
-        I_t[j] = a ** (-n * (p - 1.0) / 2.0) * simpson(np.abs(u) ** p * psi * weight, x=r)
-        II_t[j] = simpson(u * dtt_psi_pow(R, p, t, r, cut) * weight, x=r)
-        III_t[j] = a ** (-2.0) * simpson(u * lap_psi_pow(R, p, t, r, n, cut) * weight, x=r)
-        IV_t[j] = curved_mass_sq(params, t) * simpson(u * psi * weight, x=r)
-        if j == 0:
-            V_R = simpson(v * psi * weight, x=r)
-    I_R = float(simpson(I_t, x=ts))
-    II_R = float(simpson(II_t, x=ts))
-    III_R = float(simpson(III_t, x=ts))
-    IV_R = float(simpson(IV_t, x=ts))
+    psi_t = cut.eta(ts / R) ** pp
+    dtt_t = _pow_second_deriv_factor(cut, ts / R, pp) / R**2
+    expo = -n * (p - 1.0) / 2.0
+    rows = np.empty((4, ts.size))  # the integrands of I, II, III and IV over time
+    for j, idx in enumerate(np.flatnonzero(keep)):
+        t, u, _ = snaps[idx]
+        a = bg.a(t)
+        u_psi = u @ w_psi
+        rows[:, j] = (
+            a**expo * psi_t[j] * (np.abs(u) ** p @ w_psi),
+            dtt_t[j] * u_psi,
+            a ** (-2.0) * psi_t[j] * (u @ w_lap),
+            bg.mass_sq(t) * psi_t[j] * u_psi,
+        )
+    I_R, II_R, III_R, IV_R = (float(simpson(row, x=ts)) for row in rows)
+    V_R = float(psi_t[0] * (snaps[0][2] @ w_psi))
 
+    c2 = params.c**2
     defect = lam * I_R + V_R / c2 - II_R / c2 + III_R - IV_R
     scale_norm = lam * I_R + abs(V_R)
     if scale_norm == 0.0:

@@ -26,9 +26,7 @@ from kgflrw.cosmology import (
     ConeData,
     CosmologyParams,
     cone_radius,
-    cone_radius_quadrature,
     curved_mass_sq,
-    curved_mass_sq_from_derivatives,
     horizon_time,
 )
 from kgflrw.field_solver import energy, init_field, run_until
@@ -40,6 +38,7 @@ from kgflrw.thresholds import (
     damping_rate_N,
     threshold_S,
 )
+from oracles import cone_radius_quadrature, curved_mass_sq_from_derivatives
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:

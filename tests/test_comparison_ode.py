@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,33 @@ class TestPositivityChecks:
         assert out["all_pass"]
         for key in ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor"):
             assert out[key], f"{key} margin {out['worst_margins'][key]}"
+
+    def test_nan_sample_fails(self):
+        problem = self._admissible_problem()
+        traj = integrate_comparison(problem)
+        w = traj.w.copy()
+        w[len(w) // 2] = math.nan
+        out = verify_lemma21(dataclasses.replace(traj, w=w), problem)
+        # the NaN sample fails every check, and is the worst margin of (1)-(3)
+        assert not any(out[key] for key in ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor"))
+        assert not out["all_pass"]
+        for key in ("exp_lower_bound", "weight_gap", "convexity"):
+            assert math.isnan(out["worst_margins"][key])
+
+    def test_samples_near_the_float_maximum(self):
+        # p = 1.02 ends within 1e3 of the float maximum, where b w^p overflows;
+        # (3) is w times (2) there, so every margin stays finite
+        problem = OdeProblem(
+            params=CosmologyParams(n=1, m_sq=-1.0), r0=0.5, lam=1.0, p=1.02, theta=0.5,
+            N=1.0, w0=1.0, w1=1.0, t_end=200.0,
+        )
+        traj = integrate_comparison(problem)
+        assert traj.w[-1] > 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = verify_lemma21(traj, problem)
+        assert out["all_pass"]
+        assert all(math.isfinite(m) for m in out["worst_margins"].values())
 
     def test_precondition_failure_raises(self):
         params = CosmologyParams(n=1, m_sq=-1.0)

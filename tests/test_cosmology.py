@@ -2,12 +2,16 @@
 curved mass, light cone, and the regime classification."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import quad
 
+import kgflrw
 from kgflrw.cosmology import (
     Background,
     ConeData,
@@ -16,19 +20,16 @@ from kgflrw.cosmology import (
     Regime,
     background_arrays,
     classify_regime,
-    cone_entry_time,
     cone_radius,
-    cone_radius_limit,
-    cone_radius_quadrature,
     curved_mass_bounds,
     curved_mass_sq,
-    curved_mass_sq_from_derivatives,
     background,
     horizon_time,
     hubble_rate,
     mass_sign_change_time,
     scale_factor,
 )
+from oracles import cone_radius_quadrature, curved_mass_sq_from_derivatives
 
 
 MINKOWSKI = CosmologyParams(n=1)
@@ -166,21 +167,22 @@ class TestCone:
 
     def test_de_sitter_saturation(self):
         cone = ConeData(1.0, DE_SITTER_EXP)
-        assert cone_radius_limit(cone) == pytest.approx(2.0, rel=1e-15)
+        assert background(DE_SITTER_EXP, 1.0).r_limit == pytest.approx(2.0, rel=1e-15)
         assert cone_radius(cone, 40.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_limit_unbounded_cases(self):
-        assert cone_radius_limit(ConeData(1.0, MINKOWSKI)) == math.inf
-        assert cone_radius_limit(ConeData(1.0, DE_SITTER_CON)) == math.inf
+        assert background(MINKOWSKI, 1.0).r_limit == math.inf
+        assert background(DE_SITTER_CON, 1.0).r_limit == math.inf
+        assert background(MINKOWSKI).r_limit is None  # no cone without r0
 
     def test_limit_finite_crunch(self):
         # a ~ (T0 - t)^(2/3) near the crunch, so the integral of c/a
         # converges: r0 + 2c/(a0 |H| (q-2)) with q = 3 gives 3 here
-        assert cone_radius_limit(ConeData(1.0, CRUNCH)) == pytest.approx(3.0, rel=1e-14)
+        assert background(CRUNCH, 1.0).r_limit == pytest.approx(3.0, rel=1e-14)
 
     def test_limit_finite_rip(self):
         # big rip: a -> inf at T0, the integral of c/a converges
-        lim = cone_radius_limit(ConeData(1.0, RIP))
+        lim = background(RIP, 1.0).r_limit
         assert math.isfinite(lim)
         assert cone_radius(ConeData(1.0, RIP), 0.999999) < lim
 
@@ -241,16 +243,17 @@ class TestCone:
         assert background_arrays(params, 0.5, [t])[1][0] == math.inf
 
     def test_entry_time_solves_half_R(self):
-        cone = ConeData(0.25, CRUNCH)
-        t = cone_entry_time(cone, 3.0)
+        # the cone enters the annulus R/2 < |x| < R of R = 3 at radius 1.5
+        bg = background(CRUNCH, 0.25)
+        t = bg.cone_time(1.5)
         assert t is not None
-        assert cone_radius(cone, t) == pytest.approx(1.5, rel=1e-8)
+        assert bg.r(t) == pytest.approx(1.5, rel=1e-12)
 
     def test_entry_time_boundary_and_unreachable(self):
-        cone = ConeData(1.0, DE_SITTER_EXP)  # saturates at r = 2
-        assert cone_entry_time(cone, 2.0) == 0.0
-        assert cone_entry_time(cone, 1.0) is None  # r0 already past R/2
-        assert cone_entry_time(cone, 6.0) is None  # cone never reaches 3
+        bg = background(DE_SITTER_EXP, 1.0)  # saturates at r = 2
+        assert bg.cone_time(1.0) == 0.0
+        assert bg.cone_time(0.5) is None  # r0 already past the radius
+        assert bg.cone_time(3.0) is None  # cone never reaches 3
 
     @given(t=st.floats(0.0, 5.0), dt=st.floats(0.01, 1.0))
     def test_monotone_in_time(self, t, dt):
@@ -353,6 +356,64 @@ class TestBackground:
         assert cone_radius(ConeData(r0, params), t) == bg.r(t)
         assert hubble_rate(params, t) == bg.hubble(t)
 
+    @given(point=_regime_points(), x=st.floats(0.0, 1.0, exclude_max=True))
+    def test_cone_time_inverts_the_cone(self, point, x):
+        params, r0 = point
+        bg = background(params, r0)
+        # with |e H| below about 1e-290 (H ~ 1e-300 beside the log cone), e L
+        # leaves the normal float range and r itself loses its precision
+        assume(bg.static or bg.cone_exp == 0.0 or abs(bg.cone_exp * bg.H) > 1e-290)
+        try:  # r at t_clamp or at t = 50, whichever comes first
+            top = min(bg.r_limit, bg.r(min(bg.t_clamp, 50.0)))
+        except OverflowError:  # a(t) underflows before a crunch
+            top = bg.r_limit
+        assume(math.isfinite(top))
+        rho = r0 + x * (top - r0)
+        assume(rho < top)  # x = 1 - ulp can round rho up to top
+        t = bg.cone_time(rho)
+        assert t is not None and 0.0 <= t <= bg.t_clamp
+        # t is the inverse to round-off: 1e-12 relative in r, widened by the
+        # few ulps of t itself, which move r by r'(t) t ulps (much, beside a crunch)
+        lo, hi = bg.r(t * (1.0 - 1e-15)), bg.r(min(t * (1.0 + 1e-15), bg.t_clamp))
+        assert lo * (1.0 - 1e-12) <= rho <= hi * (1.0 + 1e-12)
+
+    @given(point=_regime_points())
+    @example(point=(CRUNCH, 1.0))  # a finite horizon inside a finite cone limit
+    @example(point=(RIP, 1.0))
+    def test_cone_time_is_none_exactly_past_the_cone(self, point):
+        params, r0 = point
+        bg = background(params, r0)
+        assert bg.cone_time(r0) == 0.0
+        assert bg.cone_time(r0 * (1.0 - 1e-12)) is None  # the cone never shrinks
+        if math.isfinite(bg.r_limit):
+            assert bg.cone_time(bg.r_limit) is None
+            assert bg.cone_time(2.0 * bg.r_limit) is None
+        if math.isfinite(bg.t_clamp):
+            try:
+                r_end = bg.r(bg.t_clamp)
+            except OverflowError:
+                return
+            # past r(t_clamp) the time passes t_clamp.  r is steep there, so the
+            # radius is taken far enough past for t to resolve it: halfway to a
+            # finite limit, unless r(t_clamp) is within round-off of it, or
+            # twice as far out as r(t_clamp)
+            if math.isinf(bg.r_limit):
+                assert bg.cone_time(2.0 * r_end - r0) is None
+            elif bg.r_limit - r_end > 1e-9 * (bg.r_limit - r0):
+                assert bg.cone_time((r_end + bg.r_limit) / 2.0) is None
+            # short of it, only the limit can stop the cone: beside a big rip,
+            # r reaches r_limit in floats well before t_clamp
+            short = bg.r(0.999 * bg.t_clamp)
+            assert (bg.cone_time(short) is None) == (short >= bg.r_limit)
+
+    def test_cone_time_beyond_a_bisection_bracket(self):
+        # n(1+sigma) = 2, the logarithmic cone: r = 37.9 is reached at t ~ 1e74,
+        # far past the 2^200 bracket a doubling search could reach
+        bg = background(CosmologyParams(n=4, H=1.35, sigma=-0.5, c=0.52, a0=1.80), 1.37)
+        t = bg.cone_time(37.9)
+        assert t == pytest.approx(1.0e74, rel=0.05)
+        assert bg.r(t) == pytest.approx(37.9, rel=1e-12)
+
     def test_domain_and_argument_checks(self):
         bg = Background(CRUNCH, 0.5)
         for method in (bg.a, bg.r, bg.mass_sq, bg.a_r, bg.hubble):
@@ -370,3 +431,13 @@ class TestBackground:
             bg.weight(1.0, 1.0)
         with pytest.raises(ValueError):
             Background(CRUNCH, 0.0)
+
+
+def test_importing_cosmology_leaves_scipy_unloaded():
+    # the quadrature and finite-difference oracles live in tests/oracles.py,
+    # and testfn imports scipy where it calls it, so the CLI does not load it either
+    code = ("import sys, kgflrw.cosmology; print('scipy' in sys.modules); "
+            "import kgflrw.cli; print('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kgflrw.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

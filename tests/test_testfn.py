@@ -252,3 +252,43 @@ class TestWeakIdentityContract:
         # carried entirely by the data term V against the cutoff terms
         assert parts["V"] > 0.0
         assert parts["I"] > 0.0
+
+    def test_parts_match_per_snapshot_quadrature(self, monkeypatch):
+        # the parent form of the identity: scipy's Simpson rule over the full
+        # products psi * weight on every snapshot, the cutoff re-evaluated each time
+        import scipy.integrate
+        from scipy.integrate import simpson
+
+        from kgflrw.cosmology import curved_mass_sq, scale_factor, unit_ball_volume
+
+        params, lam, p, R = CosmologyParams(n=3, H=0.5, sigma=0.0, m_sq=1.0), 1.0, 2.0, 2.0
+        state = init_field(n=3, r0=0.5, r_max=3.0, num_nodes=3 * 128 + 1, w0=1.0, w1=0.5)
+        diag = run_until(params, lam, p, state, R, 0.5, output_interval=0.05, keep_snapshots=True)
+        r = diag.snapshot_grid
+        weight = 3 * unit_ball_volume(3) * r**2
+        snaps = [s for s in diag.snapshots if s[0] <= R * (1.0 + 1e-12)]
+        ts = np.array([s[0] for s in snaps])
+        rows = []
+        for t, u, v in snaps:
+            psi = psi_pow(R, p, t, r)
+            a = scale_factor(params, t)
+            rows.append([
+                a ** (-3.0 * (p - 1.0) / 2.0) * simpson(np.abs(u) ** p * psi * weight, x=r),
+                simpson(u * dtt_psi_pow(R, p, t, r) * weight, x=r),
+                a ** -2.0 * simpson(u * lap_psi_pow(R, p, t, r, 3) * weight, x=r),
+                curved_mass_sq(params, t) * simpson(u * psi * weight, x=r),
+            ])
+        ref = dict(zip(("I", "II", "III", "IV"), simpson(np.array(rows), x=ts, axis=0)))
+        ref["V"] = simpson(snaps[0][2] * psi_pow(R, p, 0.0, r) * weight, x=r)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simpson(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "simpson", counted)
+        _, parts = weak_identity_residual(diag, params, lam, p, R, return_parts=True)
+        assert len(calls) == 4  # the four time integrals only
+        for key, value in ref.items():
+            assert parts[key] == pytest.approx(value, rel=1e-12), key
