@@ -5,8 +5,14 @@ CFL-limited step.  Compactly supported data plus the finite propagation
 speed justify a homogeneous Dirichlet condition at the outer edge; the run
 records the spatial mean, sup norm, energy, support radius and light-cone
 radius, and accumulates the space-time integral of |M^2 u| as a diagnostic.
-A step updates only the nodes its stencil can reach from the nonzero part
-of the field; the rest of the grid is exactly zero and stays so.
+
+The discrete Laplacian is one three-coefficient stencil per grid,
+(lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr^2, with the origin row folded
+in and a zero outer row; the time stepping, `radial_laplacian` and `energy`
+all read it.  A step updates only the nodes the stencil can reach from the
+nonzero part of the field, found by one scan of the state; the rest of the
+grid is exactly zero and stays so.  Its four stages write into a few
+buffers allocated once per step.
 """
 
 from __future__ import annotations
@@ -176,24 +182,74 @@ def init_field(
     return FieldState(r=r, u=u, v=v, t=0.0)
 
 
+@dataclass(frozen=True)
+class _Stencil:
+    """The radial Laplacian of one grid as three coefficient arrays.
+
+    Row i of the Laplacian is (lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr2,
+    with lo[0] = 0 and up[-1] = 0.  The coefficients are dimensionless: at
+    n = 1 they are the integers (1, -2, 1), so the rows round exactly as the
+    central difference (u[i-1] - 2 u[i] + u[i+1]) / dr^2 does.
+    """
+
+    lo: np.ndarray
+    di: np.ndarray
+    up: np.ndarray
+    dr2: float
+
+
+def _stencil(r: np.ndarray, n: int) -> _Stencil:
+    """The `_Stencil` of the grid r in dimension n.
+
+    Interior rows are 1 -+ (n-1) dr/(2r) off the diagonal and -2 on it; the
+    origin row is n u_rr(0) with the ghost value u(-dr) = u(dr), that is
+    (-2n, 2n); the outer (Dirichlet) row is zero.
+    """
+    dr = r[1] - r[0]
+    drift = np.zeros_like(r)
+    drift[1:-1] = (n - 1) * dr / (2.0 * r[1:-1])
+    lo = 1.0 - drift
+    up = 1.0 + drift
+    di = np.full_like(r, -2.0)
+    lo[0], di[0], up[0] = 0.0, -2.0 * n, 2.0 * n
+    lo[-1] = di[-1] = up[-1] = 0.0
+    return _Stencil(lo, di, up, float(dr ** 2))
+
+
+def _apply_stencil(st: _Stencil, u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = dr^2 times the Laplacian's leading len(u) rows at u; tmp is scratch of u's size.
+
+    The last of those rows misses its u[i+1] term unless u spans the grid.
+    """
+    m = u.size
+    np.multiply(st.di[:m], u, out=out)
+    np.multiply(st.lo[1:m], u[:-1], out=tmp[1:])
+    out[1:] += tmp[1:]
+    np.multiply(st.up[:m - 1], u[1:], out=tmp[:-1])
+    out[:-1] += tmp[:-1]
+
+
 def radial_laplacian(u: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
     """u_rr + (n-1)/r u_r by second-order central differences.
 
     At the origin the symmetric regularization is n u_rr(0) with the ghost
     value u(-dr) = u(dr).  The outer node is Dirichlet and gets zero.
     """
-    dr = r[1] - r[0]
-    lap = np.zeros_like(u)
-    lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dr ** 2 + (n - 1) / r[1:-1] * (
-        u[2:] - u[:-2]
-    ) / (2.0 * dr)
-    lap[0] = n * 2.0 * (u[1] - u[0]) / dr ** 2
+    st = _stencil(r, n)
+    lap = np.empty_like(u)
+    _apply_stencil(st, u, lap, np.empty_like(u))
+    lap /= st.dr2
+    lap[-1] = 0.0
     return lap
+
+
+def _cfl_dt(bg, dr: float, t: float, safety: float) -> float:
+    return safety * dr * bg.a(t) / bg.c
 
 
 def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
     """Wave-speed limited timestep: safety * dr * a(t) / c."""
-    return safety * state.dr * scale_factor(params, state.t) / params.c
+    return _cfl_dt(background(params), state.dr, state.t, safety)
 
 
 def _window(state: FieldState) -> int:
@@ -202,24 +258,72 @@ def _window(state: FieldState) -> int:
     e is the last node where u or v is nonzero (-1 for a zero state).  An
     RK4 step with the three-point stencil carries nonzero values at most
     two nodes beyond e, so every node from e + 3 on stays exactly zero;
-    _rhs pins the window's last node, which is zero anyway.
+    the step pins the window's last node, which is zero anyway.
     """
     nonzero = np.flatnonzero((state.u != 0.0) | (state.v != 0.0))
     end = int(nonzero[-1]) if nonzero.size else -1
     return min(end + 6, state.r.size)
 
 
-def _rhs(bg, lam: float, p: float, t: float, u, v, r, n):
-    a = bg.a(t)
-    msq = bg.mass_sq(t)
-    c2 = bg.c ** 2
-    lap = radial_laplacian(u, r, n)
-    force = lam * a ** (-n * (p - 1.0) / 2.0) * np.abs(u) ** p if lam != 0.0 else 0.0
-    dv = c2 * (lap / a ** 2 - msq * u + force)
-    dv[-1] = 0.0
-    du = v.copy()
-    du[-1] = 0.0
-    return du, dv
+def _advance(bg, lam: float, p: float, state: FieldState, dt: float,
+             st: _Stencil) -> tuple[FieldState, int]:
+    """`step`'s body on the problem's Background and the grid's stencil.
+
+    Returns the new state and the number of leading nodes it updated.
+    """
+    m = _window(state)
+    n, t, c2 = bg.params.n, state.t, bg.c ** 2
+    u, v = state.u[:m], state.v[:m]
+    un, vn = np.zeros_like(state.u), np.zeros_like(state.v)
+    # the increments k1 + 2 k2 + 2 k3 + k4 accumulate in the new state's window
+    acc_u, acc_v = un[:m], vn[:m]
+    # stage input u, stage input v (which is also that stage's du), dv, scratch
+    us, vs, kv, tmp = np.empty((4, m))
+
+    def accel(ts, u_s, out):
+        # dv = c^2 (Delta u / a^2 - M^2 u + lam a^(-n(p-1)/2) |u|^p), pinned at the edge
+        a = bg.a(ts)
+        _apply_stencil(st, u_s, out, tmp)
+        out /= a ** 2 * st.dr2 / c2  # a division, so n = 1 rounds as (...)/dr^2 at a = c = 1
+        np.multiply(u_s, c2 * bg.mass_sq(ts), out=tmp)
+        out -= tmp
+        if lam != 0.0:
+            np.abs(u_s, out=tmp)
+            np.power(tmp, p, out=tmp)
+            np.multiply(tmp, c2 * lam * a ** (-n * (p - 1.0) / 2.0), out=tmp)
+            out += tmp
+        out[-1] = 0.0
+
+    def next_input(h, ku, k):
+        # (us, vs) = (u + h ku, v + h k), with du = vs pinned at the edge
+        np.add(np.multiply(ku, h, out=us), u, out=us)
+        np.add(np.multiply(k, h, out=vs), v, out=vs)
+        vs[-1] = 0.0
+
+    acc_u[:] = v
+    acc_u[-1] = 0.0
+    accel(t, u, acc_v)
+    next_input(dt / 2, acc_u, acc_v)
+    for ts, h in ((t + dt / 2, dt / 2), (t + dt / 2, dt)):
+        accel(ts, us, kv)
+        np.multiply(vs, 2.0, out=tmp)
+        acc_u += tmp
+        np.multiply(kv, 2.0, out=tmp)
+        acc_v += tmp
+        next_input(h, vs, kv)
+    accel(t + dt, us, kv)
+    acc_u += vs
+    acc_v += kv
+    for acc, y in ((acc_u, u), (acc_v, v)):
+        acc *= dt / 6.0
+        acc += y
+    un[-1] = 0.0
+    vn[-1] = 0.0
+    new = FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
+    sup = float(np.max(np.abs(acc_u, out=tmp)))
+    if not math.isfinite(sup) or sup > _SUP_GUARD * state.data_scale:
+        new.diverged = True
+    return new, m
 
 
 def step(
@@ -238,26 +342,10 @@ def step(
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
-    if dt is None:
-        dt = cfl_dt(params, state, safety)
     bg = background(params)
-    m = _window(state)
-    n, t = params.n, state.t
-    r, u, v = state.r[:m], state.u[:m], state.v[:m]
-    k1u, k1v = _rhs(bg, lam, p, t, u, v, r, n)
-    k2u, k2v = _rhs(bg, lam, p, t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v, r, n)
-    k3u, k3v = _rhs(bg, lam, p, t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v, r, n)
-    k4u, k4v = _rhs(bg, lam, p, t + dt, u + dt * k3u, v + dt * k3v, r, n)
-    un, vn = np.zeros_like(state.u), np.zeros_like(state.v)
-    un[:m] = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    vn[:m] = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    un[-1] = 0.0
-    vn[-1] = 0.0
-    new = FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
-    sup = float(np.max(np.abs(un[:m])))
-    if not math.isfinite(sup) or sup > _SUP_GUARD * state.data_scale:
-        new.diverged = True
-    return new
+    if dt is None:
+        dt = _cfl_dt(bg, state.dr, state.t, safety)
+    return _advance(bg, lam, p, state, dt, _stencil(state.r, params.n))[0]
 
 
 def support_radius(state: FieldState, scale: Optional[float] = None) -> float:
@@ -350,11 +438,12 @@ def run_until(
         # before it, and its support is not checked against the cone
         nonlocal peak_mag
         live = not st.diverged
+        sup = float(np.max(np.abs(st.u)))
         if live:
-            peak_mag = max(peak_mag, float(np.max(np.abs(st.u))), float(np.max(np.abs(st.v))))
+            peak_mag = max(peak_mag, sup, float(np.max(np.abs(st.v))))
         diag.t.append(st.t)
         diag.mean.append(float(weights @ st.u))
-        diag.sup.append(float(np.max(np.abs(st.u))))
+        diag.sup.append(sup)
         diag.energy.append(energy(st, params, lam=0.0) if linear_static and live else math.nan)
         sr = support_radius(st, scale=peak_mag)
         rc = bg.r(st.t)
@@ -371,10 +460,10 @@ def run_until(
     record(state)
     next_record = output_interval
     diag.stop_reason = "t_end" if t_cap == t_end else "horizon"
+    dr, sten = state.dr, _stencil(state.r, params.n)
     while state.t < t_cap:
-        dt = min(cfl_dt(params, state, safety), t_cap - state.t)
-        m = _window(state)  # the nodes step updates; both states are zero beyond them
-        new = step(params, lam, p, state, dt=dt)
+        dt = min(_cfl_dt(bg, dr, state.t, safety), t_cap - state.t)
+        new, m = _advance(bg, lam, p, state, dt, sten)  # both states are zero beyond node m
         diag.steps += 1
         diag.node_steps += m
         # accumulate the |M^2 u| space-time integral with a midpoint rule

@@ -320,10 +320,10 @@ def III_prime(
     """Annulus growth integral int_0^R a^(n/2-2p') vol(R/2 < |x| < min(R, r(t))) dt.
 
     The integrand starts where the cone enters the annulus,
-    `Background.cone_time(R/2)`, and has its kink at `cone_time(R)`.
-    Exactly zero when the light cone never reaches radius R/2 before both
-    t = R and the horizon; truncation at the horizon is flagged as for
-    II_prime.
+    `Background.cone_time(R/2)`, or at t = 0 when r0 >= R/2 and the cone
+    starts inside it, and has its kink at `cone_time(R)`.  Exactly zero
+    when the light cone never reaches radius R/2 before both t = R and the
+    horizon; truncation at the horizon is flagged as for II_prime.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
@@ -335,7 +335,7 @@ def III_prime(
     wn = unit_ball_volume(n)
     half_vol = (R / 2.0) ** n
 
-    t_entry = bg.cone_time(R / 2.0)
+    t_entry = 0.0 if r0 >= R / 2.0 else bg.cone_time(R / 2.0)
     if t_entry is None or t_entry >= upper:
         val = 0.0
         return (val, truncated) if return_flag else val

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
+from kgflrw import field_solver
 from kgflrw.cosmology import ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor
 from kgflrw.field_solver import (
     Diagnostics,
     FieldState,
     ResolutionError,
     _simpson_weights,
+    _stencil,
     _window,
     cfl_dt,
     energy,
@@ -87,6 +89,25 @@ class TestLaplacian:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_stencil_applied_to_u(self, n):
+        r = np.linspace(0.0, 2.0, 97)
+        u = np.cos(3.0 * r) * np.exp(-r)
+        sten = _stencil(r, n)
+        tri = np.diag(sten.di) + np.diag(sten.lo[1:], -1) + np.diag(sten.up[:-1], 1)
+        lap = radial_laplacian(u, r, n)
+        scale = np.max(np.abs(tri) @ np.abs(u)) / sten.dr2
+        assert np.max(np.abs(lap - tri @ u / sten.dr2)) <= 1e-15 * scale
+        # the origin row is n u_rr(0) with a mirrored ghost node; the outer row is zero
+        assert lap[0] == pytest.approx(2.0 * n * (u[1] - u[0]) / sten.dr2, rel=1e-14)
+        assert lap[-1] == 0.0
+        # interior rows are the central difference (u[i-1] - 2u[i] + u[i+1])/dr^2
+        # + (n-1)/r (u[i+1] - u[i-1])/(2 dr), up to round-off
+        dr = r[1] - r[0]
+        central = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dr ** 2 + (n - 1) / r[1:-1] * (
+            u[2:] - u[:-2]) / (2.0 * dr)
+        assert np.max(np.abs(lap[1:-1] - central)) <= 1e-15 * scale
+
 
 class TestStepping:
     def test_cfl_scales_with_grid_and_background(self):
@@ -139,23 +160,9 @@ class TestStepping:
             energy(state, CosmologyParams(n=1, H=1.0))
 
 
-def _full_grid_step(params, lam, p, state, dt):
-    """RK4 over every node of the grid: the reference the windowed step must equal."""
-    n, r, t = params.n, state.r, state.t
-
-    def rhs(t, u, v):
-        a = scale_factor(params, t)
-        msq = curved_mass_sq(params, t)
-        c2 = params.c ** 2
-        lap = radial_laplacian(u, r, n)
-        force = lam * a ** (-n * (p - 1.0) / 2.0) * np.abs(u) ** p if lam != 0.0 else 0.0
-        dv = c2 * (lap / a ** 2 - msq * u + force)
-        dv[-1] = 0.0
-        du = v.copy()
-        du[-1] = 0.0
-        return du, dv
-
-    u, v = state.u, state.v
+def _rk4_full_grid(rhs, state, dt):
+    """Classical RK4 of (u, v) over every node, rhs(t, u, v) -> (du, dv), outer node pinned."""
+    t, u, v = state.t, state.u, state.v
     k1u, k1v = rhs(t, u, v)
     k2u, k2v = rhs(t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v)
     k3u, k3v = rhs(t + dt / 2, u + dt / 2 * k2u, v + dt / 2 * k2v)
@@ -164,7 +171,34 @@ def _full_grid_step(params, lam, p, state, dt):
     vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     un[-1] = 0.0
     vn[-1] = 0.0
-    return FieldState(r=r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
+    return FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
+
+
+def _full_grid_step(params, lam, p, state, dt):
+    """RK4 over every node of the grid: the reference the windowed step must equal.
+
+    The same elementwise arithmetic as the solver: the stencil rows
+    lo u[i-1] + di u[i] + up u[i+1], divided by a^2 dr^2 / c^2, minus
+    c^2 M^2 u, plus c^2 lam a^(-n(p-1)/2) |u|^p.
+    """
+    n = params.n
+    sten = _stencil(state.r, n)
+    c2 = params.c ** 2
+
+    def rhs(t, u, v):
+        a = scale_factor(params, t)
+        lap = sten.di * u
+        lap[1:] += sten.lo[1:] * u[:-1]
+        lap[:-1] += sten.up[:-1] * u[1:]
+        dv = lap / (a ** 2 * sten.dr2 / c2) - (c2 * curved_mass_sq(params, t)) * u
+        if lam != 0.0:
+            dv += (c2 * lam * a ** (-n * (p - 1.0) / 2.0)) * np.abs(u) ** p
+        dv[-1] = 0.0
+        du = v.copy()
+        du[-1] = 0.0
+        return du, dv
+
+    return _rk4_full_grid(rhs, state, dt)
 
 
 class TestWindowedStep:
@@ -238,6 +272,58 @@ class TestWindowedStep:
         assert _window(zero) == 5
 
 
+def _central_difference_step(params, lam, p, state, dt):
+    """An RK4 step with the unfolded central differences, evaluated term by term."""
+    n, r = params.n, state.r
+    dr = r[1] - r[0]
+
+    def rhs(t, u, v):
+        a = scale_factor(params, t)
+        lap = np.zeros_like(u)
+        lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dr ** 2 + (n - 1) / r[1:-1] * (
+            u[2:] - u[:-2]) / (2.0 * dr)
+        lap[0] = n * 2.0 * (u[1] - u[0]) / dr ** 2
+        force = lam * a ** (-n * (p - 1.0) / 2.0) * np.abs(u) ** p if lam != 0.0 else 0.0
+        dv = params.c ** 2 * (lap / a ** 2 - curved_mass_sq(params, t) * u + force)
+        dv[-1] = 0.0
+        du = v.copy()
+        du[-1] = 0.0
+        return du, dv
+
+    return _rk4_full_grid(rhs, state, dt)
+
+
+class TestFoldedStencilStep:
+    # (H, sigma): static, expanding de Sitter, and a contraction toward a big crunch
+    @pytest.mark.parametrize("background", [(0.0, 0.0), (0.7, -1.0), (-0.8, 1.0 / 3.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lam_p", [(0.0, 2.0), (1.0, 2.5)])
+    def test_agrees_with_central_differences(self, background, n, lam_p):
+        H, sigma = background
+        lam, p = lam_p
+        params = CosmologyParams(n=n, m_sq=-1.0, H=H, sigma=sigma, c=1.5)
+        state = init_field(n=n, r0=1.0, r_max=2.5, num_nodes=161, w0=1.0, w1=0.5)
+        ref = state
+        for _ in range(40):
+            dt = cfl_dt(params, state)
+            state = step(params, lam, p, state, dt=dt)
+            ref = _central_difference_step(params, lam, p, ref, dt)
+        for new, old in ((state.u, ref.u), (state.v, ref.v)):
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    def test_leaves_its_input_alone_and_repeats_exactly(self):
+        params = CosmologyParams(n=3, m_sq=-1.0, H=0.5, sigma=0.0)
+        state = init_field(n=3, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0, w1=-0.5)
+        u0, v0 = state.u.copy(), state.v.copy()
+        first = step(params, 1.0, 2.5, state)
+        second = step(params, 1.0, 2.5, state)
+        assert state.u.tobytes() == u0.tobytes() and state.v.tobytes() == v0.tobytes()
+        assert first.u.tobytes() == second.u.tobytes()
+        assert first.v.tobytes() == second.v.tobytes()
+        for a in (first.u, first.v):
+            assert not any(np.shares_memory(a, b) for b in (state.u, state.v, second.u, second.v))
+
+
 class TestRunUntil:
     def test_cone_containment_and_records(self):
         params = CosmologyParams(n=1, m_sq=1.0)
@@ -262,6 +348,20 @@ class TestRunUntil:
         assert (diag.steps, diag.node_steps) == (steps, node_steps)
         assert node_steps < steps * 513
         assert diag.stop_reason == "t_end"
+
+    def test_scans_each_footprint_once_per_step(self, monkeypatch):
+        scans = []
+
+        def counted(state):
+            scans.append(state.t)
+            return _window(state)
+
+        monkeypatch.setattr(field_solver, "_window", counted)
+        params = CosmologyParams(n=2, m_sq=1.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=513, w0=1.0)
+        diag = run_until(params, 0.0, 2.0, state, 1.0, 1.0, output_interval=0.25)
+        assert diag.steps > 0 and len(scans) == diag.steps
+        assert len(set(scans)) == len(scans)  # one scan per state, none repeated
 
     def test_outer_radius_must_cover_cone(self):
         params = CosmologyParams(n=1)

@@ -114,6 +114,13 @@ class TestGrowthIntegrals:
         exact = (R / 2.0) ** 2 + r0 * R
         assert III_prime(params, r0, R, p) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("r0, exact", [(1.0, 1.0), (0.5, 0.75), (0.49, 0.74)])
+    def test_annulus_integral_from_a_cone_that_starts_inside_it(self, r0, exact):
+        # n=1, a=1, R=1: the integrand is 2 (min(1, r0 + t) - 1/2) once r0 + t > 1/2,
+        # so it starts at t = 0 when r0 >= R/2 = 1/2
+        params = CosmologyParams(n=1)
+        assert III_prime(params, r0, 1.0, 2.0) == pytest.approx(exact, rel=1e-12)
+
     def test_annulus_vanishes_when_cone_saturates(self):
         # expanding de Sitter: the cone saturates at r0 + c/(a0 H) = 2, so
         # for R/2 > 2 the annulus never opens
