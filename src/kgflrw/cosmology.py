@@ -14,6 +14,7 @@ cone against adaptive quadrature and M^2 against finite differences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -45,6 +46,9 @@ __all__ = [
 _HORIZON_CLAMP = 1.0 - 1e-12
 # Fraction of a finite T0 at which runs, and the threshold grids, end.
 _RUN_END = 1.0 - 1e-9
+# Below the smallest normal float a product e L has lost bits, while
+# expm1(e L)/e and log1p(e L)/e equal L to round-off: the cone uses L there.
+_TINY = sys.float_info.min
 
 
 class DomainError(ValueError):
@@ -243,20 +247,27 @@ class Background:
 
         One form for every (H, sigma): e = -1 is de Sitter's 1 - exp(-Ht)
         and e = 0 the logarithmic cone of n(1+sigma) = 2.  expm1 keeps full
-        relative accuracy as e L -> 0, where (a/a0)^e - 1 cancels.  Raises
+        relative accuracy as e L -> 0, where (a/a0)^e - 1 cancels, and L
+        stands in where e L is below the normal range.  Raises
         OverflowError where e L exceeds the float range (a(t) underflows).
         """
         if self.static:
             return self.r0 + self.c * t / self.a0
         L = self.H * t if self.de_sitter else self.two_over_q * xp.log1p(self.qH * t / 2.0)
         e = self.cone_exp
-        return self.r0 + self.cone_coef * (L if e == 0.0 else xp.expm1(e * L) / e)
+        if e == 0.0:
+            return self.r0 + self.cone_coef * L
+        eL = e * L
+        if xp is math:
+            return self.r0 + self.cone_coef * (L if abs(eL) < _TINY else math.expm1(eL) / e)
+        return self.r0 + self.cone_coef * xp.where(xp.abs(eL) < _TINY, L, xp.expm1(eL) / e)
 
     def cone_time(self, radius: float) -> Optional[float]:
         """The t in [0, t_clamp] with r(t) = radius, or None when there is none.
 
-        The closed inverse of `_r`: e L = log1p(e (radius - r0)/(c/(a0 H))),
-        L itself at e = 0, then t = L/H at sigma = -1 and
+        The closed inverse of `_r`: e L = log1p(e x) with
+        x = (radius - r0)/(c/(a0 H)), L = x itself at e = 0 or where e x is
+        below the normal range, then t = L/H at sigma = -1 and
         t = 2 expm1(q L/2)/(q H) otherwise; t = (radius - r0) a0/c when static.
         """
         if not self.r0 <= radius < self.r_limit:
@@ -266,9 +277,10 @@ class Background:
         else:
             x = (radius - self.r0) / self.cone_coef
             e = self.cone_exp
-            if e * x <= -1.0:  # beyond the limit by round-off
+            ex = e * x
+            if ex <= -1.0:  # beyond the limit by round-off
                 return None
-            L = x if e == 0.0 else math.log1p(e * x) / e
+            L = x if e == 0.0 or abs(ex) < _TINY else math.log1p(ex) / e
             try:
                 t = L / self.H if self.de_sitter else 2.0 * math.expm1(self.q * L / 2.0) / self.qH
             except OverflowError:

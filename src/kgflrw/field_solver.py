@@ -9,10 +9,11 @@ radius, and accumulates the space-time integral of |M^2 u| as a diagnostic.
 The discrete Laplacian is one three-coefficient stencil per grid,
 (lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr^2, with the origin row folded
 in and a zero outer row; the time stepping, `radial_laplacian` and `energy`
-all read it.  A step updates only the nodes the stencil can reach from the
-nonzero part of the field, found by one scan of the state; the rest of the
-grid is exactly zero and stays so.  Its four stages write into a few
-buffers allocated once per step.
+all read it.  RK4 is taken in its Nystrom form, as f in v' = f(t, u) does not
+depend on v.  A step updates only the nodes the stencil can reach from the
+nonzero part of the field; the rest of the grid is exactly zero and stays so.
+A run steps between two preallocated states, scans each footprint from just
+below the last window, and takes |u| of each state once.
 """
 
 from __future__ import annotations
@@ -235,7 +236,11 @@ def radial_laplacian(u: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
     At the origin the symmetric regularization is n u_rr(0) with the ghost
     value u(-dr) = u(dr).  The outer node is Dirichlet and gets zero.
     """
-    st = _stencil(r, n)
+    return _laplacian(u, _stencil(r, n))
+
+
+def _laplacian(u: np.ndarray, st: _Stencil) -> np.ndarray:
+    """`radial_laplacian` on the grid's stencil."""
     lap = np.empty_like(u)
     _apply_stencil(st, u, lap, np.empty_like(u))
     lap /= st.dr2
@@ -252,33 +257,31 @@ def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> f
     return _cfl_dt(background(params), state.dr, state.t, safety)
 
 
-def _window(state: FieldState) -> int:
-    """Number of leading nodes a step of this state updates: min(e + 6, N).
+def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
+    """Number of leading nodes a step of (u, v), zero from node `stop` on, updates.
 
-    e is the last node where u or v is nonzero (-1 for a zero state).  An
-    RK4 step with the three-point stencil carries nonzero values at most
-    two nodes beyond e, so every node from e + 3 on stays exactly zero;
-    the step pins the window's last node, which is zero anyway.
+    That is min(e + 6, N), e the last node where u or v is nonzero (-1 if
+    none): a step carries nonzero values at most two nodes beyond e, and pins
+    the window's last node, which is zero anyway.  The scan reads the 8 nodes
+    below `stop` first, as e moves at most two nodes a step.
     """
-    nonzero = np.flatnonzero((state.u != 0.0) | (state.v != 0.0))
-    end = int(nonzero[-1]) if nonzero.size else -1
-    return min(end + 6, state.r.size)
+    lo = max(stop - 8, 0)
+    for a, b in ((lo, stop), (0, lo)):
+        hits = np.flatnonzero(np.logical_or(u[a:b], v[a:b]))
+        if hits.size:
+            return min(a + int(hits[-1]) + 6, u.size)
+    return min(5, u.size)
 
 
-def _advance(bg, lam: float, p: float, state: FieldState, dt: float,
-             st: _Stencil) -> tuple[FieldState, int]:
-    """`step`'s body on the problem's Background and the grid's stencil.
+def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
+             u, v, un, vn, buf: np.ndarray, scale: float) -> bool:
+    """One RK4 step of the window (u, v) into (un, vn), all of length m; buf is (5, m) scratch.
 
-    Returns the new state and the number of leading nodes it updated.
+    Leaves |un| in buf[0] and returns whether its sup is not finite or exceeds
+    `_SUP_GUARD` times the data scale.  The window's last node is pinned.
     """
-    m = _window(state)
-    n, t, c2 = bg.params.n, state.t, bg.c ** 2
-    u, v = state.u[:m], state.v[:m]
-    un, vn = np.zeros_like(state.u), np.zeros_like(state.v)
-    # the increments k1 + 2 k2 + 2 k3 + k4 accumulate in the new state's window
-    acc_u, acc_v = un[:m], vn[:m]
-    # stage input u, stage input v (which is also that stage's du), dv, scratch
-    us, vs, kv, tmp = np.empty((4, m))
+    n, c2 = bg.params.n, bg.c ** 2
+    us, k1, k2, k3, tmp = buf
 
     def accel(ts, u_s, out):
         # dv = c^2 (Delta u / a^2 - M^2 u + lam a^(-n(p-1)/2) |u|^p), pinned at the edge
@@ -288,64 +291,59 @@ def _advance(bg, lam: float, p: float, state: FieldState, dt: float,
         np.multiply(u_s, c2 * bg.mass_sq(ts), out=tmp)
         out -= tmp
         if lam != 0.0:
-            np.abs(u_s, out=tmp)
-            np.power(tmp, p, out=tmp)
+            np.power(np.abs(u_s, out=tmp), p, out=tmp)
             np.multiply(tmp, c2 * lam * a ** (-n * (p - 1.0) / 2.0), out=tmp)
             out += tmp
         out[-1] = 0.0
 
-    def next_input(h, ku, k):
-        # (us, vs) = (u + h ku, v + h k), with du = vs pinned at the edge
-        np.add(np.multiply(ku, h, out=us), u, out=us)
-        np.add(np.multiply(k, h, out=vs), v, out=vs)
-        vs[-1] = 0.0
-
-    acc_u[:] = v
-    acc_u[-1] = 0.0
-    accel(t, u, acc_v)
-    next_input(dt / 2, acc_u, acc_v)
-    for ts, h in ((t + dt / 2, dt / 2), (t + dt / 2, dt)):
-        accel(ts, us, kv)
-        np.multiply(vs, 2.0, out=tmp)
-        acc_u += tmp
-        np.multiply(kv, 2.0, out=tmp)
-        acc_v += tmp
-        next_input(h, vs, kv)
-    accel(t + dt, us, kv)
-    acc_u += vs
-    acc_v += kv
-    for acc, y in ((acc_u, u), (acc_v, v)):
-        acc *= dt / 6.0
-        acc += y
+    # u'' = f(t, u), u' = v: the u stages are u + (dt/2) v, u + ((dt/2) v + (dt^2/4) k1)
+    # and u + (dt v + (dt^2/2) k2), u added last; (dt/2) v waits in k3, k4 forms in vn
+    h2 = dt * dt
+    accel(t, u, k1)
+    np.multiply(v, dt / 2.0, out=k3)
+    k3[-1] = 0.0
+    accel(t + dt / 2.0, np.add(u, k3, out=us), k2)
+    np.multiply(k1, h2 / 4.0, out=tmp)
+    tmp += k3
+    accel(t + dt / 2.0, np.add(u, tmp, out=us), k3)
+    np.multiply(v, dt, out=un)
     un[-1] = 0.0
-    vn[-1] = 0.0
-    new = FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
-    sup = float(np.max(np.abs(acc_u, out=tmp)))
-    if not math.isfinite(sup) or sup > _SUP_GUARD * state.data_scale:
-        new.diverged = True
-    return new, m
+    np.multiply(k2, h2 / 2.0, out=us)
+    us += un
+    us += u
+    accel(t + dt, us, vn)
+    # vn = v + (dt/6)(k4 + (k1 + k2 + k3) + (k2 + k3)), un = u + (dt v + (dt^2/6)(k1 + k2 + k3))
+    k2 += k3
+    np.add(k1, k2, out=k3)
+    vn += k3
+    vn += k2
+    vn *= dt / 6.0
+    vn += v
+    k3 *= h2 / 6.0
+    un += k3
+    un += u
+    un[-1] = vn[-1] = 0.0
+    sup = float(np.abs(un, out=us).max())
+    return not math.isfinite(sup) or sup > _SUP_GUARD * scale
 
 
-def step(
-    params: CosmologyParams,
-    lam: float,
-    p: float,
-    state: FieldState,
-    dt: Optional[float] = None,
-    safety: float = 0.4,
-) -> FieldState:
-    """One classical RK4 step of the first-order system (u, v).
+def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
+         dt: Optional[float] = None, safety: float = 0.4) -> FieldState:
+    """One classical RK4 step of the first-order system (u, v), in Nystrom form.
 
-    Only the first ``_window(state)`` nodes are stepped; the nodes beyond
-    them are set to zero.  Each stepped node sees the same arithmetic as on
-    the full grid, so the result equals a full-grid step bit for bit.
+    Only the first ``_window`` nodes are stepped and the rest are set to zero.
+    Each stepped node sees the same arithmetic as on the full grid, so the
+    result equals a full-grid step bit for bit, and a step of `run_until`.
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
     bg = background(params)
     if dt is None:
         dt = _cfl_dt(bg, state.dr, state.t, safety)
-    return _advance(bg, lam, p, state, dt, _stencil(state.r, params.n))[0]
+    m, u, v = _window(state.u, state.v, state.u.size), np.zeros_like(state.u), np.zeros_like(state.v)
+    diverged = _advance(bg, lam, p, _stencil(state.r, params.n), state.t, dt, state.u[:m],
+                        state.v[:m], u[:m], v[:m], np.empty((5, m)), state.data_scale)
+    return FieldState(state.r, u, v, state.t + dt, diverged, state.data_scale)
 
 
 def support_radius(state: FieldState, scale: Optional[float] = None) -> float:
@@ -384,30 +382,26 @@ def energy(state: FieldState, params: CosmologyParams, lam: float = 0.0) -> floa
     """
     if lam != 0.0 or params.H != 0.0:
         raise ValueError("energy conservation only holds for lam = 0 on a static background")
+    return _energy(state, params, _stencil(state.r, params.n))
+
+
+def _energy(state: FieldState, params: CosmologyParams, st: _Stencil) -> float:
+    """`energy` on the grid's stencil, without the argument check."""
     r, u, v = state.r, state.u, state.v
     n = params.n
     weights = np.full_like(r, state.dr)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     radial = weights * r ** (n - 1)
-    lap = radial_laplacian(u, r, n)
+    lap = _laplacian(u, st)
     quad = (v / params.c) ** 2 + params.m_sq * u ** 2
     total = np.sum(radial * quad) - np.sum(radial * u * lap) / params.a0 ** 2
     return float(0.5 * n * unit_ball_volume(n) * total)
 
 
-def run_until(
-    params: CosmologyParams,
-    lam: float,
-    p: float,
-    state: FieldState,
-    t_end: float,
-    r0: float,
-    output_interval: Optional[float] = None,
-    safety: float = 0.4,
-    keep_snapshots: bool = False,
-    check_cone: bool = True,
-) -> Diagnostics:
+def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, t_end: float,
+              r0: float, output_interval: Optional[float] = None, safety: float = 0.4,
+              keep_snapshots: bool = False, check_cone: bool = True) -> Diagnostics:
     """Advance with CFL steps to t_end, divergence, or the horizon cap.
 
     Diagnostics are recorded every ``output_interval`` (default t_end/200).
@@ -425,13 +419,12 @@ def run_until(
     if output_interval is None:
         output_interval = t_cap / 200.0
     weights = _mean_weights(state.r, params.n)
+    sten = _stencil(state.r, params.n)
     diag = Diagnostics()
     if keep_snapshots:
         diag.snapshot_grid = state.r.copy()
     linear_static = lam == 0.0 and params.H == 0.0
-    mass_acc = 0.0
-    next_record = 0.0
-    peak_mag = 0.0
+    mass_acc = peak_mag = 0.0
 
     def record(st: FieldState):
         # a diverged state gets no energy, is measured against the peak
@@ -444,7 +437,7 @@ def run_until(
         diag.t.append(st.t)
         diag.mean.append(float(weights @ st.u))
         diag.sup.append(sup)
-        diag.energy.append(energy(st, params, lam=0.0) if linear_static and live else math.nan)
+        diag.energy.append(_energy(st, params, sten) if linear_static and live else math.nan)
         sr = support_radius(st, scale=peak_mag)
         rc = bg.r(st.t)
         diag.support_radius.append(sr)
@@ -460,29 +453,36 @@ def run_until(
     record(state)
     next_record = output_interval
     diag.stop_reason = "t_end" if t_cap == t_end else "horizon"
-    dr, sten = state.dr, _stencil(state.r, params.n)
-    while state.t < t_cap:
-        dt = min(_cfl_dt(bg, dr, state.t, safety), t_cap - state.t)
-        new, m = _advance(bg, lam, p, state, dt, sten)  # both states are zero beyond node m
+    r, dr, t, scale, size = state.r, state.dr, state.t, state.data_scale, state.r.size
+    # the run steps between two states, from pair 0 into pair 1 and back;
+    # pair k is zero from node extent[k] on
+    us, vs = (state.u.copy(), np.zeros(size)), (state.v.copy(), np.zeros(size))
+    extent, buf, cur = [size, 0], np.empty((5, size)), 0
+    mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
+    while t < t_cap:
+        dt = min(_cfl_dt(bg, dr, t, safety), t_cap - t)
+        u, v, un, vn = us[cur], vs[cur], us[1 - cur], vs[1 - cur]
+        m = _window(u, v, extent[cur])
+        un[m:extent[1 - cur]] = 0.0
+        vn[m:extent[1 - cur]] = 0.0
+        extent[1 - cur], window = m, buf[:, :m]
+        diverged = _advance(bg, lam, p, sten, t, dt, u[:m], v[:m], un[:m], vn[:m], window, scale)
         diag.steps += 1
         diag.node_steps += m
-        # accumulate the |M^2 u| space-time integral with a midpoint rule
-        msq = bg.mass_sq(0.5 * (state.t + new.t))
-        mid_u = 0.5 * (np.abs(state.u[:m]) + np.abs(new.u[:m]))
-        mass_acc += dt * abs(msq) * float(weights[:m] @ mid_u)
-        state = new
-        if state.diverged:
-            diag.diverged = True
-            diag.divergence_time = state.t
-            diag.stop_reason = "diverged"
-            record(state)
+        # the |M^2 u| space-time integral by the midpoint rule; |un| is in window[0]
+        t_new, mass_new = t + dt, float(weights[:m] @ window[0])
+        mass_acc += dt * abs(bg.mass_sq(0.5 * (t + t_new))) * (0.5 * (mass_u + mass_new))
+        mass_u, cur, t = mass_new, 1 - cur, t_new
+        if diverged:
+            diag.diverged, diag.divergence_time, diag.stop_reason = True, t, "diverged"
+            record(FieldState(r, un, vn, t, True, scale))
             break
-        if state.t >= next_record - 1e-12:
-            record(state)
+        if t >= next_record - 1e-12:
+            record(FieldState(r, un, vn, t, False, scale))
             next_record += output_interval
     else:
-        if diag.t[-1] < state.t:
-            record(state)
+        if diag.t[-1] < t:
+            record(FieldState(r, us[cur], vs[cur], t, False, scale))
     return diag
 
 

@@ -320,6 +320,7 @@ def _regime_points(draw):
 
 class TestBackground:
     @given(point=_regime_points())
+    @example(point=(CosmologyParams(n=1, H=4e-301, sigma=1.0 + 1e-13), 1.0))  # e L subnormal
     def test_scalars_match_arrays(self, point):
         # numpy's exp/pow/log1p/expm1 may differ from math's by an ulp, so
         # the bar is round-off of the terms each closed form sums.  In
@@ -357,12 +358,11 @@ class TestBackground:
         assert hubble_rate(params, t) == bg.hubble(t)
 
     @given(point=_regime_points(), x=st.floats(0.0, 1.0, exclude_max=True))
+    # beside the log cone e H ~ 2e-314, so e L is subnormal
+    @example(point=(CosmologyParams(n=1, H=4e-301, sigma=1.0 + 1e-13), 1.0), x=0.9)
     def test_cone_time_inverts_the_cone(self, point, x):
         params, r0 = point
         bg = background(params, r0)
-        # with |e H| below about 1e-290 (H ~ 1e-300 beside the log cone), e L
-        # leaves the normal float range and r itself loses its precision
-        assume(bg.static or bg.cone_exp == 0.0 or abs(bg.cone_exp * bg.H) > 1e-290)
         try:  # r at t_clamp or at t = 50, whichever comes first
             top = min(bg.r_limit, bg.r(min(bg.t_clamp, 50.0)))
         except OverflowError:  # a(t) underflows before a crunch

@@ -160,8 +160,31 @@ class TestStepping:
             energy(state, CosmologyParams(n=1, H=1.0))
 
 
-def _rk4_full_grid(rhs, state, dt):
-    """Classical RK4 of (u, v) over every node, rhs(t, u, v) -> (du, dv), outer node pinned."""
+def _rk4_full_grid(accel, state, dt):
+    """RK4 in Nystrom form over every node: u'' = accel(t, u), u' = v, outer node pinned.
+
+    The pinned node takes no velocity; the new u and v are zero there.
+    """
+    t, u, v = state.t, state.u, state.v.copy()
+    v[-1] = 0.0
+    h2 = dt * dt
+    k1 = accel(t, u)
+    half = (dt / 2.0) * v
+    k2 = accel(t + dt / 2.0, u + half)
+    k3 = accel(t + dt / 2.0, u + ((h2 / 4.0) * k1 + half))
+    drift = dt * v
+    k4 = accel(t + dt, u + ((h2 / 2.0) * k2 + drift))
+    k23 = k2 + k3
+    k123 = k1 + k23
+    un = u + (drift + (h2 / 6.0) * k123)
+    vn = (k4 + k123 + k23) * (dt / 6.0) + v
+    un[-1] = 0.0
+    vn[-1] = 0.0
+    return FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
+
+
+def _classical_rk4_full_grid(rhs, state, dt):
+    """Classical staged RK4 of (u, v) over every node, rhs(t, u, v) -> (du, dv), outer node pinned."""
     t, u, v = state.t, state.u, state.v
     k1u, k1v = rhs(t, u, v)
     k2u, k2v = rhs(t + dt / 2, u + dt / 2 * k1u, v + dt / 2 * k1v)
@@ -174,18 +197,18 @@ def _rk4_full_grid(rhs, state, dt):
     return FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
 
 
-def _full_grid_step(params, lam, p, state, dt):
-    """RK4 over every node of the grid: the reference the windowed step must equal.
+def _stencil_accel(params, lam, p, r):
+    """The solver's acceleration over every node, with its elementwise arithmetic.
 
-    The same elementwise arithmetic as the solver: the stencil rows
-    lo u[i-1] + di u[i] + up u[i+1], divided by a^2 dr^2 / c^2, minus
-    c^2 M^2 u, plus c^2 lam a^(-n(p-1)/2) |u|^p.
+    The stencil rows lo u[i-1] + di u[i] + up u[i+1], divided by
+    a^2 dr^2 / c^2, minus c^2 M^2 u, plus c^2 lam a^(-n(p-1)/2) |u|^p,
+    pinned at the outer node.
     """
     n = params.n
-    sten = _stencil(state.r, n)
+    sten = _stencil(r, n)
     c2 = params.c ** 2
 
-    def rhs(t, u, v):
+    def accel(t, u):
         a = scale_factor(params, t)
         lap = sten.di * u
         lap[1:] += sten.lo[1:] * u[:-1]
@@ -194,11 +217,26 @@ def _full_grid_step(params, lam, p, state, dt):
         if lam != 0.0:
             dv += (c2 * lam * a ** (-n * (p - 1.0) / 2.0)) * np.abs(u) ** p
         dv[-1] = 0.0
+        return dv
+
+    return accel
+
+
+def _full_grid_step(params, lam, p, state, dt):
+    """RK4 over every node of the grid: the reference the windowed step must equal."""
+    return _rk4_full_grid(_stencil_accel(params, lam, p, state.r), state, dt)
+
+
+def _classical_step(params, lam, p, state, dt):
+    """The same step as classical staged RK4 of the first-order system (u, v)."""
+    accel = _stencil_accel(params, lam, p, state.r)
+
+    def rhs(t, u, v):
         du = v.copy()
         du[-1] = 0.0
-        return du, dv
+        return du, accel(t, u)
 
-    return _rk4_full_grid(rhs, state, dt)
+    return _classical_rk4_full_grid(rhs, state, dt)
 
 
 class TestWindowedStep:
@@ -261,15 +299,41 @@ class TestWindowedStep:
     def test_window_covers_footprint_plus_stencil_reach(self):
         state = init_field(n=1, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0)
         last = int(np.flatnonzero(state.u)[-1])
-        assert _window(state) == last + 6
+        assert _window(state.u, state.v, 257) == last + 6
         new = step(CosmologyParams(n=1, m_sq=1.0), 0.0, 2.0, state)
         assert np.all(new.u[last + 3:] == 0.0) and np.all(new.v[last + 3:] == 0.0)
-        assert _window(new) == int(np.flatnonzero(new.u != 0.0)[-1]) + 6
+        assert _window(new.u, new.v, 257) == int(np.flatnonzero(new.u != 0.0)[-1]) + 6
         # a footprint at the outer node makes the window the whole grid
         edge = init_field(n=1, r0=3.0 - 0.5 * state.dr, r_max=3.0, num_nodes=257, w0=1.0)
-        assert _window(edge) == 257
+        assert _window(edge.u, edge.v, 257) == 257
         zero = init_field(n=1, r0=1.0, r_max=3.0, num_nodes=257, w0=0.0)
-        assert _window(zero) == 5
+        assert _window(zero.u, zero.v, 257) == 5
+
+
+class TestFootprintScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.integers(1, 60),
+        nodes=st.lists(st.integers(0, 59), max_size=6),
+        which=st.sampled_from(["u", "v", "both"]),
+        stop_back=st.integers(0, 20),
+    )
+    @example(size=40, nodes=[], which="u", stop_back=0)  # the zero state
+    @example(size=40, nodes=[39], which="v", stop_back=0)  # at the outer node
+    @example(size=40, nodes=[3], which="u", stop_back=0)  # below the tail
+    def test_tail_first_equals_a_full_scan(self, size, nodes, which, stop_back):
+        u, v = np.zeros(size), np.zeros(size)
+        for i in nodes:
+            if i < size:
+                if which in ("u", "both"):
+                    u[i] = -1e-300 if i % 2 else 1.0
+                if which in ("v", "both"):
+                    v[i] = np.nan if i % 3 == 0 else 5e-324
+        # the state is zero from stop on
+        stop = max(size - stop_back, 0)
+        u[stop:] = v[stop:] = 0.0
+        hits = np.flatnonzero((u != 0) | (v != 0))
+        assert _window(u, v, stop) == min((int(hits[-1]) if hits.size else -1) + 6, size)
 
 
 def _central_difference_step(params, lam, p, state, dt):
@@ -290,7 +354,7 @@ def _central_difference_step(params, lam, p, state, dt):
         du[-1] = 0.0
         return du, dv
 
-    return _rk4_full_grid(rhs, state, dt)
+    return _classical_rk4_full_grid(rhs, state, dt)
 
 
 class TestFoldedStencilStep:
@@ -310,6 +374,27 @@ class TestFoldedStencilStep:
             ref = _central_difference_step(params, lam, p, ref, dt)
         for new, old in ((state.u, ref.u), (state.v, ref.v)):
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    # (H, sigma): static, expanding de Sitter, and a contraction toward a big crunch
+    @pytest.mark.parametrize("background", [(0.0, 0.0), (0.7, -1.0), (-0.8, 1.0 / 3.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("lam_p", [(0.0, 2.0), (1.0, 2.5)])
+    def test_agrees_with_classical_staged_rk4(self, background, n, lam_p):
+        # the Nystrom form is classical RK4 rearranged, so only round-off
+        # separates them.  A round-off of u moves the next k by about
+        # 4n c^2/(a dr)^2 times as much, so v carries the larger share: against
+        # a long-double run each form's v is off by up to 2e-13 of its peak
+        H, sigma = background
+        lam, p = lam_p
+        params = CosmologyParams(n=n, m_sq=-1.0, H=H, sigma=sigma, c=1.5)
+        state = init_field(n=n, r0=1.0, r_max=2.5, num_nodes=161, w0=1.0, w1=0.5)
+        ref = state
+        for _ in range(40):
+            dt = cfl_dt(params, state)
+            state = step(params, lam, p, state, dt=dt)
+            ref = _classical_step(params, lam, p, ref, dt)
+        assert np.max(np.abs(state.u - ref.u)) <= 1e-13 * np.max(np.abs(ref.u))
+        assert np.max(np.abs(state.v - ref.v)) <= 5e-13 * np.max(np.abs(ref.v))
 
     def test_leaves_its_input_alone_and_repeats_exactly(self):
         params = CosmologyParams(n=3, m_sq=-1.0, H=0.5, sigma=0.0)
@@ -352,16 +437,98 @@ class TestRunUntil:
     def test_scans_each_footprint_once_per_step(self, monkeypatch):
         scans = []
 
-        def counted(state):
-            scans.append(state.t)
-            return _window(state)
+        def counted(u, v, stop):
+            m = _window(u, v, stop)
+            hits = np.flatnonzero((u != 0) | (v != 0))
+            scans.append((m, min(int(hits[-1]) + 6, u.size)))
+            return m
 
         monkeypatch.setattr(field_solver, "_window", counted)
         params = CosmologyParams(n=2, m_sq=1.0)
         state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=513, w0=1.0)
         diag = run_until(params, 0.0, 2.0, state, 1.0, 1.0, output_interval=0.25)
         assert diag.steps > 0 and len(scans) == diag.steps
-        assert len(set(scans)) == len(scans)  # one scan per state, none repeated
+        # each bounded scan finds what a scan of the whole grid finds
+        assert all(m == full for m, full in scans)
+
+    def test_leaves_its_input_alone(self):
+        params = CosmologyParams(n=2, m_sq=-1.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=513, w0=1.0, w1=0.5)
+        u0, v0 = state.u.copy(), state.v.copy()
+        run_until(params, 1.0, 2.0, state, 0.5, 1.0)
+        assert state.u.tobytes() == u0.tobytes() and state.v.tobytes() == v0.tobytes()
+        assert state.t == 0.0 and not state.diverged
+
+    def test_snapshots_own_their_memory(self, monkeypatch):
+        buffers = []
+        advance = field_solver._advance
+
+        def spy(*args):
+            buffers.extend(args[6:11])  # u, v, un, vn and the scratch rows
+            return advance(*args)
+
+        monkeypatch.setattr(field_solver, "_advance", spy)
+        params = CosmologyParams(n=1, m_sq=1.0)
+        state = init_field(n=1, r0=1.0, r_max=4.0, num_nodes=513, w0=1.0)
+        diag = run_until(params, 0.0, 2.0, state, 1.0, 1.0,
+                         output_interval=0.1, keep_snapshots=True)
+        arrays = [a for _, u, v in diag.snapshots for a in (u, v)]
+        assert buffers and len(arrays) == 2 * len(diag.t)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+            assert not any(np.shares_memory(a, b) for b in buffers + [state.u, state.v])
+
+    def test_clears_what_an_older_wider_window_left(self, monkeypatch):
+        # the run writes each buffer every other step; a window halved on
+        # every other write into a buffer leaves the state written there two
+        # steps before nonzero beyond it, yet the new state must be zero there
+        windows = []
+
+        def narrowing(u, v, stop):
+            m = _window(u, v, stop)
+            windows.append(m // 2 if len(windows) % 4 >= 2 else m)
+            return windows[-1]
+
+        monkeypatch.setattr(field_solver, "_window", narrowing)
+        params = CosmologyParams(n=2, m_sq=1.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0, w1=0.5)
+        diag = run_until(params, 0.0, 2.0, state, 0.2, 1.0,
+                         output_interval=1e-9, keep_snapshots=True)
+        assert len(diag.snapshots) == len(windows) + 1 > 4
+        for (_, u, v), m in zip(diag.snapshots[1:], windows):
+            assert not u[m:].any() and not v[m:].any()
+
+    @pytest.mark.parametrize("case", [
+        # linear n = 2 on 513 nodes, to t = 1
+        (CosmologyParams(n=2, m_sq=1.0), 0.0, 2, 1.0, 3.0, 513, 1.0, 0.0, 1.0),
+        # focusing lam > 0 on a de Sitter background, run until it diverges
+        (CosmologyParams(n=1, m_sq=-1.0, H=0.3, sigma=-1.0), 1.0, 1, 0.5, 5.0, 641, 1.0, 1.0, 4.0),
+    ])
+    def test_snapshots_equal_repeated_steps(self, case):
+        params, lam, n, r0, r_max, nodes, w0, w1, t_end = case
+        state = init_field(n=n, r0=r0, r_max=r_max, num_nodes=nodes, w0=w0, w1=w1)
+        # an interval below one step records every state
+        diag = run_until(params, lam, 2.0, state, t_end, r0,
+                         output_interval=1e-9, keep_snapshots=True)
+        assert diag.diverged == (lam != 0.0)
+        assert len(diag.snapshots) == diag.steps + 1
+        # the |M^2 u| integral: per step dt |M^2(t + dt/2)| times the mean of
+        # int |u| over the two states
+        weights, mass = field_solver._mean_weights(state.r, n), 0.0
+        for (t, u, v), e, recorded in zip(diag.snapshots, diag.energy, diag.mass_integral):
+            assert t == state.t
+            assert u.tobytes() == state.u.tobytes() and v.tobytes() == state.v.tobytes()
+            if lam == 0.0:  # the record's energy is the public one, on the run's stencil
+                assert e == energy(state, params)
+            assert recorded == pytest.approx(mass, rel=1e-12)
+            if state.diverged:
+                break
+            dt = min(cfl_dt(params, state), t_end - state.t)
+            new = step(params, lam, 2.0, state, dt=dt)
+            msq = curved_mass_sq(params, 0.5 * (state.t + new.t))
+            mass += dt * abs(msq) * 0.5 * (weights @ np.abs(state.u) + weights @ np.abs(new.u))
+            state = new
+        assert state.diverged == diag.diverged
 
     def test_outer_radius_must_cover_cone(self):
         params = CosmologyParams(n=1)
