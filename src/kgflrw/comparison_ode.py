@@ -307,7 +307,8 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
     the ODE right side; (4) wdot >= w1.  Tolerance 1e-8 (1 + |w|); a margin
     that is not a number fails.  Where w > 0, (3) equals w times (2), and is
     computed so, since b w^p can overflow where w (2) does not.  Raises
-    PreconditionError when the entry condition fails.
+    PreconditionError when the entry condition fails; S for it comes from
+    `threshold_S`'s memo when the caller has just computed it for this problem.
     """
     p = problem
     S = threshold_S(p.params, p.r0, p.lam, p.p, p.theta, p.N)
@@ -316,36 +317,32 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
     if not p.w1 >= p.params.c * p.N * p.w0:
         raise PreconditionError(f"w1 = {p.w1} < cNw0 = {p.params.c * p.N * p.w0}")
 
-    c = p.params.c
+    c, w0, w1, pp, theta = p.params.c, p.w0, p.w1, p.p, p.theta
+    cN, keep, N2 = c * p.N, 1.0 - theta, p.N ** 2
     coef = p.coefficients()
-    results = {"exp_lower_bound": True, "weight_gap": True, "convexity": True, "wdot_floor": True}
-    worst = {k: math.inf for k in results}
+    keys = ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor")
+    results = dict.fromkeys(keys, True)
+    worst = dict.fromkeys(keys, math.inf)
     # a margin past the float range is +-inf and is judged as such; inf - inf
     # is NaN and fails
     with np.errstate(over="ignore", invalid="ignore"):
         for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
             tol = 1e-8 * (1.0 + abs(w))
             msq, b = coef(t)
-            margin1 = w - p.w0 * math.exp(c * p.N * t)
-            margin2 = (1.0 - p.theta) * b * w ** (p.p - 1.0) - msq - p.N ** 2
+            margin2 = keep * b * w ** (pp - 1.0) - msq - N2
             if w > 0:
                 margin3 = w * margin2
             else:  # (1) fails here already; wddot from the ODE right side
-                wddot = c * c * (b * abs(w) ** p.p - msq * w)
-                margin3 = wddot / (c * c) - p.N ** 2 * w - p.theta * b * w ** p.p
-            margin4 = wdot - p.w1
-            for key, margin in (
-                ("exp_lower_bound", margin1),
-                ("weight_gap", margin2),
-                ("convexity", margin3),
-                ("wdot_floor", margin4),
-            ):
+                wddot = c * c * (b * abs(w) ** pp - msq * w)
+                margin3 = wddot / (c * c) - N2 * w - theta * b * w ** pp
+            margins = (w - w0 * math.exp(cN * t), margin2, margin3, wdot - w1)
+            for key, margin in zip(keys, margins):
                 if margin < worst[key] or math.isnan(margin):  # a NaN margin stays the worst
                     worst[key] = margin
                 if not margin >= -tol:
                     results[key] = False
     results["worst_margins"] = worst
-    results["all_pass"] = all(results[k] for k in ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor"))
+    results["all_pass"] = all(results[k] for k in keys)
     return results
 
 

@@ -79,9 +79,6 @@ class FieldState:
     def dr(self) -> float:
         return float(self.r[1] - self.r[0])
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.r, self.u.copy(), self.v.copy(), self.t, self.diverged, self.data_scale)
-
 
 @dataclass
 class Diagnostics:
@@ -283,12 +280,11 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
     n, c2 = bg.params.n, bg.c ** 2
     us, k1, k2, k3, tmp = buf
 
-    def accel(ts, u_s, out):
+    def accel(a, msq, u_s, out):
         # dv = c^2 (Delta u / a^2 - M^2 u + lam a^(-n(p-1)/2) |u|^p), pinned at the edge
-        a = bg.a(ts)
         _apply_stencil(st, u_s, out, tmp)
         out /= a ** 2 * st.dr2 / c2  # a division, so n = 1 rounds as (...)/dr^2 at a = c = 1
-        np.multiply(u_s, c2 * bg.mass_sq(ts), out=tmp)
+        np.multiply(u_s, c2 * msq, out=tmp)
         out -= tmp
         if lam != 0.0:
             np.power(np.abs(u_s, out=tmp), p, out=tmp)
@@ -298,20 +294,23 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
 
     # u'' = f(t, u), u' = v: the u stages are u + (dt/2) v, u + ((dt/2) v + (dt^2/4) k1)
     # and u + (dt v + (dt^2/2) k2), u added last; (dt/2) v waits in k3, k4 forms in vn
-    h2 = dt * dt
-    accel(t, u, k1)
+    # a(t) and M^2(t) at the three stage times; stages 2 and 3 share t + dt/2
+    h2, th, t1 = dt * dt, t + dt / 2.0, t + dt
+    a0, ah, a1 = bg.a(t), bg.a(th), bg.a(t1)
+    m0, mh, m1 = bg.mass_sq(t), bg.mass_sq(th), bg.mass_sq(t1)
+    accel(a0, m0, u, k1)
     np.multiply(v, dt / 2.0, out=k3)
     k3[-1] = 0.0
-    accel(t + dt / 2.0, np.add(u, k3, out=us), k2)
+    accel(ah, mh, np.add(u, k3, out=us), k2)
     np.multiply(k1, h2 / 4.0, out=tmp)
     tmp += k3
-    accel(t + dt / 2.0, np.add(u, tmp, out=us), k3)
+    accel(ah, mh, np.add(u, tmp, out=us), k3)
     np.multiply(v, dt, out=un)
     un[-1] = 0.0
     np.multiply(k2, h2 / 2.0, out=us)
     us += un
     us += u
-    accel(t + dt, us, vn)
+    accel(a1, m1, us, vn)
     # vn = v + (dt/6)(k4 + (k1 + k2 + k3) + (k2 + k3)), un = u + (dt v + (dt^2/6)(k1 + k2 + k3))
     k2 += k3
     np.add(k1, k2, out=k3)

@@ -8,6 +8,7 @@ parameter point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 from fractions import Fraction
@@ -154,6 +155,16 @@ def _require_mass_window(params: CosmologyParams, N: float, bounds=None) -> None
         raise CaseMismatchError(f"N^2 + inf M^2 = {N*N + bounds.inf_m_sq} < 0")
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_log_grid(grid_size: int):
+    """Read-only ``grid_size`` points log-spaced over six decades below 1."""
+    import numpy as np
+
+    grid = 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))
+    grid.flags.writeable = False
+    return grid
+
+
 def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float] = None):
     """Grid maximum of a data threshold's log integrand: (top, ts, best).
 
@@ -169,7 +180,7 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float
     if t_max is None:
         t_max = 1e3 * max(1.0, 1.0 / (bg.c * N)) if N > 0 else 1e3
     t_max = min(t_max, bg.t_end_cap)
-    ts = np.concatenate(([0.0], t_max * 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))))
+    ts = np.concatenate(([0.0], t_max * _unit_log_grid(grid_size)))
     a, r, msq = background_arrays(bg.params, bg.r0, ts)
     window = N * N + msq
     # the mass hypothesis makes inf(N^2 + M^2) = 0; clamp roundoff residue
@@ -182,6 +193,10 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float
     return (math.inf if top > math.log(_S_OVERFLOW) else top), ts, best
 
 
+# One entry: enough for a caller that computes S and then checks a problem
+# built from the same arguments (``verify_lemma21``); a larger memo would also
+# answer repeats of earlier problems, which a single run never makes.
+@functools.lru_cache(maxsize=1)
 def threshold_S(
     params: CosmologyParams,
     r0: float,
@@ -197,7 +212,8 @@ def threshold_S(
     Supremum over a log-spaced grid with golden-section refinement near the
     grid maximizer; returns inf when sampled values exceed the overflow guard.
     Negative values of N^2 + M^2 (possible only at round-off level under the
-    mass hypothesis) contribute zero.
+    mass hypothesis) contribute zero.  The last result is memoized, so a
+    repeated call with the same arguments returns it without a new supremum.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -223,9 +239,8 @@ def threshold_S(
         return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * weight(t))) ** (1.0 / (p - 1.0))
 
     # golden-section refinement on the bracketing interval
-    ts = ts.tolist()
-    lo = ts[best - 1] if best > 0 else ts[0]
-    hi = ts[best + 1] if best + 1 < len(ts) else ts[-1]
+    lo = float(ts[best - 1] if best > 0 else ts[0])
+    hi = float(ts[best + 1] if best + 1 < len(ts) else ts[-1])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)

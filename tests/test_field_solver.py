@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from kgflrw import field_solver
-from kgflrw.cosmology import ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor
+from kgflrw.cosmology import (
+    Background, ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor,
+)
 from kgflrw.field_solver import (
     Diagnostics,
     FieldState,
@@ -450,6 +452,21 @@ class TestRunUntil:
         assert diag.steps > 0 and len(scans) == diag.steps
         # each bounded scan finds what a scan of the whole grid finds
         assert all(m == full for m, full in scans)
+
+    @pytest.mark.parametrize("name", ["a", "mass_sq"])
+    def test_step_evaluates_the_background_once_per_stage_time(self, monkeypatch, name):
+        # RK4 samples t, t + dt/2 (stages 2 and 3) and t + dt
+        times = []
+        method = getattr(Background, name)
+        monkeypatch.setattr(Background, name, lambda self, t: times.append(t) or method(self, t))
+        params = CosmologyParams(n=2, m_sq=-1.0, H=0.5, sigma=0.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0, w1=0.5)
+        for _ in range(3):
+            dt = cfl_dt(params, state)
+            times.clear()
+            nxt = step(params, 1.0, 2.5, state, dt=dt)
+            assert times == [state.t, state.t + dt / 2.0, state.t + dt]
+            state = nxt
 
     def test_leaves_its_input_alone(self):
         params = CosmologyParams(n=2, m_sq=-1.0)

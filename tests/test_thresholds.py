@@ -4,9 +4,12 @@ exponent ranges, the scaling-condition ladder, and the verdict assembly."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kgflrw import thresholds
+from kgflrw.comparison_ode import OdeProblem, integrate_comparison, verify_lemma21
 from kgflrw.cosmology import CosmologyParams
 from kgflrw.thresholds import (
     CaseMismatchError,
@@ -132,6 +135,47 @@ class TestThresholdS:
         # Minkowski with m^2 = -1, N = 1: window = 0, S = 0 exactly
         params = CosmologyParams(n=1, m_sq=-1.0)
         assert threshold_S(params, 0.5, 1.0, 2.0, 0.5, 1.0) == 0.0
+
+
+class TestThresholdMemo:
+    # (params, r0, lam, p, theta, N) with S = 2 pi, as in TestThresholdS
+    ARGS = (CosmologyParams(n=2, H=1.0, sigma=1.0, m_sq=-4.0), 1.0, 1.0, 2.0, 0.5, 2.0)
+
+    @pytest.fixture
+    def grid_sups(self, monkeypatch):
+        calls = []
+        sup = thresholds._log_grid_sup
+        monkeypatch.setattr(thresholds, "_log_grid_sup",
+                            lambda *args, **kwargs: calls.append(args) or sup(*args, **kwargs))
+        threshold_S.cache_clear()
+        return calls
+
+    def test_verify_lemma21_reuses_the_callers_S(self, grid_sups):
+        params, r0, lam, p, theta, N = self.ARGS
+        S = threshold_S(*self.ARGS)
+        w0 = 2.0 * S + 1.0
+        problem = OdeProblem(params=params, r0=r0, lam=lam, p=p, theta=theta, N=N,
+                             w0=w0, w1=1.05 * params.c * N * w0, t_end=1.0)
+        assert verify_lemma21(integrate_comparison(problem, rtol=1e-8), problem)["all_pass"]
+        assert len(grid_sups) == 1
+        assert threshold_S.__wrapped__(*self.ARGS) == S
+
+    def test_holds_one_entry(self, grid_sups):
+        other = (self.ARGS[0], 1.0, 4.0, 2.0, 0.5, 2.0)
+        first = threshold_S(*self.ARGS)
+        threshold_S(*other)
+        assert threshold_S(*self.ARGS) == first
+        assert len(grid_sups) == 3
+
+    @pytest.mark.parametrize("grid_size", [4000, 10_000])
+    def test_shared_grid_is_read_only_and_unchanged(self, grid_size):
+        grid = thresholds._unit_log_grid(grid_size)
+        assert thresholds._unit_log_grid(grid_size) is grid
+        assert not grid.flags.writeable
+        inline = 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))
+        assert grid.tobytes() == inline.tobytes()
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
 
 
 class TestCriticalExponent:
