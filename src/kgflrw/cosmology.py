@@ -1,14 +1,14 @@
 """FLRW background: scale function, Hubble rate, curved mass, light cone.
 
 All quantities are closed-form in the power-law / exponential family of
-scale functions
+scale functions, through one log scale factor L = log(a/a0):
 
-    a(t) = a0 * exp(H t)                                   (sigma = -1)
-    a(t) = a0 * (1 + n (1+sigma) H t / 2)^(2 / n(1+sigma)) (sigma != -1)
+    a(t) = a0 * exp(L),  L = H t                                (sigma = -1)
+                         L = (2/q) log1p(q H t / 2), q = n(1+sigma) (sigma != -1)
 
-on [0, T0), where T0 is finite exactly when (1+sigma) H < 0.  The light
-cone and its inverse are closed forms too.  The test suite cross-checks the
-cone against adaptive quadrature and M^2 against finite differences.
+on [0, T0), where T0 is finite exactly when (1+sigma) H < 0.  r(t) and b(t)
+derive from L, M^2 from the bracket 1 + q H t / 2, and `background_arrays`
+gives (log a, r, M^2).  Tests check the cone by quadrature, M^2 by differences.
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class Background:
     Built from the spacetime model and the initial support radius r0 (needed
     only by the light cone r(t) and the weight b(t)).  Every method takes a
     time in [0, T0), raises DomainError outside it and clamps just below a
-    finite horizon.  The power-law family is written through the bracket
-    1 + q H t / 2 with q = n(1+sigma); sigma = -1 is the exponential case.
+    finite horizon.  a, r and b derive from L = `_log_a(t)`; q = n(1+sigma).
     Construction calls no public function of this module, so what a shared
     cache holds never changes which of them run.
     """
@@ -205,20 +204,18 @@ class Background:
         return t
 
     def a(self, t: float) -> float:
-        """a(t) = a0 exp(Ht) (sigma = -1), else a0 (1 + qHt/2)^(2/q)."""
-        return self._a(self.check_time(t))
+        """a(t) = a0 exp(L), L = log(a/a0) from `_log_a`."""
+        return self.a0 * math.exp(self._log_a(self.check_time(t)))
 
-    def _a(self, t, xp=math):
+    def _log_a(self, t, xp=math):
+        """L = log(a/a0), computed here only: H t at sigma = -1, else (2/q) log1p(qHt/2)."""
         if self.de_sitter:
-            return self.a0 * xp.exp(self.H * t)
-        return self.a0 * (1.0 + self.qH * t / 2.0) ** self.two_over_q
+            return self.H * t
+        return self.two_over_q * xp.log1p(self.qH * t / 2.0)
 
     def hubble(self, t: float) -> float:
-        """adot/a = H (a/a0)^(-n(1+sigma)/2); equals H at t = 0."""
-        t = self.check_time(t)
-        if self.de_sitter:
-            return self.H
-        return self.H / (1.0 + self.qH * t / 2.0)
+        """adot/a = H (a/a0)^(-n(1+sigma)/2) = H / (1 + qHt/2); equals H at t = 0."""
+        return self.H / (1.0 + self.qH * self.check_time(t) / 2.0)
 
     def mass_sq(self, t: float) -> float:
         """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)Ht/2)^-2.
@@ -229,38 +226,38 @@ class Background:
         return self._mass_sq(self.check_time(t))
 
     def _mass_sq(self, t):
-        if self.de_sitter:
-            return self.m_sq + self.shift
-        return self.m_sq + self.shift * (1.0 + self.qH * t / 2.0) ** (-2.0)
+        x = 1.0 + self.qH * t / 2.0  # exactly 1 at sigma = -1, where q = 0
+        return self.m_sq + self.shift / (x * x)
 
     def r(self, t: float) -> float:
         """Light-cone radius r(t) = r0 + int_0^t c/a(s) ds, in closed form."""
-        return self._r(self.check_time(t))
+        t = self.check_time(t)
+        return self._r(t, self._log_a(t))
 
     def a_r(self, t: float) -> tuple[float, float]:
-        """(a(t), r(t)), checking t once."""
+        """(a(t), r(t)), checking t once and taking L once."""
         t = self.check_time(t)
-        return self._a(t), self._r(t)
+        L = self._log_a(t)
+        return self.a0 * math.exp(L), self._r(t, L)
 
-    def _r(self, t, xp=math):
-        """r0 + c/(a0 H) expm1(e L)/e with e = q/2 - 1 and L = log(a/a0), L itself at e = 0.
+    def _r(self, t, L, xp=math):
+        """r0 + c/(a0 H) expm1(e L)/e with e = q/2 - 1 and L = `_log_a(t)`.
 
         One form for every (H, sigma): e = -1 is de Sitter's 1 - exp(-Ht)
         and e = 0 the logarithmic cone of n(1+sigma) = 2.  expm1 keeps full
         relative accuracy as e L -> 0, where (a/a0)^e - 1 cancels, and L
-        stands in where e L is below the normal range.  Raises
-        OverflowError where e L exceeds the float range (a(t) underflows).
+        stands in where e L is below the normal range, e = 0 included.
+        Raises OverflowError where e L exceeds the float range (a(t) underflows).
         """
         if self.static:
             return self.r0 + self.c * t / self.a0
-        L = self.H * t if self.de_sitter else self.two_over_q * xp.log1p(self.qH * t / 2.0)
         e = self.cone_exp
-        if e == 0.0:
-            return self.r0 + self.cone_coef * L
         eL = e * L
         if xp is math:
             return self.r0 + self.cone_coef * (L if abs(eL) < _TINY else math.expm1(eL) / e)
-        return self.r0 + self.cone_coef * xp.where(xp.abs(eL) < _TINY, L, xp.expm1(eL) / e)
+        growth = xp.expm1(eL) / e
+        xp.copyto(growth, L, where=xp.abs(eL) < _TINY)
+        return self.r0 + self.cone_coef * growth
 
     def cone_time(self, radius: float) -> Optional[float]:
         """The t in [0, t_clamp] with r(t) = radius, or None when there is none.
@@ -298,25 +295,27 @@ class Background:
     def weight(self, lam: float, p: float) -> Callable[[float], float]:
         """b(t) = lambda * (omega_n^(2/n) a(t) r(t)^2)^(-n(p-1)/2) as a function of t.
 
-        Checks lambda > 0 and p > 1 once, not on every call.
+        The second value of `mass_sq_weight`; checks lambda > 0 and p > 1 once.
         """
-        expo = weight_exponent(self.params.n, lam, p)
-        a_r, b = self.a_r, self.b
-
-        def weight_at(t: float) -> float:
-            a, r = a_r(t)
-            return b(a, r, lam, expo)
-
-        return weight_at
+        coefficients = self.mass_sq_weight(lam, p)
+        return lambda t: coefficients(t)[1]
 
     def mass_sq_weight(self, lam: float, p: float) -> Callable[[float], tuple[float, float]]:
-        """(M^2(t), b(t)) as a function of t, checking t once per call; see `weight`."""
+        """(M^2(t), b(t)) as a function of t, checking t and taking L once per call.
+
+        The comparison ODE's right side, in one body: it equals `mass_sq` and
+        `b` of a(t), r(t) bit for bit.  Checks lambda > 0 and p > 1 once.
+        """
         expo = weight_exponent(self.params.n, lam, p)
-        check, mass_sq, a, r, b = self.check_time, self._mass_sq, self._a, self._r, self.b
+        check, log_a, cone, exp = self.check_time, self._log_a, self._r, math.exp
+        m_sq, shift, qH, a0, wn_2n = self.m_sq, self.shift, self.qH, self.a0, self.wn_2n
 
         def mass_sq_weight_at(t: float) -> tuple[float, float]:
             t = check(t)
-            return mass_sq(t), b(a(t), r(t), lam, expo)
+            L = log_a(t)
+            r = cone(t, L)
+            x = 1.0 + qH * t / 2.0
+            return m_sq + shift / (x * x), lam * (wn_2n * (a0 * exp(L)) * r * r) ** expo
 
         return mass_sq_weight_at
 
@@ -391,10 +390,10 @@ def classify_regime(params: CosmologyParams) -> Regime:
 
 
 def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
-    """Vectorized (a(t), r(t), M^2(t)) over an array of times in [0, T0).
+    """Vectorized (log a(t), r(t), M^2(t)) over an array of times in [0, T0).
 
-    Evaluates the scalar Background bodies with numpy's functions; used by
-    grid suprema and quadrature-heavy callers.
+    Evaluates the scalar Background bodies with numpy's functions, for the
+    threshold grids; log a = log a0 + L is finite where a(t) is not.
     """
     import numpy as np
 
@@ -403,9 +402,10 @@ def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
     if ts.size and (ts.min() < 0 or ts.max() >= bg.t0):
         raise DomainError("times must lie in [0, T0)")
     ts = np.minimum(ts, bg.t_clamp)
-    # a(t) can underflow to 0 and r(t) overflow to inf just before a crunch
-    with np.errstate(over="ignore", divide="ignore"):
-        return bg._a(ts, np), bg._r(ts, np), np.full_like(ts, bg._mass_sq(ts))
+    L = bg._log_a(ts, np)
+    # r(t) can overflow to inf just before a crunch; expm1(e L)/e is 0/0 at e = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return math.log(bg.a0) + L, bg._r(ts, L, np), bg._mass_sq(ts)
 
 
 @dataclass(frozen=True)

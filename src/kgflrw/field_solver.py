@@ -245,13 +245,9 @@ def _laplacian(u: np.ndarray, st: _Stencil) -> np.ndarray:
     return lap
 
 
-def _cfl_dt(bg, dr: float, t: float, safety: float) -> float:
-    return safety * dr * bg.a(t) / bg.c
-
-
 def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
     """Wave-speed limited timestep: safety * dr * a(t) / c."""
-    return _cfl_dt(background(params), state.dr, state.t, safety)
+    return safety * state.dr * background(params).a(state.t) / params.c
 
 
 def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
@@ -271,11 +267,11 @@ def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
 
 
 def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
-             u, v, un, vn, buf: np.ndarray, scale: float) -> bool:
+             u, v, un, vn, buf: np.ndarray, scale: float) -> tuple[bool, float, float]:
     """One RK4 step of the window (u, v) into (un, vn), all of length m; buf is (5, m) scratch.
 
-    Leaves |un| in buf[0] and returns whether its sup is not finite or exceeds
-    `_SUP_GUARD` times the data scale.  The window's last node is pinned.
+    Leaves |un| in buf[0]; returns (diverged, M^2(t + dt/2), a(t + dt)), diverged when sup |un|
+    is not finite or exceeds `_SUP_GUARD` times the data scale.  The last node is pinned.
     """
     n, c2 = bg.params.n, bg.c ** 2
     us, k1, k2, k3, tmp = buf
@@ -323,7 +319,7 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
     un += u
     un[-1] = vn[-1] = 0.0
     sup = float(np.abs(un, out=us).max())
-    return not math.isfinite(sup) or sup > _SUP_GUARD * scale
+    return not math.isfinite(sup) or sup > _SUP_GUARD * scale, mh, a1
 
 
 def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
@@ -336,12 +332,12 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
-    bg = background(params)
     if dt is None:
-        dt = _cfl_dt(bg, state.dr, state.t, safety)
+        dt = cfl_dt(params, state, safety)
     m, u, v = _window(state.u, state.v, state.u.size), np.zeros_like(state.u), np.zeros_like(state.v)
-    diverged = _advance(bg, lam, p, _stencil(state.r, params.n), state.t, dt, state.u[:m],
-                        state.v[:m], u[:m], v[:m], np.empty((5, m)), state.data_scale)
+    diverged, _, _ = _advance(background(params), lam, p, _stencil(state.r, params.n), state.t,
+                              dt, state.u[:m], state.v[:m], u[:m], v[:m], np.empty((5, m)),
+                              state.data_scale)
     return FieldState(state.r, u, v, state.t + dt, diverged, state.data_scale)
 
 
@@ -458,19 +454,22 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     us, vs = (state.u.copy(), np.zeros(size)), (state.v.copy(), np.zeros(size))
     extent, buf, cur = [size, 0], np.empty((5, size)), 0
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
+    a_t = bg.a(t)  # then a(t + dt) from the step before, at the same float time
     while t < t_cap:
-        dt = min(_cfl_dt(bg, dr, t, safety), t_cap - t)
+        dt = min(safety * dr * a_t / bg.c, t_cap - t)
         u, v, un, vn = us[cur], vs[cur], us[1 - cur], vs[1 - cur]
         m = _window(u, v, extent[cur])
         un[m:extent[1 - cur]] = 0.0
         vn[m:extent[1 - cur]] = 0.0
         extent[1 - cur], window = m, buf[:, :m]
-        diverged = _advance(bg, lam, p, sten, t, dt, u[:m], v[:m], un[:m], vn[:m], window, scale)
+        diverged, m_mid, a_t = _advance(bg, lam, p, sten, t, dt, u[:m], v[:m], un[:m], vn[:m],
+                                        window, scale)
         diag.steps += 1
         diag.node_steps += m
-        # the |M^2 u| space-time integral by the midpoint rule; |un| is in window[0]
+        # the |M^2 u| space-time integral by the midpoint rule, M^2 from the
+        # step's stage at t + dt/2; |un| is in window[0]
         t_new, mass_new = t + dt, float(weights[:m] @ window[0])
-        mass_acc += dt * abs(bg.mass_sq(0.5 * (t + t_new))) * (0.5 * (mass_u + mass_new))
+        mass_acc += dt * abs(m_mid) * (0.5 * (mass_u + mass_new))
         mass_u, cur, t = mass_new, 1 - cur, t_new
         if diverged:
             diag.diverged, diag.divergence_time, diag.stop_reason = True, t, "diverged"

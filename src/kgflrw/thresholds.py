@@ -168,12 +168,13 @@ def _unit_log_grid(grid_size: int):
 def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float] = None):
     """Grid maximum of a data threshold's log integrand: (top, ts, best).
 
-    ``log_value(ts, a, r, log_window)`` is the log integrand from the times,
-    a(t), r(t) and log(N^2 + M^2(t)); times where N^2 + M^2 vanishes count
-    as zero.  The grid is t = 0 plus ``grid_size`` points log-spaced over six
-    decades below t_max (default 1e3 max(1, 1/cN), capped before a finite
-    horizon); logs survive huge scale factors.  ``top`` is -inf when every
-    sample is zero and inf above the overflow guard.
+    ``log_value(ts, log_a, r, log_window)`` is the log integrand from the
+    times, log a(t) (a itself is never formed), r(t) and log(N^2 + M^2(t));
+    times where N^2 + M^2 vanishes count as zero.  The grid is t = 0 plus
+    ``grid_size`` points log-spaced over six decades below t_max (default
+    1e3 max(1, 1/cN), capped before a finite horizon); logs survive huge
+    scale factors.  ``top`` is -inf when every sample is zero and inf above
+    the overflow guard.
     """
     import numpy as np
 
@@ -181,13 +182,14 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float
         t_max = 1e3 * max(1.0, 1.0 / (bg.c * N)) if N > 0 else 1e3
     t_max = min(t_max, bg.t_end_cap)
     ts = np.concatenate(([0.0], t_max * _unit_log_grid(grid_size)))
-    a, r, msq = background_arrays(bg.params, bg.r0, ts)
+    log_a, r, msq = background_arrays(bg.params, bg.r0, ts)
     window = N * N + msq
     # the mass hypothesis makes inf(N^2 + M^2) = 0; clamp roundoff residue
-    window = np.where(window <= 1e-12 * (N * N + np.abs(msq) + 1.0), 0.0, window)
+    zero = window <= 1e-12 * (N * N + np.abs(msq) + 1.0)
+    window[zero] = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_vals = log_value(ts, a, r, np.log(window))
-    log_vals = np.where(window > 0.0, log_vals, -np.inf)
+        log_vals = log_value(ts, log_a, r, np.log(window))
+    log_vals[zero] = -np.inf
     best = int(np.argmax(log_vals))
     top = float(log_vals[best])
     return (math.inf if top > math.log(_S_OVERFLOW) else top), ts, best
@@ -209,11 +211,11 @@ def threshold_S(
 ) -> float:
     """S = sup_t e^(-cNt) ((N^2 + M^2(t)) / ((1-theta) b(t)))^(1/(p-1)).
 
-    Supremum over a log-spaced grid with golden-section refinement near the
-    grid maximizer; returns inf when sampled values exceed the overflow guard.
-    Negative values of N^2 + M^2 (possible only at round-off level under the
-    mass hypothesis) contribute zero.  The last result is memoized, so a
-    repeated call with the same arguments returns it without a new supremum.
+    Supremum of its log over a log-spaced grid of log a(t), r(t) and M^2(t),
+    then golden-section refinement near the grid maximizer on one
+    `mass_sq_weight` closure; inf when sampled values exceed the overflow
+    guard.  Negative values of N^2 + M^2 (round-off under the mass
+    hypothesis) contribute zero.  The last result is memoized.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -222,28 +224,27 @@ def threshold_S(
     bg = background(params, r0)
     expo = weight_exponent(params.n, lam, p)
 
-    def log_value(ts, a, r, log_window):
-        log_b = bg.log_b(np.log(a), np.log(r), lam, expo)
+    def log_value(ts, log_a, r, log_window):
+        log_b = bg.log_b(log_a, np.log(r), lam, expo)
         return -params.c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
 
     top, ts, best = _log_grid_sup(bg, N, log_value, grid_size, t_max)
     if not math.isfinite(top):
         return math.exp(top)
-    mass_sq, weight = bg.mass_sq, bg.weight(lam, p)
+    coefficients = bg.mass_sq_weight(lam, p)
 
     def f(t):
-        msq = mass_sq(t)
+        msq, b = coefficients(t)
         val = N * N + msq
         if val <= 1e-12 * (N * N + abs(msq) + 1.0):
             return 0.0
-        return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * weight(t))) ** (1.0 / (p - 1.0))
+        return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * b)) ** (1.0 / (p - 1.0))
 
     # golden-section refinement on the bracketing interval
     lo = float(ts[best - 1] if best > 0 else ts[0])
     hi = float(ts[best + 1] if best + 1 < len(ts) else ts[-1])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(80):
         if f1 < f2:
@@ -442,10 +443,10 @@ def _prior_S(params: CosmologyParams, r0, lam, p, theta, N, grid_size=4000) -> f
     """Earlier-work data threshold: the sup carries max{a0 r0^2, a r^2}."""
     import numpy as np
 
-    log_wn = math.log(unit_ball_volume(params.n))
+    log_wn, log_bulk0 = math.log(unit_ball_volume(params.n)), math.log(params.a0 * r0 * r0)
 
-    def log_value(ts, a, r, log_window):
-        log_bulk = params.n / 2.0 * np.log(np.maximum(params.a0 * r0 * r0, a * r * r))
+    def log_value(ts, log_a, r, log_window):
+        log_bulk = params.n / 2.0 * np.maximum(log_bulk0, log_a + 2.0 * np.log(r))
         return (
             log_wn - params.c * N * ts + log_bulk
             + (log_window - math.log((1.0 - theta) * lam)) / (p - 1.0)

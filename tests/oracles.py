@@ -2,15 +2,20 @@
 
 Finite differences of a(t) for the curved mass M^2 and adaptive quadrature
 of c/a for the light cone; neither shares code with the closed forms they
-check beyond a(t) itself.
+check beyond a(t) itself.  The data thresholds S on a grid that takes a(t)
+as a power of the bracket and then its log, as they were once computed.
 """
 
 import math
+import sys
 from typing import Optional
 
+import numpy as np
 from scipy.integrate import quad
 
-from kgflrw.cosmology import ConeData, CosmologyParams, background, horizon_time, scale_factor
+from kgflrw.cosmology import (
+    ConeData, CosmologyParams, background, horizon_time, scale_factor, unit_ball_volume,
+)
 
 
 def curved_mass_sq_from_derivatives(
@@ -56,3 +61,112 @@ def cone_radius_quadrature(cone: ConeData, t: float, tol: float = 1e-12) -> floa
         return cone.r0
     val, _ = quad(lambda s: p.c / scale_factor(p, s), 0.0, t, epsabs=tol, epsrel=1e-12, limit=200)
     return cone.r0 + val
+
+
+def _grid_via_scale_factor(params: CosmologyParams, r0: float, ts):
+    """(a, r, M^2) over the times ts, a as a power of the bracket 1 + qHt/2.
+
+    The grid the data thresholds were once built on; the closed forms now
+    derive a from L = log(a/a0), and this is the cross-check that S did not
+    move by more than round-off.
+    """
+    n, c, H, sigma, a0 = params.n, params.c, params.H, params.sigma, params.a0
+    shift = sigma * (n * H / (2.0 * c)) ** 2
+    q = n * (1.0 + sigma)
+    if sigma == -1.0:
+        L = H * ts
+        a = a0 * np.exp(L)
+        msq = np.full_like(ts, params.m_sq + shift)
+    else:
+        a = a0 * (1.0 + q * H * ts / 2.0) ** (2.0 / q)
+        L = 2.0 / q * np.log1p(q * H * ts / 2.0)
+        msq = params.m_sq + shift * (1.0 + q * H * ts / 2.0) ** (-2.0)
+    e = q / 2.0 - 1.0
+    if H == 0.0:
+        r = r0 + c * ts / a0
+    elif e == 0.0:
+        r = r0 + c / (a0 * H) * L
+    else:
+        eL = e * L
+        r = r0 + c / (a0 * H) * np.where(np.abs(eL) < sys.float_info.min, L, np.expm1(eL) / e)
+    return a, r, msq
+
+
+def _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size, t_max=None):
+    """(top, ts, best) of a data threshold's log integrand ``log_value(ts, a, r, log_window)``.
+
+    Raises OverflowError where a(t) under- or overflows on the grid, as its
+    log is then no longer the log of a(t).
+    """
+    bg = background(params, r0)
+    if t_max is None:
+        t_max = 1e3 * max(1.0, 1.0 / (params.c * N)) if N > 0 else 1e3
+    t_max = min(t_max, bg.t_end_cap)
+    ts = np.concatenate(([0.0], t_max * 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))))
+    ts = np.minimum(ts, bg.t_clamp)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, r, msq = _grid_via_scale_factor(params, r0, ts)
+        if not np.all((a > 0.0) & (a < math.inf)):
+            raise OverflowError("a(t) leaves the float range on the grid")
+        window = N * N + msq
+        window = np.where(window <= 1e-12 * (N * N + np.abs(msq) + 1.0), 0.0, window)
+        log_vals = log_value(ts, a, r, np.log(window))
+    log_vals = np.where(window > 0.0, log_vals, -np.inf)
+    best = int(np.argmax(log_vals))
+    top = float(log_vals[best])
+    return (math.inf if top > math.log(1e30) else top), ts, best
+
+
+def threshold_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=10_000):
+    """`threshold_S` on the grid above, refined by golden section on a power of the bracket."""
+    n, c = params.n, params.c
+    expo = -n * (p - 1.0) / 2.0
+    log_wn_2n = 2.0 / n * math.log(unit_ball_volume(n))
+
+    def log_value(ts, a, r, log_window):
+        log_b = math.log(lam) + expo * (log_wn_2n + np.log(a) + 2.0 * np.log(r))
+        return -c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
+
+    top, ts, best = _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size)
+    if not math.isfinite(top):
+        return math.exp(top)
+
+    def f(t):
+        a, r, msq = (float(x[0]) for x in _grid_via_scale_factor(params, r0, np.array([t])))
+        val = N * N + msq
+        if val <= 1e-12 * (N * N + abs(msq) + 1.0):
+            return 0.0
+        b = lam * (unit_ball_volume(n) ** (2.0 / n) * a * r * r) ** expo
+        return math.exp(-c * N * t) * (val / ((1.0 - theta) * b)) ** (1.0 / (p - 1.0))
+
+    lo = float(ts[best - 1] if best > 0 else ts[0])
+    hi = float(ts[best + 1] if best + 1 < len(ts) else ts[-1])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(80):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+    return max(math.exp(top), f1, f2)
+
+
+def prior_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=4000):
+    """The earlier work's data threshold on the grid above, with max{a0 r0^2, a r^2}."""
+    n, c = params.n, params.c
+    log_wn = math.log(unit_ball_volume(n))
+
+    def log_value(ts, a, r, log_window):
+        log_bulk = n / 2.0 * np.log(np.maximum(params.a0 * r0 * r0, a * r * r))
+        log_rest = (log_window - math.log((1.0 - theta) * lam)) / (p - 1.0)
+        return log_wn - c * N * ts + log_bulk + log_rest
+
+    top, _, _ = _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size)
+    return math.exp(top)

@@ -201,7 +201,7 @@ class TestPersistence:
         assert meta["t_switch"] == traj.t_switch and 0.0 < traj.t_switch < traj.t_star
 
 
-# The per-call closed forms as integrate_comparison once evaluated them at
+# The closed forms evaluated per call, as integrate_comparison once did at
 # every stage: each call re-validates t and rebuilds every constant.
 
 
@@ -213,12 +213,16 @@ def _per_call_time(params, t):
     return min(t, (1.0 - 1e-12) * t0) if math.isfinite(t0) else t
 
 
+def _per_call_log_a(params, t):
+    if params.sigma == -1.0:
+        return params.H * t
+    q = params.n * (1.0 + params.sigma)
+    return 2.0 / q * math.log1p(q * params.H * t / 2.0)
+
+
 def _per_call_a(params, t):
     t = _per_call_time(params, t)
-    if params.sigma == -1.0:
-        return params.a0 * math.exp(params.H * t)
-    q = params.n * (1.0 + params.sigma)
-    return params.a0 * (1.0 + q * params.H * t / 2.0) ** (2.0 / q)
+    return params.a0 * math.exp(_per_call_log_a(params, t))
 
 
 def _per_call_mass_sq(params, t):
@@ -227,7 +231,8 @@ def _per_call_mass_sq(params, t):
     if params.sigma == -1.0:
         return params.m_sq + shift
     q = params.n * (1.0 + params.sigma)
-    return params.m_sq + shift * (1.0 + q * params.H * t / 2.0) ** (-2.0)
+    x = 1.0 + q * params.H * t / 2.0
+    return params.m_sq + shift / (x * x)
 
 
 def _per_call_r(params, r0, t):
@@ -235,9 +240,8 @@ def _per_call_r(params, r0, t):
     c, a0, H = params.c, params.a0, params.H
     if H == 0.0:
         return r0 + c * t / a0
-    q = params.n * (1.0 + params.sigma)
-    L = H * t if params.sigma == -1.0 else 2.0 / q * math.log1p(q * H * t / 2.0)
-    e = q / 2.0 - 1.0
+    L = _per_call_log_a(params, t)
+    e = params.n * (1.0 + params.sigma) / 2.0 - 1.0
     return r0 + c / (a0 * H) * (L if e == 0.0 else math.expm1(e * L) / e)
 
 

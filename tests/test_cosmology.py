@@ -28,6 +28,7 @@ from kgflrw.cosmology import (
     hubble_rate,
     mass_sign_change_time,
     scale_factor,
+    weight_exponent,
 )
 from oracles import cone_radius_quadrature, curved_mass_sq_from_derivatives
 
@@ -277,10 +278,10 @@ class TestRegimeAndArrays:
         r0 = 0.6
         t0 = horizon_time(params)
         ts = np.linspace(0.0, 0.9 * t0 if math.isfinite(t0) else 4.0, 11)
-        a, r, msq = background_arrays(params, r0, ts)
+        log_a, r, msq = background_arrays(params, r0, ts)
         cone = ConeData(r0, params)
         for j, t in enumerate(ts):
-            assert a[j] == pytest.approx(scale_factor(params, float(t)), rel=1e-13)
+            assert math.exp(log_a[j]) == pytest.approx(scale_factor(params, float(t)), rel=1e-13)
             assert r[j] == pytest.approx(cone_radius(cone, float(t)), rel=1e-13)
             assert msq[j] == pytest.approx(curved_mass_sq(params, float(t)), rel=1e-13, abs=1e-13)
 
@@ -293,6 +294,26 @@ class TestRegimeAndArrays:
             CosmologyParams(n=2, a0=-1.0)
         with pytest.raises(ValueError):
             ConeData(0.0, MINKOWSKI)
+
+
+class TestScaleFactorNearDeSitter:
+    def test_matches_a_50_digit_reference(self):
+        # sigma -> -1 sends the exponent 2/q of the bracket to infinity; a
+        # power of the rounded bracket was off by up to 2.2e-7 here, while
+        # a0 exp(L) with L = (2/q) log1p(qHt/2) is off by |L| ulps at most
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(50):
+            for eps in (-1e-6, -1e-9, 1e-9, 1e-6):
+                for n in (1, 3):
+                    for H in (-0.7, 0.7):
+                        params = CosmologyParams(n=n, H=H, sigma=-1.0 + eps, a0=1.3)
+                        q = n * (1 + mpmath.mpf(params.sigma))
+                        for t in np.linspace(0.0, 4.1, 42).tolist():
+                            exact = mpmath.mpf(1.3) * (1 + q * mpmath.mpf(H) * t / 2) ** (2 / q)
+                            rel = abs((mpmath.mpf(scale_factor(params, t)) - exact) / exact)
+                            worst = max(worst, float(rel))
+        assert worst <= 1e-14
 
 
 @st.composite
@@ -322,15 +343,18 @@ class TestBackground:
     @given(point=_regime_points())
     @example(point=(CosmologyParams(n=1, H=4e-301, sigma=1.0 + 1e-13), 1.0))  # e L subnormal
     def test_scalars_match_arrays(self, point):
-        # numpy's exp/pow/log1p/expm1 may differ from math's by an ulp, so
-        # the bar is round-off of the terms each closed form sums.  In
-        # r - r0 = (c/a0H) expm1(x)/e with x = e L, e = q/2 - 1, L = log(a/a0),
-        # an ulp of L moves expm1(x) by x e^x / expm1(x) < 1 + max(x, 0) ulps
+        # numpy's log1p/expm1 may differ from math's by an ulp, so the bar is
+        # round-off of the terms each closed form sums.  exp has condition
+        # number |x|: an ulp of L = log(a/a0) moves a = a0 exp(L) by |L| ulps,
+        # and the half ulp of log a = log a0 + L moves exp(log a) by |log a|/2
+        # ulps, so a's bar is 1 + |L| + |log a| ulps of a.  In
+        # r - r0 = (c/a0H) expm1(x)/e with x = e L, e = q/2 - 1, an ulp of L
+        # moves expm1(x) by x e^x / expm1(x) < 1 + max(x, 0) ulps
         params, r0 = point
         bg = Background(params, r0)
         t0 = horizon_time(params)
         ts = np.linspace(0.0, 0.9 * t0 if math.isfinite(t0) else 5.0, 9)
-        a, r, msq = background_arrays(params, r0, ts)
+        log_a, r, msq = background_arrays(params, r0, ts)
         for j, t in enumerate(ts.tolist()):
             try:
                 a_s, r_s = bg.a_r(t)
@@ -339,11 +363,30 @@ class TestBackground:
                 continue
             m_s = bg.mass_sq(t)
             assert (a_s, r_s) == (bg.a(t), bg.r(t))
-            assert abs(a[j] - a_s) <= 1e-15 * abs(a_s)
+            L = bg._log_a(t)
+            spread = 1.0 + abs(L) + abs(log_a[j])
+            assert abs(math.exp(log_a[j]) - a_s) <= 1e-15 * spread * abs(a_s)
             assert abs(msq[j] - m_s) <= 1e-15 * (abs(bg.m_sq) + abs(m_s - bg.m_sq))
-            L = bg.H * t if bg.de_sitter else bg.two_over_q * math.log1p(bg.qH * t / 2.0)
             amplify = 1.0 + max(bg.cone_exp * L, 0.0)
             assert r[j] == r_s or abs(r[j] - r_s) <= 1e-15 * (abs(r_s) + abs(r_s - r0) * amplify)
+
+    @given(point=_regime_points(), lam=st.floats(0.5, 2.0), p=st.floats(1.2, 3.0))
+    def test_mass_sq_weight_is_mass_sq_and_b(self, point, lam, p):
+        # the ODE's fused right side equals M^2(t) and b from a(t) and r(t) bit for bit
+        params, r0 = point
+        bg = background(params, r0)
+        coefficients, weight = bg.mass_sq_weight(lam, p), bg.weight(lam, p)
+        expo = weight_exponent(params.n, lam, p)
+        t0 = horizon_time(params)
+        for t in np.linspace(0.0, 0.9 * t0 if math.isfinite(t0) else 5.0, 9).tolist():
+            try:
+                b = bg.b(bg.a(t), bg.r(t), lam, expo)
+            except (OverflowError, ZeroDivisionError) as exc:  # a(t) leaves the float range
+                with pytest.raises(type(exc)):
+                    coefficients(t)
+                continue
+            assert coefficients(t) == (bg.mass_sq(t), b)
+            assert weight(t) == b
 
     @given(point=_regime_points())
     def test_module_functions_are_the_background(self, point):

@@ -468,6 +468,20 @@ class TestRunUntil:
             assert times == [state.t, state.t + dt / 2.0, state.t + dt]
             state = nxt
 
+    @pytest.mark.parametrize("name", ["a", "mass_sq"])
+    def test_run_until_reuses_the_stage_coefficients(self, monkeypatch, name):
+        # the CFL step reads the last step's a(t + dt), at the same float time,
+        # and the |M^2 u| integral the stage's M^2(t + dt/2): three calls of
+        # each per step, and a(0) once
+        times = []
+        method = getattr(Background, name)
+        monkeypatch.setattr(Background, name, lambda self, t: times.append(t) or method(self, t))
+        params = CosmologyParams(n=2, m_sq=-1.0, H=0.5, sigma=0.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0, w1=0.5)
+        diag = run_until(params, 1.0, 2.5, state, 0.3, 1.0, check_cone=False)
+        assert diag.steps > 10
+        assert len(times) == 3 * diag.steps + (name == "a")
+
     def test_leaves_its_input_alone(self):
         params = CosmologyParams(n=2, m_sq=-1.0)
         state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=513, w0=1.0, w1=0.5)

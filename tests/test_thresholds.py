@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from kgflrw import thresholds
 from kgflrw.comparison_ode import OdeProblem, integrate_comparison, verify_lemma21
-from kgflrw.cosmology import CosmologyParams
+from kgflrw.cosmology import CosmologyParams, curved_mass_bounds
 from kgflrw.thresholds import (
     CaseMismatchError,
     InitialDataSummary,
@@ -24,6 +24,8 @@ from kgflrw.thresholds import (
     threshold_S,
     unit_ball_volume,
 )
+from oracles import prior_S_via_scale_factor, threshold_S_via_scale_factor
+from test_cosmology import _regime_points
 
 
 def test_unit_ball_volume_small_dimensions():
@@ -135,6 +137,28 @@ class TestThresholdS:
         # Minkowski with m^2 = -1, N = 1: window = 0, S = 0 exactly
         params = CosmologyParams(n=1, m_sq=-1.0)
         assert threshold_S(params, 0.5, 1.0, 2.0, 0.5, 1.0) == 0.0
+
+
+class TestThresholdOracle:
+    @given(point=_regime_points(), lam=st.floats(0.5, 2.0), p=st.floats(1.2, 3.0),
+           theta=st.floats(0.2, 0.8), extra=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)))
+    def test_log_a_grid_matches_the_grid_of_a(self, point, lam, p, theta, extra):
+        # both data thresholds from log a = log a0 + L against the oracle that
+        # forms a as a power of the bracket and takes its log: round-off apart
+        # wherever the oracle's a stays in the float range; where it does not,
+        # log a still does, and S must still be a number
+        params, r0 = point
+        inf_m_sq = curved_mass_bounds(params).inf_m_sq
+        N = (math.sqrt(max(0.0, -inf_m_sq)) if math.isfinite(inf_m_sq) else 0.0) + extra
+        for fast, oracle in ((threshold_S, threshold_S_via_scale_factor),
+                             (thresholds._prior_S, prior_S_via_scale_factor)):
+            S = fast(params, r0, lam, p, theta, N)
+            try:
+                ref = oracle(params, r0, lam, p, theta, N)
+            except OverflowError:
+                assert not math.isnan(S)
+                continue
+            assert S == ref or abs(S - ref) <= 1e-14 * abs(ref)
 
 
 class TestThresholdMemo:
