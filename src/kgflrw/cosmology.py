@@ -255,7 +255,7 @@ class Background:
         eL = e * L
         if xp is math:
             return self.r0 + self.cone_coef * (L if abs(eL) < _TINY else math.expm1(eL) / e)
-        growth = xp.expm1(eL) / e
+        growth = xp.asarray(xp.expm1(eL) / e)  # an array also for a 0-d t
         xp.copyto(growth, L, where=xp.abs(eL) < _TINY)
         return self.r0 + self.cone_coef * growth
 
@@ -303,19 +303,18 @@ class Background:
     def mass_sq_weight(self, lam: float, p: float) -> Callable[[float], tuple[float, float]]:
         """(M^2(t), b(t)) as a function of t, checking t and taking L once per call.
 
-        The comparison ODE's right side, in one body: it equals `mass_sq` and
-        `b` of a(t), r(t) bit for bit.  Checks lambda > 0 and p > 1 once.
+        The comparison ODE's right side: `_mass_sq` and `b` of a(t), r(t), so
+        it equals `mass_sq` and `weight` bit for bit.  Checks lambda > 0 and
+        p > 1 once.
         """
         expo = weight_exponent(self.params.n, lam, p)
-        check, log_a, cone, exp = self.check_time, self._log_a, self._r, math.exp
-        m_sq, shift, qH, a0, wn_2n = self.m_sq, self.shift, self.qH, self.a0, self.wn_2n
+        check, log_a, cone, mass_sq, b = self.check_time, self._log_a, self._r, self._mass_sq, self.b
+        a0, exp = self.a0, math.exp
 
         def mass_sq_weight_at(t: float) -> tuple[float, float]:
             t = check(t)
             L = log_a(t)
-            r = cone(t, L)
-            x = 1.0 + qH * t / 2.0
-            return m_sq + shift / (x * x), lam * (wn_2n * (a0 * exp(L)) * r * r) ** expo
+            return mass_sq(t), b(a0 * exp(L), cone(t, L), lam, expo)
 
         return mass_sq_weight_at
 

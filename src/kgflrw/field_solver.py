@@ -266,12 +266,13 @@ def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
     return min(5, u.size)
 
 
-def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
-             u, v, un, vn, buf: np.ndarray, scale: float) -> tuple[bool, float, float]:
+def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float, a0: float, m0: float,
+             u, v, un, vn, buf: np.ndarray, scale: float) -> tuple[bool, float, float, float]:
     """One RK4 step of the window (u, v) into (un, vn), all of length m; buf is (5, m) scratch.
 
-    Leaves |un| in buf[0]; returns (diverged, M^2(t + dt/2), a(t + dt)), diverged when sup |un|
-    is not finite or exceeds `_SUP_GUARD` times the data scale.  The last node is pinned.
+    a0 and m0 are a(t) and M^2(t).  Leaves |un| in buf[0]; returns (diverged, M^2(t + dt/2),
+    a(t + dt), M^2(t + dt)), diverged when sup |un| is not finite or exceeds `_SUP_GUARD` times
+    the data scale.  The last node is pinned.
     """
     n, c2 = bg.params.n, bg.c ** 2
     us, k1, k2, k3, tmp = buf
@@ -290,10 +291,9 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
 
     # u'' = f(t, u), u' = v: the u stages are u + (dt/2) v, u + ((dt/2) v + (dt^2/4) k1)
     # and u + (dt v + (dt^2/2) k2), u added last; (dt/2) v waits in k3, k4 forms in vn
-    # a(t) and M^2(t) at the three stage times; stages 2 and 3 share t + dt/2
+    # a and M^2 at the two later stage times; stages 2 and 3 share t + dt/2
     h2, th, t1 = dt * dt, t + dt / 2.0, t + dt
-    a0, ah, a1 = bg.a(t), bg.a(th), bg.a(t1)
-    m0, mh, m1 = bg.mass_sq(t), bg.mass_sq(th), bg.mass_sq(t1)
+    ah, a1, mh, m1 = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1)
     accel(a0, m0, u, k1)
     np.multiply(v, dt / 2.0, out=k3)
     k3[-1] = 0.0
@@ -319,7 +319,7 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float,
     un += u
     un[-1] = vn[-1] = 0.0
     sup = float(np.abs(un, out=us).max())
-    return not math.isfinite(sup) or sup > _SUP_GUARD * scale, mh, a1
+    return not math.isfinite(sup) or sup > _SUP_GUARD * scale, mh, a1, m1
 
 
 def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
@@ -335,10 +335,11 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     if dt is None:
         dt = cfl_dt(params, state, safety)
     m, u, v = _window(state.u, state.v, state.u.size), np.zeros_like(state.u), np.zeros_like(state.v)
-    diverged, _, _ = _advance(background(params), lam, p, _stencil(state.r, params.n), state.t,
-                              dt, state.u[:m], state.v[:m], u[:m], v[:m], np.empty((5, m)),
-                              state.data_scale)
-    return FieldState(state.r, u, v, state.t + dt, diverged, state.data_scale)
+    bg, t = background(params), state.t
+    diverged = _advance(bg, lam, p, _stencil(state.r, params.n), t, dt, bg.a(t), bg.mass_sq(t),
+                        state.u[:m], state.v[:m], u[:m], v[:m], np.empty((5, m)),
+                        state.data_scale)[0]
+    return FieldState(state.r, u, v, t + dt, diverged, state.data_scale)
 
 
 def support_radius(state: FieldState, scale: Optional[float] = None) -> float:
@@ -454,7 +455,7 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     us, vs = (state.u.copy(), np.zeros(size)), (state.v.copy(), np.zeros(size))
     extent, buf, cur = [size, 0], np.empty((5, size)), 0
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
-    a_t = bg.a(t)  # then a(t + dt) from the step before, at the same float time
+    a_t, m_t = bg.a(t), bg.mass_sq(t)  # then a and M^2 at the last step's t + dt, the same float
     while t < t_cap:
         dt = min(safety * dr * a_t / bg.c, t_cap - t)
         u, v, un, vn = us[cur], vs[cur], us[1 - cur], vs[1 - cur]
@@ -462,8 +463,8 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
         un[m:extent[1 - cur]] = 0.0
         vn[m:extent[1 - cur]] = 0.0
         extent[1 - cur], window = m, buf[:, :m]
-        diverged, m_mid, a_t = _advance(bg, lam, p, sten, t, dt, u[:m], v[:m], un[:m], vn[:m],
-                                        window, scale)
+        diverged, m_mid, a_t, m_t = _advance(bg, lam, p, sten, t, dt, a_t, m_t, u[:m], v[:m],
+                                             un[:m], vn[:m], window, scale)
         diag.steps += 1
         diag.node_steps += m
         # the |M^2 u| space-time integral by the midpoint rule, M^2 from the

@@ -284,6 +284,10 @@ class TestRegimeAndArrays:
             assert math.exp(log_a[j]) == pytest.approx(scale_factor(params, float(t)), rel=1e-13)
             assert r[j] == pytest.approx(cone_radius(cone, float(t)), rel=1e-13)
             assert msq[j] == pytest.approx(curved_mass_sq(params, float(t)), rel=1e-13, abs=1e-13)
+        # a 0-d time gives the entries of a one-element grid
+        for j in (0, 5):
+            assert [float(x) for x in background_arrays(params, r0, ts[j])] == [
+                float(log_a[j]), float(r[j]), float(msq[j])]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -470,9 +470,9 @@ class TestRunUntil:
 
     @pytest.mark.parametrize("name", ["a", "mass_sq"])
     def test_run_until_reuses_the_stage_coefficients(self, monkeypatch, name):
-        # the CFL step reads the last step's a(t + dt), at the same float time,
-        # and the |M^2 u| integral the stage's M^2(t + dt/2): three calls of
-        # each per step, and a(0) once
+        # a step starts from the last step's a and M^2 at t + dt, the same float
+        # time, and the |M^2 u| integral reads the stage's M^2(t + dt/2): two
+        # calls of each per step, and one at t = 0
         times = []
         method = getattr(Background, name)
         monkeypatch.setattr(Background, name, lambda self, t: times.append(t) or method(self, t))
@@ -480,7 +480,7 @@ class TestRunUntil:
         state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0, w1=0.5)
         diag = run_until(params, 1.0, 2.5, state, 0.3, 1.0, check_cone=False)
         assert diag.steps > 10
-        assert len(times) == 3 * diag.steps + (name == "a")
+        assert len(times) == 2 * diag.steps + 1
 
     def test_leaves_its_input_alone(self):
         params = CosmologyParams(n=2, m_sq=-1.0)
@@ -495,7 +495,7 @@ class TestRunUntil:
         advance = field_solver._advance
 
         def spy(*args):
-            buffers.extend(args[6:11])  # u, v, un, vn and the scratch rows
+            buffers.extend(args[8:13])  # u, v, un, vn and the scratch rows
             return advance(*args)
 
         monkeypatch.setattr(field_solver, "_advance", spy)
