@@ -7,8 +7,8 @@ state lives in plain files; identical configs produce byte-identical
 outputs, and sweeps are resumable and support a worker pool that matches
 the serial output row for row.
 
-Exit codes: 0 on success, 1 on a configuration or validation error, 2 on
-a runtime failure.
+Exit codes: 0 on success, 1 on a usage, configuration or validation error,
+2 on a runtime failure.
 """
 
 from __future__ import annotations
@@ -110,13 +110,12 @@ def _pde_state(spec: RunSpec, t_cap: float):
     )
 
 
-def cmd_pde(spec: RunSpec, out_dir, keep_snapshots: bool = False):
+def cmd_pde(spec: RunSpec, out_dir) -> int:
     t_cap = _time_cap(spec, 5.0)
     state = _pde_state(spec, t_cap)
     diag = field_solver.run_until(
         spec.params(), spec.lam, spec.p, state, t_cap, spec.r0,
         output_interval=spec.output_interval, safety=spec.safety,
-        keep_snapshots=keep_snapshots,
     )
     payload = {
         "diverged": diag.diverged,
@@ -132,7 +131,7 @@ def cmd_pde(spec: RunSpec, out_dir, keep_snapshots: bool = False):
     _print_json(payload, out_dir, "pde.json")
     if out_dir is not None:
         field_solver.save_diagnostics_csv(diag, Path(out_dir) / "diagnostics.csv")
-    return diag
+    return 0
 
 
 def cmd_scaling(spec: RunSpec, out_dir) -> int:
@@ -353,12 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="path to a JSON run spec")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--jobs", type=int, default=1, help="sweep worker count")
+        if name == "sweep":
+            cmd.add_argument("--jobs", type=int, default=1, help="worker count")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         spec = parse_config(args.config)
         if args.command == "regime":
@@ -368,8 +371,7 @@ def main(argv=None) -> int:
         if args.command == "ode":
             return cmd_ode(spec, args.out)
         if args.command == "pde":
-            cmd_pde(spec, args.out)
-            return 0
+            return cmd_pde(spec, args.out)
         if args.command == "scaling":
             return cmd_scaling(spec, args.out)
         if args.command == "sweep":

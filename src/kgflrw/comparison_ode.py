@@ -81,9 +81,9 @@ class OdeProblem:
     w0: float
     w1: float
     t_end: float
-    # optional overrides for synthetic problems (oracle cases, sanity runs)
-    mass_sq_fn: Optional[Callable[[float], float]] = None
-    weight_fn: Optional[Callable[[float], float]] = None
+    # (M^2, b) as a function of t, overriding the background's for synthetic
+    # problems (oracle cases, sanity runs)
+    coefficients_fn: Optional[Callable[[float], tuple[float, float]]] = None
 
     def __post_init__(self):
         if self.p <= 1:
@@ -94,16 +94,9 @@ class OdeProblem:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
 
     def coefficients(self) -> Callable[[float], tuple[float, float]]:
-        """(M^2, b) as one function of t, built once; the override functions win."""
-        mass_sq, weight = self.mass_sq_fn, self.weight_fn
+        """(M^2, b) as one function of t: the override, else the background's, built once."""
         bg = background(self.params, self.r0)
-        if mass_sq is None and weight is None:
-            return bg.mass_sq_weight(self.lam, self.p)
-        if mass_sq is None:
-            mass_sq = bg.mass_sq
-        if weight is None:
-            weight = bg.weight(self.lam, self.p)
-        return lambda t: (mass_sq(t), weight(t))
+        return self.coefficients_fn or bg.mass_sq_weight(self.lam, self.p)
 
 
 @dataclass
@@ -385,25 +378,14 @@ def closed_form_oracle(p: float, b_const: float, w0: float, c: float = 1.0) -> O
     return OracleSolution(p=p, b=b_const, w0=w0, c=c, kappa=kappa, t_star=1.0 / kappa)
 
 
-def save_trajectory_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:
-    """Write samples as CSV (t,w,wdot) with blow-up metadata in a JSON sidecar."""
+def save_trajectory_csv(traj: Trajectory, csv_path, sidecar_path) -> None:
+    """Write samples as CSV (t,w,wdot) and every other `Trajectory` field in a JSON sidecar."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "w", "wdot"])
         for t, w, wd in zip(traj.t, traj.w, traj.wdot):
             writer.writerow([repr(float(t)), repr(float(w)), repr(float(wd))])
-    if sidecar_path is not None:
-        meta = {
-            "blowup": traj.blowup,
-            "t_star": traj.t_star,
-            "t_star_err": traj.t_star_err,
-            "rejections": traj.rejections,
-            "final_dt": traj.final_dt,
-            "steps_accepted": traj.steps_accepted,
-            "rhs_evals": traj.rhs_evals,
-            "stop_reason": traj.stop_reason,
-            "t_switch": traj.t_switch,
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+    meta = {k: v for k, v in vars(traj).items() if k not in ("t", "w", "wdot")}
+    with open(sidecar_path, "w") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")

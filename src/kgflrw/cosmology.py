@@ -8,7 +8,7 @@ scale functions, through one log scale factor L = log(a/a0):
 
 on [0, T0), where T0 is finite exactly when (1+sigma) H < 0.  r(t) and b(t)
 derive from L, M^2 from the bracket 1 + q H t / 2, and `background_arrays`
-gives (log a, r, M^2).  Tests check the cone by quadrature, M^2 by differences.
+gives (log a, log r, M^2).  Tests check the cone by quadrature, M^2 by differences.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ __all__ = [
 _HORIZON_CLAMP = 1.0 - 1e-12
 # Fraction of a finite T0 at which runs, and the threshold grids, end.
 _RUN_END = 1.0 - 1e-9
+# Beyond this log, r(t) or expm1(e L) is within e^10 of the float maximum, and
+# `_log_cone` takes log r in closed form.
+_LOG_R_FAR = 700.0
 # Below the smallest normal float a product e L has lost bits, while
 # expm1(e L)/e and log1p(e L)/e equal L to round-off: the cone uses L there.
 _TINY = sys.float_info.min
@@ -292,20 +295,12 @@ class Background:
         """log b from log a(t) and log r(t); also over arrays, where b itself overflows."""
         return math.log(lam) + expo * (self.log_wn_2n + log_a + 2.0 * log_r)
 
-    def weight(self, lam: float, p: float) -> Callable[[float], float]:
-        """b(t) = lambda * (omega_n^(2/n) a(t) r(t)^2)^(-n(p-1)/2) as a function of t.
-
-        The second value of `mass_sq_weight`; checks lambda > 0 and p > 1 once.
-        """
-        coefficients = self.mass_sq_weight(lam, p)
-        return lambda t: coefficients(t)[1]
-
     def mass_sq_weight(self, lam: float, p: float) -> Callable[[float], tuple[float, float]]:
         """(M^2(t), b(t)) as a function of t, checking t and taking L once per call.
 
         The comparison ODE's right side: `_mass_sq` and `b` of a(t), r(t), so
-        it equals `mass_sq` and `weight` bit for bit.  Checks lambda > 0 and
-        p > 1 once.
+        it equals `mass_sq` and `b` bit for bit.  Checks lambda > 0 and p > 1
+        once.
         """
         expo = weight_exponent(self.params.n, lam, p)
         check, log_a, cone, mass_sq, b = self.check_time, self._log_a, self._r, self._mass_sq, self.b
@@ -389,10 +384,11 @@ def classify_regime(params: CosmologyParams) -> Regime:
 
 
 def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
-    """Vectorized (log a(t), r(t), M^2(t)) over an array of times in [0, T0).
+    """Vectorized (log a(t), log r(t), M^2(t)) over an array of times in [0, T0).
 
     Evaluates the scalar Background bodies with numpy's functions, for the
-    threshold grids; log a = log a0 + L is finite where a(t) is not.
+    threshold grids.  log a = log a0 + L is finite where a(t) is not, and
+    log r (`_log_cone`) where r(t) is not.
     """
     import numpy as np
 
@@ -402,9 +398,31 @@ def background_arrays(params: CosmologyParams, r0: float, ts) -> tuple:
         raise DomainError("times must lie in [0, T0)")
     ts = np.minimum(ts, bg.t_clamp)
     L = bg._log_a(ts, np)
-    # r(t) can overflow to inf just before a crunch; expm1(e L)/e is 0/0 at e = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return math.log(bg.a0) + L, bg._r(ts, L, np), bg._mass_sq(ts)
+    # expm1(e L)/e is 0/0 at e = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return math.log(bg.a0) + L, _log_cone(bg, ts, L), bg._mass_sq(ts)
+
+
+def _log_cone(bg: Background, ts, L):
+    """log r(t) over arrays, as the log of `Background._r` or in closed form.
+
+    Where e H > 0, r ~ c/(a0 H e) (a/a0)^e grows.  Where moreover e L > 1
+    and e L or e L + log(c/(a0 H e)) passes `_LOG_R_FAR`,
+    log r = e L + log(c/(a0 H e)) + log1p((r0 a0 H e/c - 1) e^(-e L)), and
+    r itself is not formed.
+    """
+    import numpy as np
+
+    e = bg.cone_exp
+    if e * bg.H > 0:
+        # log(c/(a0 H e)) from logs, as c/(a0 H e) itself may overflow
+        lead = math.log(bg.c / bg.a0) - math.log(abs(bg.H)) - math.log(abs(e))
+        eL = e * L
+        far = eL > min(max(_LOG_R_FAR - lead, 1.0), _LOG_R_FAR)
+        if far.any():
+            closed = eL + lead + np.log1p((bg.r0 * math.exp(-lead) - 1.0) * np.exp(-eL))
+            return np.where(far, closed, np.log(bg._r(ts, np.where(far, 0.0, L), np)))
+    return np.log(bg._r(ts, L, np))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cosmology import CosmologyParams, background, scale_factor, unit_ball_volume
+from .cosmology import CosmologyParams, background, unit_ball_volume
 
 __all__ = [
     "FieldState",
@@ -109,14 +109,8 @@ def bump_profile(r: np.ndarray, r0: float) -> np.ndarray:
     return out
 
 
-def spatial_mean(state_or_u, n: int, r: Optional[np.ndarray] = None) -> float:
-    """Integral of the field over space: n omega_n int u r^(n-1) dr (Simpson)."""
-    if isinstance(state_or_u, FieldState):
-        u, r = state_or_u.u, state_or_u.r
-    else:
-        u = state_or_u
-        if r is None:
-            raise ValueError("grid required when passing a bare array")
+def spatial_mean(u: np.ndarray, n: int, r: np.ndarray) -> float:
+    """Integral of u over space on the grid r: n omega_n int u r^(n-1) dr (Simpson)."""
     return float(_mean_weights(r, n) @ u)
 
 
@@ -151,8 +145,7 @@ def init_field(
     r_max: float,
     num_nodes: int,
     w0: float,
-    w1: Optional[float] = None,
-    w1_over_w0: Optional[float] = None,
+    w1: float = 0.0,
 ) -> FieldState:
     """Smooth compact bump data with prescribed spatial means.
 
@@ -172,10 +165,7 @@ def init_field(
     base = spatial_mean(shape, n, r)
     if base <= 0:
         raise ResolutionError("bump quadrature degenerated")
-    amp = w0 / base
-    u = amp * shape
-    if w1 is None:
-        w1 = w1_over_w0 * w0 if w1_over_w0 is not None else 0.0
+    u = (w0 / base) * shape
     v = (w1 / base) * shape
     return FieldState(r=r, u=u, v=v, t=0.0)
 
@@ -323,17 +313,18 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float, a0: fl
 
 
 def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
-         dt: Optional[float] = None, safety: float = 0.4) -> FieldState:
+         dt: Optional[float] = None) -> FieldState:
     """One classical RK4 step of the first-order system (u, v), in Nystrom form.
 
     Only the first ``_window`` nodes are stepped and the rest are set to zero.
     Each stepped node sees the same arithmetic as on the full grid, so the
     result equals a full-grid step bit for bit, and a step of `run_until`.
+    ``dt`` defaults to `cfl_dt`.
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
     if dt is None:
-        dt = cfl_dt(params, state, safety)
+        dt = cfl_dt(params, state)
     m, u, v = _window(state.u, state.v, state.u.size), np.zeros_like(state.u), np.zeros_like(state.v)
     bg, t = background(params), state.t
     diverged = _advance(bg, lam, p, _stencil(state.r, params.n), t, dt, bg.a(t), bg.mass_sq(t),
@@ -342,31 +333,25 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     return FieldState(state.r, u, v, t + dt, diverged, state.data_scale)
 
 
-def support_radius(state: FieldState, scale: Optional[float] = None) -> float:
-    """Outermost radius where the field is numerically nonzero.
+def support_radius(state: FieldState, scale: float) -> float:
+    """Outermost radius where max(|u|, |v|) exceeds _SUPPORT_REL_TOL times ``scale``; 0 if none.
 
-    Nonzero means exceeding _SUPPORT_REL_TOL times ``scale``, by default the
-    current sup of max(|u|, |v|).  Long runs should pass the running peak
-    sup-norm as the scale instead: a centered second-order scheme sheds a
-    dispersive precursor ahead of the true front whose absolute size is set
-    by the data scale, so measuring against a decaying current sup would
-    mistake that numerical dust for genuine support.
+    Runs pass the running peak sup-norm as the scale: a centered
+    second-order scheme sheds a dispersive precursor ahead of the true front
+    whose absolute size is set by the data scale, so measuring against a
+    decaying current sup would mistake that numerical dust for genuine
+    support.
     """
     mag = np.maximum(np.abs(state.u), np.abs(state.v))
-    top = float(np.max(mag))
-    if scale is None:
-        scale = top
-    if top == 0.0 or scale <= 0.0:
-        return 0.0
     idx = np.nonzero(mag > _SUPPORT_REL_TOL * scale)[0]
     return float(state.r[idx[-1]]) if idx.size else 0.0
 
 
-def energy(state: FieldState, params: CosmologyParams, lam: float = 0.0) -> float:
-    """Conserved energy of the linear constant-background flow.
+def energy(state: FieldState, params: CosmologyParams) -> float:
+    """Conserved energy of the linear (lam = 0) flow on a static background.
 
     E = 1/2 int (c^-2 v^2 + a0^-2 u_r^2 + m^2 u^2) n omega_n r^(n-1) dr.
-    Only meaningful (and only allowed) for lam = 0 on a static background.
+    Only meaningful, and only allowed, on a static background.
 
     The gradient term is evaluated in summation-by-parts form,
     int u_r^2 r^(n-1) dr = -int u (Delta u) r^(n-1) dr for fields vanishing
@@ -376,8 +361,8 @@ def energy(state: FieldState, params: CosmologyParams, lam: float = 0.0) -> floa
     error rather than finite-difference error in a separately reconstructed
     u_r.
     """
-    if lam != 0.0 or params.H != 0.0:
-        raise ValueError("energy conservation only holds for lam = 0 on a static background")
+    if params.H != 0.0:
+        raise ValueError("energy conservation only holds on a static background")
     return _energy(state, params, _stencil(state.r, params.n))
 
 
@@ -397,21 +382,21 @@ def _energy(state: FieldState, params: CosmologyParams, st: _Stencil) -> float:
 
 def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, t_end: float,
               r0: float, output_interval: Optional[float] = None, safety: float = 0.4,
-              keep_snapshots: bool = False, check_cone: bool = True) -> Diagnostics:
+              keep_snapshots: bool = False) -> Diagnostics:
     """Advance with CFL steps to t_end, divergence, or the horizon cap.
 
     Diagnostics are recorded every ``output_interval`` (default t_end/200).
+    The grid must cover the light cone r(t) at the last time, else ValueError.
     A cone-containment failure raises ConeViolationError: the numerical
     support must stay within r(t) + 2 dr.
     """
     bg = background(params, r0)
     t_cap = min(t_end, bg.t_end_cap)
-    if check_cone:
-        r_need = bg.r(t_cap)
-        if state.r[-1] <= r_need:
-            raise ValueError(
-                f"outer radius {state.r[-1]} does not cover the light cone r({t_cap}) = {r_need}"
-            )
+    r_need = bg.r(t_cap)
+    if state.r[-1] <= r_need:
+        raise ValueError(
+            f"outer radius {state.r[-1]} does not cover the light cone r({t_cap}) = {r_need}"
+        )
     if output_interval is None:
         output_interval = t_cap / 200.0
     weights = _mean_weights(state.r, params.n)
@@ -441,7 +426,7 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
         diag.mass_integral.append(mass_acc)
         if keep_snapshots:
             diag.snapshots.append((st.t, st.u.copy(), st.v.copy()))
-        if check_cone and live and sr > rc + 2.0 * st.dr:
+        if live and sr > rc + 2.0 * st.dr:
             raise ConeViolationError(
                 f"support radius {sr} exceeds cone radius {rc} + 2 dr at t = {st.t}"
             )

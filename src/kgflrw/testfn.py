@@ -139,11 +139,11 @@ def _holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def psi_pow(R: float, p: float, t, radius, cutoff: Optional[CutoffProfile] = None):
+def psi_pow(R: float, p: float, t, radius):
     """psi_R(t, x)^p' = eta(t/R)^p' eta(|x|/R)^p' with p' = p/(p-1)."""
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    cut = cutoff or build_cutoff()
+    cut = build_cutoff()
     pp = _holder_conjugate(p)
     t_arr = np.asarray(t, dtype=float)
     r_arr = np.asarray(radius, dtype=float)
@@ -178,9 +178,9 @@ def _pow_first_deriv_factor(cut: CutoffProfile, s: np.ndarray, pp: float) -> np.
     return out
 
 
-def dtt_psi_pow(R: float, p: float, t, radius, cutoff: Optional[CutoffProfile] = None):
+def dtt_psi_pow(R: float, p: float, t, radius):
     """Second time derivative of psi_R^p', in closed form."""
-    cut = cutoff or build_cutoff()
+    cut = build_cutoff()
     pp = _holder_conjugate(p)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
@@ -188,15 +188,13 @@ def dtt_psi_pow(R: float, p: float, t, radius, cutoff: Optional[CutoffProfile] =
     return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
 
 
-def lap_psi_pow(
-    R: float, p: float, t, radius, n: int, cutoff: Optional[CutoffProfile] = None
-):
+def lap_psi_pow(R: float, p: float, t, radius, n: int):
     """Spatial Laplacian of psi_R^p' for radial x, in closed form.
 
     Delta f(|x|) = f'' + (n-1)/|x| f'; the first-derivative term vanishes
     identically on the plateau, so the origin needs no special casing.
     """
-    cut = cutoff or build_cutoff()
+    cut = build_cutoff()
     pp = _holder_conjugate(p)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
@@ -219,7 +217,6 @@ def verify_cutoff_bounds(
     p: float,
     n: int = 1,
     grid_size: int = 10_000,
-    cutoff: Optional[CutoffProfile] = None,
 ) -> dict:
     """Measure the constants in the cutoff derivative bounds.
 
@@ -229,20 +226,20 @@ def verify_cutoff_bounds(
     depend only on t/R and |x|/R), so the report also carries the relative
     variation across the R list, which should be at roundoff level.
     """
-    cut = cutoff or build_cutoff()
+    cut = build_cutoff()
     pp = _holder_conjugate(p)
     constants = {}
     for R in R_list:
         s = np.linspace(0.5, 1.0, grid_size + 1)[1:-1]
         t_vals = s * R
         # the time quotient is maximized on the spatial plateau (eta_x = 1)
-        num_t = R**2 * np.abs(dtt_psi_pow(R, p, t_vals, np.zeros_like(t_vals), cut))
+        num_t = R**2 * np.abs(dtt_psi_pow(R, p, t_vals, np.zeros_like(t_vals)))
         den = cut.eta(s) ** (pp - 1.0)
         live = cut.eta(s) > _ETA_FLOOR
         const_t = float(np.max(num_t[live] / den[live]))
         # likewise the space quotient on the temporal plateau (eta_t = 1)
         r_vals = s * R
-        num_x = R**2 * np.abs(lap_psi_pow(R, p, np.zeros_like(r_vals), r_vals, n, cut))
+        num_x = R**2 * np.abs(lap_psi_pow(R, p, np.zeros_like(r_vals), r_vals, n))
         const_x = float(np.max(num_x[live] / den[live]))
         constants[R] = (const_t, const_x)
     t_consts = [c[0] for c in constants.values()]
@@ -284,20 +281,18 @@ def II_prime(
     r0: float,
     R: float,
     tol: float = 1e-10,
-    return_flag: bool = False,
-):
+) -> float:
     """Cutoff-layer growth integral omega_n int_{R/2}^R min(R, r(t))^n a^(n/2) dt.
 
     a(t) and r(t) come from the problem's `Background`, and the kink where
     the cone reaches R is its closed-form `cone_time(R)`.  Truncated at the
-    horizon when the spacetime ends before t = R (flagged through
-    ``return_flag``).  Returns inf when the integral diverges at the horizon.
+    horizon when the spacetime ends before t = R.  Returns inf when the
+    integral diverges at the horizon.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     bg = background(params, r0)
-    truncated = bg.t0 < R
-    upper = bg.t_clamp if truncated else R
+    upper = bg.t_clamp if bg.t0 < R else R
     n = params.n
     wn = unit_ball_volume(n)
 
@@ -305,8 +300,7 @@ def II_prime(
         a, r = bg.a_r(t)
         return min(R, r) ** n * a ** (n / 2.0)
 
-    val = wn * _guarded_quad(integrand, R / 2.0, upper, [bg.cone_time(R)], tol)
-    return (val, truncated) if return_flag else val
+    return wn * _guarded_quad(integrand, R / 2.0, upper, [bg.cone_time(R)], tol)
 
 
 def III_prime(
@@ -315,30 +309,27 @@ def III_prime(
     R: float,
     p: float,
     tol: float = 1e-10,
-    return_flag: bool = False,
-):
+) -> float:
     """Annulus growth integral int_0^R a^(n/2-2p') vol(R/2 < |x| < min(R, r(t))) dt.
 
     The integrand starts where the cone enters the annulus,
     `Background.cone_time(R/2)`, or at t = 0 when r0 >= R/2 and the cone
     starts inside it, and has its kink at `cone_time(R)`.  Exactly zero
     when the light cone never reaches radius R/2 before both t = R and the
-    horizon; truncation at the horizon is flagged as for II_prime.
+    horizon; truncated at the horizon as II_prime is.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     pp = _holder_conjugate(p)
     bg = background(params, r0)
-    truncated = bg.t0 < R
-    upper = bg.t_clamp if truncated else R
+    upper = bg.t_clamp if bg.t0 < R else R
     n = params.n
     wn = unit_ball_volume(n)
     half_vol = (R / 2.0) ** n
 
     t_entry = 0.0 if r0 >= R / 2.0 else bg.cone_time(R / 2.0)
     if t_entry is None or t_entry >= upper:
-        val = 0.0
-        return (val, truncated) if return_flag else val
+        return 0.0
 
     def integrand(t):
         a, r = bg.a_r(t)
@@ -347,8 +338,7 @@ def III_prime(
             return 0.0
         return a ** (n / 2.0 - 2.0 * pp) * wn * annulus
 
-    val = _guarded_quad(integrand, t_entry, upper, [bg.cone_time(R)], tol)
-    return (val, truncated) if return_flag else val
+    return _guarded_quad(integrand, t_entry, upper, [bg.cone_time(R)], tol)
 
 
 @dataclass
@@ -367,18 +357,15 @@ class ScalingFit:
     note: str = ""
 
 
-def scaling_exponent(
-    integral: Callable[[float], float],
-    R_grid: Sequence[float],
-    with_log_factor: bool = False,
-) -> ScalingFit:
+def scaling_exponent(integral: Callable[[float], float], R_grid: Sequence[float]) -> ScalingFit:
     """Fit the growth of integral(R) on a log-spaced grid.
 
     Fits log I = slope * log R + intercept by least squares and reports the
     root-mean-square log residual.  When the power-law residual is large
     but log I is linear in R itself, the growth is flagged exponential and
-    the rate in R is reported instead.  ``with_log_factor`` adds a
-    log-log R term to absorb logarithmic corrections to a power law.
+    the rate in R is reported instead.  Otherwise a log-log R term is also
+    fitted where log R > 1, and kept when it absorbs a logarithmic
+    correction to the power law.
     """
     R_arr = np.asarray(list(R_grid), dtype=float)
     vals = np.array([float(integral(R)) for R in R_arr])
@@ -405,7 +392,7 @@ def scaling_exponent(
     exponential = resid_pow > 0.1 and resid_exp < 0.2 * resid_pow
 
     log_power = None
-    if with_log_factor and not exponential:
+    if not exponential:
         usable = x > 1.0
         if usable.sum() >= 4:
             A = np.column_stack([x[usable], np.log(x[usable]), np.ones_like(x[usable])])
@@ -516,8 +503,8 @@ def hypothesis_13_14(
 
     grid_ii = list(R_grid) if R_grid is not None else _adaptive_R_grid(ii, scale)
     grid_iii = list(R_grid) if R_grid is not None else _adaptive_R_grid(iii, scale)
-    fit_ii = scaling_exponent(ii, grid_ii, with_log_factor=True)
-    fit_iii = scaling_exponent(iii, grid_iii, with_log_factor=True)
+    fit_ii = scaling_exponent(ii, grid_ii)
+    fit_iii = scaling_exponent(iii, grid_iii)
 
     # a tail of exact zeros at large R means the annulus integral vanished
     vals_iii = np.asarray(fit_iii.values)
@@ -546,7 +533,6 @@ def weak_identity_residual(
     lam: float,
     p: float,
     R: float,
-    cutoff: Optional[CutoffProfile] = None,
     return_parts: bool = False,
 ):
     """Residual of the weak-solution identity on stored solver snapshots.
@@ -567,7 +553,7 @@ def weak_identity_residual(
     """
     from scipy.integrate import simpson
 
-    cut = cutoff or build_cutoff()
+    cut = build_cutoff()
     pp = _holder_conjugate(p)
     snaps = getattr(diag, "snapshots", None)
     if not snaps:
@@ -622,8 +608,8 @@ def weak_identity_residual(
     return residual
 
 
-def save_scaling_fit(fit: ScalingFit, csv_path, json_path=None) -> None:
-    """Persist the (R, value) table as CSV and the fit metadata as JSON."""
+def save_scaling_fit(fit: ScalingFit, csv_path, json_path) -> None:
+    """Persist the (R, value) table as CSV and the other `ScalingFit` fields as JSON."""
     import csv as _csv
 
     with open(csv_path, "w", newline="") as fh:
@@ -631,17 +617,7 @@ def save_scaling_fit(fit: ScalingFit, csv_path, json_path=None) -> None:
         writer.writerow(["R", "value"])
         for R, v in zip(fit.R, fit.values):
             writer.writerow([repr(float(R)), repr(float(v))])
-    if json_path is not None:
-        meta = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "exponential": fit.exponential,
-            "exp_rate": fit.exp_rate,
-            "log_factor_power": fit.log_factor_power,
-            "all_zero": fit.all_zero,
-            "note": fit.note,
-        }
-        with open(json_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    meta = {k: v for k, v in vars(fit).items() if k not in ("R", "values")}
+    with open(json_path, "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")

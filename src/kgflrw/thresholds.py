@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Optional, Union
@@ -84,7 +85,7 @@ def nonlinearity_weight(
 
     Strictly positive for lambda > 0; equivalently
     lambda / (omega_n^(p-1) (a r^2)^(n(p-1)/2)).  Repeated evaluation on one
-    background should use ``background(params, r0).weight(lam, p)``.
+    background should use ``background(params, r0).mass_sq_weight(lam, p)``.
     """
     expo = weight_exponent(params.n, lam, p)
     a = scale_factor(params, t)
@@ -108,7 +109,7 @@ def damping_rate_N(
     if N_user is not None:
         if N_user < 0:
             raise ValueError(f"N must be nonnegative, got {N_user}")
-        _require_mass_window(params, N_user, bounds)
+        _require_mass_window(N_user, bounds)
         return N_user, "raw"
 
     shift_abs = (n * H / (2.0 * c)) ** 2
@@ -146,9 +147,7 @@ def damping_rate_N(
     return N, "raw"
 
 
-def _require_mass_window(params: CosmologyParams, N: float, bounds=None) -> None:
-    if bounds is None:
-        bounds = curved_mass_bounds(params)
+def _require_mass_window(N: float, bounds) -> None:
     if not math.isfinite(bounds.inf_m_sq):
         raise CaseMismatchError("M^2 is unbounded below; the mass hypothesis fails for any N")
     if N * N + bounds.inf_m_sq < -1e-10 * (1.0 + N * N):
@@ -165,30 +164,29 @@ def _unit_log_grid(grid_size: int):
     return grid
 
 
-def _log_grid_sup(bg, N: float, log_value, grid_size: int, t_max: Optional[float] = None):
+def _log_grid_sup(bg, N: float, log_value, grid_size: int):
     """Grid maximum of a data threshold's log integrand: (top, ts, best).
 
-    ``log_value(ts, log_a, r, log_window)`` is the log integrand from the
-    times, log a(t) (a itself is never formed), r(t) and log(N^2 + M^2(t));
-    times where N^2 + M^2 vanishes count as zero.  The grid is t = 0 plus
-    ``grid_size`` points log-spaced over six decades below t_max (default
-    1e3 max(1, 1/cN), capped before a finite horizon); logs survive huge
-    scale factors.  ``top`` is -inf when every sample is zero and inf above
-    the overflow guard.
+    ``log_value(ts, log_a, log_r, log_window)`` is the log integrand from the
+    times, log a(t), log r(t) and log(N^2 + M^2(t)), none of which overflows
+    where a(t) or r(t) would; times where N^2 + M^2 vanishes count as zero.
+    The grid is t = 0 plus ``grid_size`` points log-spaced over six decades
+    below t_max = 1e3 max(1, 1/cN), kept finite and capped before a finite
+    horizon.  ``top`` is -inf when every sample is zero and inf above the
+    overflow guard.
     """
     import numpy as np
 
-    if t_max is None:
-        t_max = 1e3 * max(1.0, 1.0 / (bg.c * N)) if N > 0 else 1e3
-    t_max = min(t_max, bg.t_end_cap)
+    t_max = 1e3 * max(1.0, 1.0 / (bg.c * N)) if N > 0 else 1e3
+    t_max = min(t_max, bg.t_end_cap, sys.float_info.max)
     ts = np.concatenate(([0.0], t_max * _unit_log_grid(grid_size)))
-    log_a, r, msq = background_arrays(bg.params, bg.r0, ts)
+    log_a, log_r, msq = background_arrays(bg.params, bg.r0, ts)
     window = N * N + msq
     # the mass hypothesis makes inf(N^2 + M^2) = 0; clamp roundoff residue
     zero = window <= 1e-12 * (N * N + np.abs(msq) + 1.0)
     window[zero] = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_vals = log_value(ts, log_a, r, np.log(window))
+        log_vals = log_value(ts, log_a, log_r, np.log(window))
     log_vals[zero] = -np.inf
     best = int(np.argmax(log_vals))
     top = float(log_vals[best])
@@ -206,16 +204,17 @@ def threshold_S(
     p: float,
     theta: float,
     N: float,
-    t_max: Optional[float] = None,
-    grid_size: int = 10_000,
 ) -> float:
     """S = sup_t e^(-cNt) ((N^2 + M^2(t)) / ((1-theta) b(t)))^(1/(p-1)).
 
-    Supremum of its log over a log-spaced grid of log a(t), r(t) and M^2(t),
-    then golden-section refinement near the grid maximizer on one
-    `mass_sq_weight` closure; inf when sampled values exceed the overflow
-    guard.  Negative values of N^2 + M^2 (round-off under the mass
-    hypothesis) contribute zero.  The last result is memoized.
+    Supremum of its log over a grid of 10,000 times from log a(t), log r(t)
+    and M^2(t), which stay finite where a(t) and r(t) do not; then
+    golden-section refinement near the grid maximizer on one
+    `mass_sq_weight` closure.  inf when sampled values exceed the overflow
+    guard, or when the maximizer lies where r(t) overflows, which the
+    grid reaches only where the integrand still grows.  Negative values of
+    N^2 + M^2 (round-off under the mass hypothesis) contribute zero.  The
+    last result is memoized.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -224,17 +223,20 @@ def threshold_S(
     bg = background(params, r0)
     expo = weight_exponent(params.n, lam, p)
 
-    def log_value(ts, log_a, r, log_window):
-        log_b = bg.log_b(log_a, np.log(r), lam, expo)
+    def log_value(ts, log_a, log_r, log_window):
+        log_b = bg.log_b(log_a, log_r, lam, expo)
         return -params.c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
 
-    top, ts, best = _log_grid_sup(bg, N, log_value, grid_size, t_max)
+    top, ts, best = _log_grid_sup(bg, N, log_value, 10_000)
     if not math.isfinite(top):
         return math.exp(top)
     coefficients = bg.mass_sq_weight(lam, p)
 
     def f(t):
-        msq, b = coefficients(t)
+        try:
+            msq, b = coefficients(t)
+        except OverflowError:  # r(t) leaves the float range
+            return math.inf
         val = N * N + msq
         if val <= 1e-12 * (N * N + abs(msq) + 1.0):
             return 0.0
@@ -272,19 +274,11 @@ def critical_exponent_p0(n: int, sigma: Number) -> Number:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     exact = isinstance(sigma, (int, Fraction))
+    s = Fraction(sigma) if exact else sigma
     boundary = Fraction(-1) - Fraction(2, n)
-    if exact:
-        sig = Fraction(sigma)
-        if sig > boundary:
-            raise ValueError(f"sigma must satisfy sigma <= -1 - 2/n, got {sigma}")
-        num = n * ((n + 1) * (sig + 1) + 1)
-        den = n * (n - 1) * (sig + 1) + n - 4
-        return num / den
-    if sigma > float(boundary) + 1e-15:
+    if s > (boundary if exact else float(boundary) + 1e-15):
         raise ValueError(f"sigma must satisfy sigma <= -1 - 2/n, got {sigma}")
-    num = n * ((n + 1) * (sigma + 1.0) + 1.0)
-    den = n * (n - 1) * (sigma + 1.0) + n - 4.0
-    return num / den
+    return n * ((n + 1) * (s + 1) + 1) / (n * (n - 1) * (s + 1) + n - 4)
 
 
 def admissible_p_range(params: CosmologyParams) -> tuple[float, float]:
@@ -357,15 +351,13 @@ def check_hypotheses(
     p: float,
     theta: float = 0.5,
     N_user: Optional[float] = None,
-    numeric_scaling: bool = False,
 ) -> ThresholdReport:
     """Full hypothesis ledger and admissibility verdict for one point.
 
     The scaling-limit hypotheses are decided by the analytic condition
-    ladder; with ``numeric_scaling`` the cutoff integrals are also fitted
-    numerically and any disagreement is flagged.  The space-time integral
-    condition on M^2 u constrains the unknown solution and is recorded as
-    diagnostic-only.
+    ladder; `testfn.hypothesis_13_14` decides them numerically.  The
+    space-time integral condition on M^2 u constrains the unknown solution
+    and is recorded as diagnostic-only.
     """
     flags: dict = {}
     reasons: list[str] = []
@@ -402,15 +394,6 @@ def check_hypotheses(
             reasons.append("(1.13) fails")
         if not flags["h14"]:
             reasons.append("(1.14) fails")
-    if numeric_scaling:
-        from .testfn import hypothesis_13_14
-
-        ev = hypothesis_13_14(params, data.r0, p)
-        flags["h13_numeric"] = ev.h13_numeric
-        flags["h14_numeric"] = ev.h14_numeric
-        flags["scaling_disagreement"] = ladder is not None and (
-            ev.h13_numeric != flags["h13"] or ev.h14_numeric != flags["h14"]
-        )
     flags["mass_integral_1_15"] = "diagnostic-only"
 
     if case_label in {"1", "2", "3"}:
@@ -439,20 +422,20 @@ def _prior_w1_floor(params: CosmologyParams, data, lam, p, theta, N) -> float:
     return max(c * N * data.w0, extra)
 
 
-def _prior_S(params: CosmologyParams, r0, lam, p, theta, N, grid_size=4000) -> float:
-    """Earlier-work data threshold: the sup carries max{a0 r0^2, a r^2}."""
+def _prior_S(params: CosmologyParams, r0, lam, p, theta, N) -> float:
+    """Earlier-work data threshold: the sup carries max{a0 r0^2, a r^2}, on 4,000 grid times."""
     import numpy as np
 
     log_wn, log_bulk0 = math.log(unit_ball_volume(params.n)), math.log(params.a0 * r0 * r0)
 
-    def log_value(ts, log_a, r, log_window):
-        log_bulk = params.n / 2.0 * np.maximum(log_bulk0, log_a + 2.0 * np.log(r))
+    def log_value(ts, log_a, log_r, log_window):
+        log_bulk = params.n / 2.0 * np.maximum(log_bulk0, log_a + 2.0 * log_r)
         return (
             log_wn - params.c * N * ts + log_bulk
             + (log_window - math.log((1.0 - theta) * lam)) / (p - 1.0)
         )
 
-    top, _, _ = _log_grid_sup(background(params, r0), N, log_value, grid_size)
+    top, _, _ = _log_grid_sup(background(params, r0), N, log_value, 4000)
     return math.exp(top)
 
 

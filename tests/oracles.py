@@ -117,8 +117,12 @@ def _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size, t_max=None):
     return (math.inf if top > math.log(1e30) else top), ts, best
 
 
-def threshold_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=10_000):
-    """`threshold_S` on the grid above, refined by golden section on a power of the bracket."""
+def threshold_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=10_000, t_max=None):
+    """`threshold_S` on the grid above, refined by golden section on a power of the bracket.
+
+    ``t_max`` ends the grid before its default 1e3 max(1, 1/cN), to stay
+    clear of times where r(t) overflows.
+    """
     n, c = params.n, params.c
     expo = -n * (p - 1.0) / 2.0
     log_wn_2n = 2.0 / n * math.log(unit_ball_volume(n))
@@ -127,7 +131,7 @@ def threshold_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=10_000)
         log_b = math.log(lam) + expo * (log_wn_2n + np.log(a) + 2.0 * np.log(r))
         return -c * N * ts + (log_window - math.log(1.0 - theta) - log_b) / (p - 1.0)
 
-    top, ts, best = _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size)
+    top, ts, best = _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size, t_max)
     if not math.isfinite(top):
         return math.exp(top)
 

@@ -186,7 +186,7 @@ def test_acceptance_5_blowup_oracle(capsys):
             params=CosmologyParams(n=1, c=c), r0=1.0, lam=1.0, p=p,
             theta=0.5, N=0.0, w0=w0, w1=oracle.w1(),
             t_end=2.0 * oracle.t_star,
-            mass_sq_fn=lambda t: 0.0, weight_fn=lambda t, b=b: b,
+            coefficients_fn=lambda t, b=b: (0.0, b),
         )
         traj = integrate_comparison(problem)
         if not traj.blowup:

@@ -24,16 +24,15 @@ from kgflrw.cosmology import Background, CosmologyParams, DomainError
 from kgflrw.thresholds import damping_rate_N, threshold_S
 
 
-def _oracle_problem(p=2.0, b=1.0, w0=1.0, c=1.0, t_end_factor=2.0):
-    """Synthetic constant-weight, zero-mass problem with the matched slope."""
+def _oracle_problem(p=2.0, b=1.0, w0=1.0, c=1.0, t_end_factor=2.0, m_sq=0.0):
+    """Synthetic constant-weight, constant-mass problem with the oracle's slope (exact at m_sq = 0)."""
     oracle = closed_form_oracle(p, b, w0, c=c)
     problem = OdeProblem(
         params=CosmologyParams(n=1, c=c),
         r0=1.0, lam=1.0, p=p, theta=0.5, N=0.0,
         w0=w0, w1=oracle.w1(),
         t_end=t_end_factor * oracle.t_star,
-        mass_sq_fn=lambda t: 0.0,
-        weight_fn=lambda t: b,
+        coefficients_fn=lambda t: (m_sq, b),
     )
     return problem, oracle
 
@@ -81,7 +80,7 @@ class TestIntegrator:
             params=CosmologyParams(n=1, m_sq=4.0),
             r0=1.0, lam=1.0, p=2.0, theta=0.5, N=0.0,
             w0=1.0, w1=0.0, t_end=10.0,
-            weight_fn=lambda t: 0.0,
+            coefficients_fn=lambda t: (4.0, 0.0),
         )
         traj = integrate_comparison(problem)
         assert not traj.blowup
@@ -104,7 +103,7 @@ class TestIntegrator:
             params=CosmologyParams(n=3, H=-1.0, sigma=0.0, m_sq=0.5),
             r0=0.5, lam=1.0, p=2.0, theta=0.5, N=0.0,
             w0=0.1, w1=0.0, t_end=10.0,
-            weight_fn=lambda t: 0.0,
+            coefficients_fn=lambda t: (0.5, 0.0),  # M^2 = m^2 at sigma = 0
         )
         traj = integrate_comparison(problem)
         assert traj.t[-1] <= 2.0 / 3.0
@@ -276,8 +275,7 @@ class TestBackgroundPath:
             prm, r0, lam, p = problem.params, problem.r0, problem.lam, problem.p
             per_call = dataclasses.replace(
                 problem,
-                mass_sq_fn=lambda t: _per_call_mass_sq(prm, t),
-                weight_fn=lambda t: _per_call_weight(prm, r0, lam, p, t),
+                coefficients_fn=lambda t: (_per_call_mass_sq(prm, t), _per_call_weight(prm, r0, lam, p, t)),
             )
             fast = integrate_comparison(problem, rtol=1e-8)
             ref = integrate_comparison(per_call, rtol=1e-8)
@@ -296,8 +294,7 @@ class TestBackgroundPath:
         # the oracle run rejects no step, so a tachyonic mass is added
         calls = []
         problem, _ = _oracle_problem()
-        counting = dataclasses.replace(problem, mass_sq_fn=lambda t: -1.0,
-                                       weight_fn=lambda t: calls.append(t) or 1.0)
+        counting = dataclasses.replace(problem, coefficients_fn=lambda t: calls.append(t) or (-1.0, 1.0))
         traj = integrate_comparison(counting)
         assert traj.blowup and traj.rejections > 0
         assert len(calls) == 1 + 6 * (traj.steps_accepted + traj.rejections) == traj.rhs_evals
@@ -330,11 +327,10 @@ class TestRescaledBlowup:
         # w0 -> s w0 with b -> b s^(1-p) scales the solution by s and leaves
         # t* unchanged (the oracle's at m^2 = 0); the run must not notice
         s = 1e6
-        small, oracle = _oracle_problem(p=p, b=1.0, w0=1.0)
-        large, oracle_large = _oracle_problem(p=p, b=s ** (1.0 - p), w0=s)
+        small, oracle = _oracle_problem(p=p, b=1.0, w0=1.0, m_sq=m_sq)
+        large, oracle_large = _oracle_problem(p=p, b=s ** (1.0 - p), w0=s, m_sq=m_sq)
         assert oracle_large.t_star == pytest.approx(oracle.t_star, rel=1e-14)
-        a, b = (integrate_comparison(dataclasses.replace(prob, mass_sq_fn=lambda t: m_sq))
-                for prob in (small, large))
+        a, b = (integrate_comparison(prob) for prob in (small, large))
         assert a.blowup and b.blowup
         assert a.steps_accepted == b.steps_accepted and a.rejections == b.rejections
         assert abs(a.t_star - b.t_star) <= 1e-12 * oracle.t_star
@@ -367,7 +363,7 @@ class TestRescaledBlowup:
         # signs: w = cos 3t + 2000 sin 3t
         problem = OdeProblem(
             params=CosmologyParams(n=1, m_sq=9.0), r0=1.0, lam=1.0, p=2.0, theta=0.5,
-            N=0.0, w0=1.0, w1=6000.0, t_end=10.0, weight_fn=lambda t: 0.0,
+            N=0.0, w0=1.0, w1=6000.0, t_end=10.0, coefficients_fn=lambda t: (9.0, 0.0),
         )
         traj = integrate_comparison(problem)
         assert not traj.blowup and traj.stop_reason == "t_end" and traj.t[-1] == 10.0
@@ -381,7 +377,7 @@ class TestRescaledBlowup:
         # b < 0 mirrors the oracle: w -> -w solves the problem with -b
         problem, oracle = _oracle_problem(p=2.5, b=0.7, w0=1.3)
         mirrored = dataclasses.replace(problem, w0=-problem.w0, w1=-problem.w1,
-                                       weight_fn=lambda t: -0.7)
+                                       coefficients_fn=lambda t: (0.0, -0.7))
         traj = integrate_comparison(mirrored)
         assert traj.blowup and traj.w[-1] < -1e3 * oracle.w0
         assert abs(traj.t_star - oracle.t_star) <= traj.t_star_err

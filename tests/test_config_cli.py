@@ -115,6 +115,15 @@ class TestCliCommands:
         cfg = _write_config(tmp_path, {"n": 1, "theta": 2.0})
         assert main(["threshold", "--config", cfg]) == 1
 
+    def test_usage_errors_are_exit_1(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"n": 1})
+        assert main(["regime"]) == 1  # no --config
+        assert main(["bogus"]) == 1
+        assert main(["regime", "--config", cfg, "--jobs", "2"]) == 1  # --jobs is sweep's
+        capsys.readouterr()
+        assert main(["-h"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         # grid too coarse for the bump: a solver error, not a config error
         cfg = _write_config(tmp_path, {"n": 1, "r0": 1.0, "num_nodes": 64,

@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from kgflrw.cosmology import CosmologyParams
+from kgflrw.cosmology import ConeData, CosmologyParams, cone_radius, horizon_time
 from kgflrw import testfn
 from kgflrw.field_solver import init_field, run_until
 from kgflrw.testfn import (
@@ -125,15 +126,20 @@ class TestGrowthIntegrals:
         # expanding de Sitter: the cone saturates at r0 + c/(a0 H) = 2, so
         # for R/2 > 2 the annulus never opens
         params = CosmologyParams(n=2, H=1.0, sigma=-1.0)
-        val, truncated = III_prime(params, 1.0, 8.0, 2.0, return_flag=True)
-        assert val == 0.0 and not truncated
+        assert III_prime(params, 1.0, 8.0, 2.0) == 0.0
+        assert horizon_time(params) == math.inf
 
     def test_horizon_truncation_flagged(self):
         # crunch ends at T0 = 2/3, inside the window (R/2, R) = (1/2, 1)
         params = CosmologyParams(n=3, H=-1.0, sigma=0.0)
-        val, truncated = II_prime(params, 0.5, 1.0, return_flag=True)
-        assert truncated
+        t0 = horizon_time(params)
+        assert t0 < 1.0
+        val = II_prime(params, 0.5, 1.0)
         assert math.isfinite(val) and val > 0.0
+        # the integral up to the horizon, of min(1, r)^3 a^(3/2) with a^(3/2) = 1 - 3t/2
+        cone = ConeData(0.5, params)
+        tail, _ = quad(lambda t: min(1.0, cone_radius(cone, t)) ** 3 * (1.0 - 1.5 * t), 0.5, t0)
+        assert val == pytest.approx(4.0 / 3.0 * math.pi * tail, rel=1e-8)
 
     def test_tolerance_consistency(self):
         params = CosmologyParams(n=2, H=1.0, sigma=1.0)
@@ -168,10 +174,7 @@ class TestScalingFits:
         assert fit.all_zero
 
     def test_log_factor_model(self):
-        fit = scaling_exponent(
-            lambda R: R**2 * math.log(R), [2.0**k for k in range(2, 12)],
-            with_log_factor=True,
-        )
+        fit = scaling_exponent(lambda R: R**2 * math.log(R), [2.0**k for k in range(2, 12)])
         assert fit.slope == pytest.approx(2.0, abs=1e-6)
         assert fit.log_factor_power == pytest.approx(1.0, abs=1e-6)
 
@@ -208,7 +211,7 @@ class TestScalingFits:
             # a window that overflows slides down and keeps what it already has
             assert slides or len(calls[name]) == len(fit.R) == 11
             # the fit is the one a fresh evaluation over its grid gives
-            ref = scaling_exponent(integral, fit.R, with_log_factor=True)
+            ref = scaling_exponent(integral, fit.R)
             assert np.array_equal(fit.values, ref.values)
             assert (fit.slope, fit.exponential) == (ref.slope, ref.exponential)
         assert not ev.disagreement

@@ -138,6 +138,27 @@ class TestThresholdS:
         params = CosmologyParams(n=1, m_sq=-1.0)
         assert threshold_S(params, 0.5, 1.0, 2.0, 0.5, 1.0) == 0.0
 
+    def test_finite_where_the_cone_overflows(self):
+        # contracting de Sitter: r(t) ~ e^(|H| t) overflows beyond |H| t ~ 709,
+        # inside the default grid (t_max = 1e3), while the sup sits near t = 0;
+        # the oracle's grid stops at t = 600, before the overflow
+        params = CosmologyParams(n=2, c=1.3871, m_sq=0.10485, H=-1.16688, sigma=-1.0, a0=0.5)
+        args = (params, 0.2, 1.3871, 1.2, 0.2, 1.77350)
+        ref = threshold_S_via_scale_factor(*args, t_max=600.0)
+        assert ref == pytest.approx(81.58596427711605, rel=1e-12)
+        assert threshold_S(*args) == pytest.approx(ref, rel=1e-12)
+        assert math.isfinite(thresholds._prior_S(*args))
+
+    def test_infinite_where_the_integrand_grows_into_the_overflow(self):
+        # the same family with slope n|H|/2 - cN = 0.03 > 0: the sup is infinite
+        params = CosmologyParams(n=2, m_sq=0.3, H=-1.0, sigma=-1.0)
+        assert threshold_S(params, 0.5, 1.0, 2.0, 0.5, 0.97) == math.inf
+
+    def test_tiny_N_keeps_the_grid_finite(self):
+        # 1/(cN) overflows; the grid still ends at a finite time
+        S = threshold_S(CosmologyParams(n=1), 1.0, 1.0, 2.0, 0.5, 2.2e-311)
+        assert isinstance(S, float) and S == 0.0  # N^2 + M^2 underflows to zero
+
 
 class TestThresholdOracle:
     @given(point=_regime_points(), lam=st.floats(0.5, 2.0), p=st.floats(1.2, 3.0),
