@@ -4,7 +4,9 @@ The spatial mean of the field obeys the differential inequality
 c^-2 wddot + M^2(t) w - b(t)|w|^p >= 0; this module integrates its extremal
 equality member with an embedded Dormand-Prince 5(4) pair, finds the
 finite-time divergence as the root of a rescaled variable, and verifies the
-four positivity properties the mean is guaranteed to satisfy.
+four positivity properties the mean is guaranteed to satisfy.  (M^2, b) are
+evaluated once per distinct stage time; the trajectory keeps them at its
+samples, where the positivity check reads them.
 """
 
 from __future__ import annotations
@@ -101,18 +103,24 @@ class OdeProblem:
 
 @dataclass
 class Trajectory:
-    """Accepted samples of one integration, with blow-up metadata."""
+    """Accepted samples of one integration, with blow-up metadata.
+
+    `mass_sq` and `b` are the coefficients M^2(t) and b(t) at the samples,
+    as the integrator evaluated them: bit for bit `problem.coefficients()(t)`.
+    """
 
     t: np.ndarray
     w: np.ndarray
     wdot: np.ndarray
+    mass_sq: np.ndarray
+    b: np.ndarray
     blowup: bool
     t_star: Optional[float]
     t_star_err: Optional[float]
     rejections: int
     final_dt: float
     steps_accepted: int
-    rhs_evals: int  # evaluations of the right-hand side, 1 + 6 per attempted step
+    rhs_evals: int  # right-hand sides, 1 + 6 per attempted step (on 1 + 5 (M^2, b) evaluations)
     stop_reason: str  # "t_end", "horizon" or "blowup"
     t_switch: Optional[float]  # last switch to zeta = (w_s/w)^k; None if never
 
@@ -139,8 +147,9 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     the linear root distance zeta/|zeta'|; once the quadratic term moves
     that root by at most rtol max(1, t), t* is the root of zeta's
     second-order Taylor polynomial.  A run whose |w| falls back below |w_s|
-    returns to (w, wdot).  Samples are always (t, w, wdot).  A step
-    collapse raises StiffnessError.  Runs are deterministic for fixed inputs.
+    returns to (w, wdot).  Samples are always (t, w, wdot), with the
+    (M^2, b) their last stage evaluated.  A step collapse raises
+    StiffnessError.  Runs are deterministic for fixed inputs.
     """
     t_end = min(problem.t_end, background(problem.params).t_end_cap)
     t = 0.0
@@ -152,9 +161,18 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     coef = problem.coefficients()
     switch_at = _SWITCH * (abs(problem.w0) or abs(problem.w1))
 
-    def acc_w(ti, wi, _):
+    def coefs(ti):
+        # (M^2, b) at ti, or None where evaluating them overflows
         try:
-            msq, b = coef(ti)
+            return coef(ti)
+        except OverflowError:
+            return None
+
+    def acc_w(cf, wi, _):
+        if cf is None:
+            return math.inf
+        msq, b = cf
+        try:
             return c2 * (b * abs(wi) ** p_exp - msq * wi)
         except OverflowError:
             return math.inf
@@ -164,9 +182,11 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         kc2 = k * c2
         load = kc2 * math.copysign(abs(w_s) ** (2.0 * k), w_s)
 
-        def acc(ti, z, zd):
+        def acc(cf, z, zd):
+            if cf is None:
+                return math.inf
+            msq, b = cf
             try:
-                msq, b = coef(ti)
                 return (k1 * zd * zd - load * b) / z + kc2 * msq * z
             except (OverflowError, ZeroDivisionError):
                 return math.inf
@@ -192,8 +212,12 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     b41, b42, b43, b44, b45, b46, b47 = (float(b) for b in _DP_B4)
     c2_, c3_, c4_, c5_ = (float(c) for c in _DP_C[1:5])
     # the last stage is evaluated at the accepted solution, so it is the next
-    # step's first (FSAL); a rejected step keeps its first stage
-    g1 = acc(t, x, xd)
+    # step's first (FSAL); a rejected step keeps its first stage.  Stages 6
+    # and 7 share the node t + dt and so one evaluation of (M^2, b), which
+    # the accepted sample keeps.
+    cf = coefs(t)
+    cfs = [cf]
+    g1 = acc(cf, x, xd)
     while t < t_end:
         if w_s is not None and xd < 0.0:
             # zeta = 0 is singular: stop at the Taylor root once it is resolved
@@ -207,23 +231,24 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         v1 = xd
         x2 = x + dt * a21 * v1
         v2 = xd + dt * a21 * g1
-        g2 = acc(t + c2_ * dt, x2, v2)
+        g2 = acc(coefs(t + c2_ * dt), x2, v2)
         x3 = x + dt * (a31 * v1 + a32 * v2)
         v3 = xd + dt * (a31 * g1 + a32 * g2)
-        g3 = acc(t + c3_ * dt, x3, v3)
+        g3 = acc(coefs(t + c3_ * dt), x3, v3)
         x4 = x + dt * (a41 * v1 + a42 * v2 + a43 * v3)
         v4 = xd + dt * (a41 * g1 + a42 * g2 + a43 * g3)
-        g4 = acc(t + c4_ * dt, x4, v4)
+        g4 = acc(coefs(t + c4_ * dt), x4, v4)
         x5 = x + dt * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
         v5 = xd + dt * (a51 * g1 + a52 * g2 + a53 * g3 + a54 * g4)
-        g5 = acc(t + c5_ * dt, x5, v5)
+        g5 = acc(coefs(t + c5_ * dt), x5, v5)
         x6 = x + dt * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
         v6 = xd + dt * (a61 * g1 + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5)
-        g6 = acc(t + dt, x6, v6)
+        cf = coefs(t + dt)
+        g6 = acc(cf, x6, v6)
         # 5th-order solution (FSAL row)
         x7 = x + dt * (a71 * v1 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
         v7 = xd + dt * (a71 * g1 + a73 * g3 + a74 * g4 + a75 * g5 + a76 * g6)
-        g7 = acc(t + dt, x7, v7)
+        g7 = acc(cf, x7, v7)
         x_lo = x + dt * (b41 * v1 + b43 * v3 + b44 * v4 + b45 * v5 + b46 * v6 + b47 * v7)
         v_lo = xd + dt * (b41 * g1 + b43 * g3 + b44 * g4 + b45 * g5 + b46 * g6 + b47 * g7)
         bad = not (math.isfinite(x7) and math.isfinite(v7) and math.isfinite(x_lo) and math.isfinite(v_lo))
@@ -258,6 +283,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         ts.append(t)
         ws.append(w)
         wds.append(wd)
+        cfs.append(cf)
         dt *= min(max_fac, max(min_fac, safety * (err + 1e-30) ** (-0.2)))
         # switch variables at an accepted sample; zeta'' and w'' follow from
         # the FSAL stage, so a switch costs no right-hand side
@@ -276,10 +302,13 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         t_star = t + s
         t_star_err = corr + 100.0 * rtol * max(1.0, t_star)
     stop_reason = "blowup" if blowup else "t_end" if t_end == problem.t_end else "horizon"
+    mass_sq, b = np.array(cfs, dtype=float).T
     return Trajectory(
         t=np.array(ts),
         w=np.array(ws),
         wdot=np.array(wds),
+        mass_sq=mass_sq,
+        b=b,
         blowup=blowup,
         t_star=t_star,
         t_star_err=t_star_err,
@@ -298,10 +327,13 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
     (1) w >= w0 e^(cNt); (2) (1-theta) b w^(p-1) - M^2 > N^2;
     (3) c^-2 wddot - N^2 w - theta b w^p >= 0 with wddot reconstructed from
     the ODE right side; (4) wdot >= w1.  Tolerance 1e-8 (1 + |w|); a margin
-    that is not a number fails.  Where w > 0, (3) equals w times (2), and is
-    computed so, since b w^p can overflow where w (2) does not.  Raises
-    PreconditionError when the entry condition fails; S for it comes from
-    `threshold_S`'s memo when the caller has just computed it for this problem.
+    that is not a number fails and is the worst margin.  Where w > 0, (3)
+    equals w times (2), and is computed so, since b w^p can overflow where
+    w (2) does not.  The margins are array expressions over the samples and
+    the (M^2, b) the trajectory recorded, so the check evaluates no
+    coefficient.  Raises PreconditionError when the entry condition fails;
+    S for it comes from `threshold_S`'s memo when the caller has just
+    computed it for this problem.
     """
     p = problem
     S = threshold_S(p.params, p.r0, p.lam, p.p, p.theta, p.N)
@@ -310,31 +342,22 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
     if not p.w1 >= p.params.c * p.N * p.w0:
         raise PreconditionError(f"w1 = {p.w1} < cNw0 = {p.params.c * p.N * p.w0}")
 
-    c, w0, w1, pp, theta = p.params.c, p.w0, p.w1, p.p, p.theta
-    cN, keep, N2 = c * p.N, 1.0 - theta, p.N ** 2
-    coef = p.coefficients()
+    c, pp, theta = p.params.c, p.p, p.theta
+    t, w, msq, b = trajectory.t, trajectory.w, trajectory.mass_sq, trajectory.b
+    N2 = p.N ** 2
     keys = ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor")
-    results = dict.fromkeys(keys, True)
-    worst = dict.fromkeys(keys, math.inf)
     # a margin past the float range is +-inf and is judged as such; inf - inf
     # is NaN and fails
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
-            tol = 1e-8 * (1.0 + abs(w))
-            msq, b = coef(t)
-            margin2 = keep * b * w ** (pp - 1.0) - msq - N2
-            if w > 0:
-                margin3 = w * margin2
-            else:  # (1) fails here already; wddot from the ODE right side
-                wddot = c * c * (b * abs(w) ** pp - msq * w)
-                margin3 = wddot / (c * c) - N2 * w - theta * b * w ** pp
-            margins = (w - w0 * math.exp(cN * t), margin2, margin3, wdot - w1)
-            for key, margin in zip(keys, margins):
-                if margin < worst[key] or math.isnan(margin):  # a NaN margin stays the worst
-                    worst[key] = margin
-                if not margin >= -tol:
-                    results[key] = False
-    results["worst_margins"] = worst
+        margin2 = (1.0 - theta) * b * w ** (pp - 1.0) - msq - N2
+        # where w <= 0, (1) fails already; wddot from the ODE right side
+        wddot = c * c * (b * np.abs(w) ** pp - msq * w)
+        margin3 = np.where(w > 0, w * margin2, wddot / (c * c) - N2 * w - theta * b * w ** pp)
+        margins = (w - p.w0 * np.exp(c * p.N * t), margin2, margin3, trajectory.wdot - p.w1)
+        tol = 1e-8 * (1.0 + np.abs(w))
+        results = {key: bool(np.all(m >= -tol)) for key, m in zip(keys, margins)}
+        # np.min propagates NaN, so a NaN margin stays the worst
+        results["worst_margins"] = {key: float(np.min(m)) for key, m in zip(keys, margins)}
     results["all_pass"] = all(results[k] for k in keys)
     return results
 
@@ -379,13 +402,13 @@ def closed_form_oracle(p: float, b_const: float, w0: float, c: float = 1.0) -> O
 
 
 def save_trajectory_csv(traj: Trajectory, csv_path, sidecar_path) -> None:
-    """Write samples as CSV (t,w,wdot) and every other `Trajectory` field in a JSON sidecar."""
+    """Write samples as CSV (t,w,wdot) and every non-array `Trajectory` field in a JSON sidecar."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "w", "wdot"])
         for t, w, wd in zip(traj.t, traj.w, traj.wdot):
             writer.writerow([repr(float(t)), repr(float(w)), repr(float(wd))])
-    meta = {k: v for k, v in vars(traj).items() if k not in ("t", "w", "wdot")}
+    meta = {k: v for k, v in vars(traj).items() if not isinstance(v, np.ndarray)}
     with open(sidecar_path, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

@@ -4,6 +4,8 @@ Finite differences of a(t) for the curved mass M^2 and adaptive quadrature
 of c/a for the light cone; neither shares code with the closed forms they
 check beyond a(t) itself.  The data thresholds S on a grid that takes a(t)
 as a power of the bracket and then its log, as they were once computed.
+The Lemma 2.1 check as a loop over samples that evaluates (M^2, b) per
+sample, as it once was.
 """
 
 import math
@@ -174,3 +176,37 @@ def prior_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=4000):
 
     top, _, _ = _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size)
     return math.exp(top)
+
+
+def verify_lemma21_per_sample(trajectory, problem) -> dict:
+    """`verify_lemma21` without its precondition, one sample at a time.
+
+    Calls ``problem.coefficients()`` at every sample instead of reading the
+    trajectory's recorded coefficients; reference for the array check.
+    """
+    p = problem
+    c, w0, w1, pp, theta = p.params.c, p.w0, p.w1, p.p, p.theta
+    cN, keep, N2 = c * p.N, 1.0 - theta, p.N ** 2
+    coef = p.coefficients()
+    keys = ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor")
+    results = dict.fromkeys(keys, True)
+    worst = dict.fromkeys(keys, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, w, wdot in zip(trajectory.t, trajectory.w, trajectory.wdot):
+            tol = 1e-8 * (1.0 + abs(w))
+            msq, b = coef(t)
+            margin2 = keep * b * w ** (pp - 1.0) - msq - N2
+            if w > 0:
+                margin3 = w * margin2
+            else:
+                wddot = c * c * (b * abs(w) ** pp - msq * w)
+                margin3 = wddot / (c * c) - N2 * w - theta * b * w ** pp
+            margins = (w - w0 * math.exp(cN * t), margin2, margin3, wdot - w1)
+            for key, margin in zip(keys, margins):
+                if margin < worst[key] or math.isnan(margin):
+                    worst[key] = margin
+                if not margin >= -tol:
+                    results[key] = False
+    results["worst_margins"] = worst
+    results["all_pass"] = all(results[k] for k in keys)
+    return results

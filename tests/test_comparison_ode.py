@@ -22,6 +22,7 @@ from kgflrw.comparison_ode import (
 )
 from kgflrw.cosmology import Background, CosmologyParams, DomainError
 from kgflrw.thresholds import damping_rate_N, threshold_S
+from oracles import verify_lemma21_per_sample
 
 
 def _oracle_problem(p=2.0, b=1.0, w0=1.0, c=1.0, t_end_factor=2.0, m_sq=0.0):
@@ -139,6 +140,10 @@ class TestPositivityChecks:
         assert out["all_pass"]
         for key in ("exp_lower_bound", "weight_gap", "convexity", "wdot_floor"):
             assert out[key], f"{key} margin {out['worst_margins'][key]}"
+        # plain bool and float, no numpy scalars
+        assert json.loads(json.dumps(out)) == out
+        assert all(type(out[k]) is bool for k in out if k != "worst_margins")
+        assert all(type(m) is float for m in out["worst_margins"].values())
 
     def test_nan_sample_fails(self):
         problem = self._admissible_problem()
@@ -166,6 +171,26 @@ class TestPositivityChecks:
             out = verify_lemma21(traj, problem)
         assert out["all_pass"]
         assert all(math.isfinite(m) for m in out["worst_margins"].values())
+
+    def test_reads_the_recorded_coefficients(self):
+        calls = []
+        problem = self._admissible_problem()
+        coef = problem.coefficients()
+        counting = dataclasses.replace(problem, coefficients_fn=lambda t: calls.append(t) or coef(t))
+        traj = integrate_comparison(counting)
+        calls.clear()
+        assert verify_lemma21(traj, counting)["all_pass"]
+        assert calls == []
+
+    def test_matches_the_per_sample_check(self):
+        for problem in _acceptance_4_problems(20):
+            traj = integrate_comparison(problem, rtol=1e-8)
+            out = verify_lemma21(traj, problem)
+            ref = verify_lemma21_per_sample(traj, problem)
+            assert {k: v for k, v in out.items() if k != "worst_margins"} == \
+                {k: v for k, v in ref.items() if k != "worst_margins"}
+            for key, margin in ref["worst_margins"].items():
+                assert out["worst_margins"][key] == pytest.approx(margin, rel=1e-13, abs=0.0)
 
     def test_precondition_failure_raises(self):
         params = CosmologyParams(n=1, m_sq=-1.0)
@@ -198,6 +223,11 @@ class TestPersistence:
         assert meta["rhs_evals"] == traj.rhs_evals == 1 + 6 * (traj.steps_accepted + traj.rejections)
         assert meta["stop_reason"] == traj.stop_reason == "blowup"
         assert meta["t_switch"] == traj.t_switch and 0.0 < traj.t_switch < traj.t_star
+        # the sidecar holds the scalars only; the sample arrays stay out
+        assert set(meta) == {
+            "blowup", "t_star", "t_star_err", "rejections", "final_dt", "steps_accepted",
+            "rhs_evals", "stop_reason", "t_switch",
+        }
 
 
 # The closed forms evaluated per call, as integrate_comparison once did at
@@ -289,15 +319,19 @@ class TestBackgroundPath:
         assert 0 < blowups < 20
 
     def test_last_stage_is_reused(self):
-        # 1 + 6 evaluations per attempted step: the first stage of every step
-        # after the first is the last stage of the step accepted before it;
-        # the oracle run rejects no step, so a tachyonic mass is added
+        # 1 + 5 coefficient evaluations per attempted step, for 1 + 6 right
+        # sides: the first stage of every step after the first is the last
+        # stage of the step accepted before it, and stages 6 and 7 share the
+        # node t + dt; the oracle run rejects no step, so a tachyonic mass is
+        # added
         calls = []
         problem, _ = _oracle_problem()
         counting = dataclasses.replace(problem, coefficients_fn=lambda t: calls.append(t) or (-1.0, 1.0))
         traj = integrate_comparison(counting)
+        attempts = traj.steps_accepted + traj.rejections
         assert traj.blowup and traj.rejections > 0
-        assert len(calls) == 1 + 6 * (traj.steps_accepted + traj.rejections) == traj.rhs_evals
+        assert len(calls) == 1 + 5 * attempts
+        assert traj.rhs_evals == 1 + 6 * attempts
 
     def test_rhs_checks_time_once(self, monkeypatch):
         calls = []
@@ -308,8 +342,26 @@ class TestBackgroundPath:
         for problem in _acceptance_4_problems(2):
             calls.clear()
             traj = integrate_comparison(problem, rtol=1e-8)
-            assert len(calls) == traj.rhs_evals
+            assert len(calls) == 1 + 5 * (traj.steps_accepted + traj.rejections)
         assert traj.t_switch is None
+
+    def test_records_the_coefficients_it_evaluated(self):
+        # bit for bit the closure's values at every sample: a run that
+        # switches to zeta, one that never switches, and an override
+        problems = list(_acceptance_4_problems(2))
+        problems.append(dataclasses.replace(
+            _oracle_problem(p=2.5, b=0.7, w0=1.3)[0],
+            coefficients_fn=lambda t: (-1.0 + math.sin(t), 0.7 * math.exp(-t))))
+        switched = []
+        for problem in problems:
+            traj = integrate_comparison(problem, rtol=1e-8)
+            switched.append(traj.t_switch is not None)
+            coef = problem.coefficients()
+            expected = np.array([coef(t) for t in traj.t]).T
+            assert traj.mass_sq.shape == traj.b.shape == traj.t.shape
+            assert traj.mass_sq.tobytes() == expected[0].tobytes()
+            assert traj.b.tobytes() == expected[1].tobytes()
+        assert switched == [True, False, True]
 
 
 class TestRescaledBlowup:
