@@ -6,14 +6,22 @@ speed justify a homogeneous Dirichlet condition at the outer edge; the run
 records the spatial mean, sup norm, energy, support radius and light-cone
 radius, and accumulates the space-time integral of |M^2 u| as a diagnostic.
 
-The discrete Laplacian is one three-coefficient stencil per grid,
-(lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr^2, with the origin row folded
-in and a zero outer row; the time stepping, `radial_laplacian` and `energy`
-all read it.  RK4 is taken in its Nystrom form, as f in v' = f(t, u) does not
-depend on v.  A step updates only the nodes the stencil can reach from the
-nonzero part of the field; the rest of the grid is exactly zero and stays so.
-A run steps between two preallocated states, scans each footprint from just
-below the last window, and takes |u| of each state once.
+The discrete Laplacian is one three-row stencil per grid, (lo, di, up) with
+row i of the Laplacian (lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr^2, the
+origin row folded in and a zero outer row.  Every application reads a field
+through a read-only (3, m) view of a copy padded with a zero ghost node on
+either side, whose rows are u[i-1], u[i] and u[i+1]: one product with the
+rows and one sum over them.  `radial_laplacian` and `energy` apply the rows as
+they are.  The time stepping folds the background into them, one operator per
+stage time, (s lo, s di - c^2 M^2, s up) with s = c^2/(a^2 dr^2), so an
+acceleration is that product and sum plus the |u|^p term.  A run folds anew
+only where a or M^2 differs from the rows it holds: once per run on a static
+background, else at t + dt/2 and at t + dt, whose rows start the next step.
+RK4 is taken in its Nystrom form, as f in v' = f(t, u) does not depend on v.
+A step updates only the nodes the stencil can reach from the nonzero part of
+the field; the rest of the grid is exactly zero and stays so.  A run steps
+between two preallocated padded states, scans each footprint from just below
+the last window, and takes |u| of each state once.
 """
 
 from __future__ import annotations
@@ -172,17 +180,15 @@ def init_field(
 
 @dataclass(frozen=True)
 class _Stencil:
-    """The radial Laplacian of one grid as three coefficient arrays.
+    """The radial Laplacian of one grid as a (3, N) stack of coefficient rows.
 
-    Row i of the Laplacian is (lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr2,
-    with lo[0] = 0 and up[-1] = 0.  The coefficients are dimensionless: at
-    n = 1 they are the integers (1, -2, 1), so the rows round exactly as the
-    central difference (u[i-1] - 2 u[i] + u[i+1]) / dr^2 does.
+    rows = (lo, di, up): row i of the Laplacian is
+    (lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr2, with lo[0] = 0 and the
+    last row zero.  The coefficients are dimensionless: at n = 1 they are the
+    integers (1, -2, 1).
     """
 
-    lo: np.ndarray
-    di: np.ndarray
-    up: np.ndarray
+    rows: np.ndarray
     dr2: float
 
 
@@ -196,25 +202,24 @@ def _stencil(r: np.ndarray, n: int) -> _Stencil:
     dr = r[1] - r[0]
     drift = np.zeros_like(r)
     drift[1:-1] = (n - 1) * dr / (2.0 * r[1:-1])
-    lo = 1.0 - drift
-    up = 1.0 + drift
-    di = np.full_like(r, -2.0)
-    lo[0], di[0], up[0] = 0.0, -2.0 * n, 2.0 * n
-    lo[-1] = di[-1] = up[-1] = 0.0
-    return _Stencil(lo, di, up, float(dr ** 2))
+    rows = np.stack([1.0 - drift, np.full_like(r, -2.0), 1.0 + drift])
+    rows[:, 0] = 0.0, -2.0 * n, 2.0 * n
+    rows[:, -1] = 0.0
+    return _Stencil(rows, float(dr ** 2))
 
 
-def _apply_stencil(st: _Stencil, u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = dr^2 times the Laplacian's leading len(u) rows at u; tmp is scratch of u's size.
+def _row_view(padded: np.ndarray) -> np.ndarray:
+    """The read-only (3, N) view u[i-1], u[i], u[i+1] of a field padded with a node either side."""
+    return np.lib.stride_tricks.sliding_window_view(padded, padded.size - 2)
 
-    The last of those rows misses its u[i+1] term unless u spans the grid.
+
+def _apply(rows: np.ndarray, view: np.ndarray, prod: np.ndarray, out: np.ndarray) -> None:
+    """out = rows[0] u[i-1] + rows[1] u[i] + rows[2] u[i+1], read from a (3, m) `_row_view`.
+
+    One product into the (3, m) scratch prod and one sum over its rows.
     """
-    m = u.size
-    np.multiply(st.di[:m], u, out=out)
-    np.multiply(st.lo[1:m], u[:-1], out=tmp[1:])
-    out[1:] += tmp[1:]
-    np.multiply(st.up[:m - 1], u[1:], out=tmp[:-1])
-    out[:-1] += tmp[:-1]
+    np.multiply(rows, view, out=prod)
+    np.add.reduce(prod, axis=0, out=out)
 
 
 def radial_laplacian(u: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
@@ -228,16 +233,56 @@ def radial_laplacian(u: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
 
 def _laplacian(u: np.ndarray, st: _Stencil) -> np.ndarray:
     """`radial_laplacian` on the grid's stencil."""
+    padded = np.zeros(u.size + 2)
+    padded[1:-1] = u
     lap = np.empty_like(u)
-    _apply_stencil(st, u, lap, np.empty_like(u))
+    _apply(st.rows, _row_view(padded), np.empty(st.rows.shape), lap)
     lap /= st.dr2
     lap[-1] = 0.0
     return lap
 
 
+def _fold(st: _Stencil, c2: float, a: float, msq: float, out: np.ndarray) -> None:
+    """out = the rows (s lo, s di - c^2 M^2, s up), s = c^2/(a^2 dr^2), over out's nodes.
+
+    Applied to u they give c^2 (Delta u / a^2 - M^2 u), the linear part of the acceleration.
+    """
+    np.multiply(st.rows[:, :out.shape[1]], c2 / (a * a * st.dr2), out=out)
+    out[1] -= c2 * msq
+
+
+class _Folds:
+    """The folded rows of one grid's stage times, in two (3, N) buffers.
+
+    `rows` hands back held rows when a and M^2 match over enough nodes, and
+    otherwise folds into the buffer other than `keep`, which is still in use.
+    """
+
+    def __init__(self, st: _Stencil, c2: float):
+        self.st, self.c2 = st, c2
+        self.buf = np.empty((2,) + st.rows.shape)
+        self.held = [(math.nan, math.nan, 0)] * 2  # (a, M^2, nodes) of each buffer
+
+    def rows(self, a: float, msq: float, k: int, keep: int = 1) -> int:
+        """Index of the buffer holding the rows at (a, M^2) over at least min(k, N) nodes."""
+        k = min(k, self.buf.shape[2])
+        for i, (ai, mi, ki) in enumerate(self.held):
+            if ai == a and mi == msq and ki >= k:
+                return i
+        i = 1 - keep
+        _fold(self.st, self.c2, a, msq, self.buf[i, :, :k])
+        self.held[i] = (a, msq, k)
+        return i
+
+
+def _cfl(safety: float, dr: float, a: float, c: float) -> float:
+    """The CFL step safety * dr * a / c."""
+    return safety * dr * a / c
+
+
 def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
     """Wave-speed limited timestep: safety * dr * a(t) / c."""
-    return safety * state.dr * background(params).a(state.t) / params.c
+    return _cfl(safety, state.dr, background(params).a(state.t), params.c)
 
 
 def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
@@ -256,25 +301,27 @@ def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
     return min(5, u.size)
 
 
-def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float, a0: float, m0: float,
-             u, v, un, vn, buf: np.ndarray, scale: float) -> tuple[bool, float, float, float]:
-    """One RK4 step of the window (u, v) into (un, vn), all of length m; buf is (5, m) scratch.
+def _advance(bg, lam: float, p: float, folds: _Folds, t: float, dt: float, a0: float, m0: float,
+             u_rows, v, un, vn, us, us_rows, buf: np.ndarray, prod: np.ndarray,
+             scale: float) -> tuple[bool, float, float, float]:
+    """One RK4 step of the window (u, v) into (un, vn), all of length m.
 
-    a0 and m0 are a(t) and M^2(t).  Leaves |un| in buf[0]; returns (diverged, M^2(t + dt/2),
-    a(t + dt), M^2(t + dt)), diverged when sup |un| is not finite or exceeds `_SUP_GUARD` times
-    the data scale.  The last node is pinned.
+    u_rows and us_rows are the (3, m) `_row_view`s of the padded state u and
+    stage input us, which the step writes; buf is (4, m) scratch and prod
+    (3, m).  a0 and m0 are a(t) and M^2(t).  The rows at t + dt are folded over
+    m + 2 nodes, the reach of the next step's window.  Leaves |un| in us;
+    returns (diverged, M^2(t + dt/2), a(t + dt), M^2(t + dt)), diverged when
+    sup |un| is not finite or exceeds `_SUP_GUARD` times the data scale.  The
+    last node is pinned.
     """
-    n, c2 = bg.params.n, bg.c ** 2
-    us, k1, k2, k3, tmp = buf
+    n, c2, m, u = bg.params.n, bg.c ** 2, un.size, u_rows[1]
+    k1, k2, k3, tmp = buf
 
-    def accel(a, msq, u_s, out):
-        # dv = c^2 (Delta u / a^2 - M^2 u + lam a^(-n(p-1)/2) |u|^p), pinned at the edge
-        _apply_stencil(st, u_s, out, tmp)
-        out /= a ** 2 * st.dr2 / c2  # a division, so n = 1 rounds as (...)/dr^2 at a = c = 1
-        np.multiply(u_s, c2 * msq, out=tmp)
-        out -= tmp
+    def accel(i, a, rows, out):
+        # dv = folded rows applied to u + c^2 lam a^(-n(p-1)/2) |u|^p, pinned at the edge
+        _apply(folds.buf[i, :, :m], rows, prod, out)
         if lam != 0.0:
-            np.power(np.abs(u_s, out=tmp), p, out=tmp)
+            np.power(np.abs(rows[1], out=tmp), p, out=tmp)
             np.multiply(tmp, c2 * lam * a ** (-n * (p - 1.0) / 2.0), out=tmp)
             out += tmp
         out[-1] = 0.0
@@ -284,19 +331,23 @@ def _advance(bg, lam: float, p: float, st: _Stencil, t: float, dt: float, a0: fl
     # a and M^2 at the two later stage times; stages 2 and 3 share t + dt/2
     h2, th, t1 = dt * dt, t + dt / 2.0, t + dt
     ah, a1, mh, m1 = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1)
-    accel(a0, m0, u, k1)
+    i0 = folds.rows(a0, m0, m)
+    accel(i0, a0, u_rows, k1)
+    ih = folds.rows(ah, mh, m, keep=i0)
     np.multiply(v, dt / 2.0, out=k3)
     k3[-1] = 0.0
-    accel(ah, mh, np.add(u, k3, out=us), k2)
+    np.add(u, k3, out=us)
+    accel(ih, ah, us_rows, k2)
     np.multiply(k1, h2 / 4.0, out=tmp)
     tmp += k3
-    accel(ah, mh, np.add(u, tmp, out=us), k3)
+    np.add(u, tmp, out=us)
+    accel(ih, ah, us_rows, k3)
     np.multiply(v, dt, out=un)
     un[-1] = 0.0
     np.multiply(k2, h2 / 2.0, out=us)
     us += un
     us += u
-    accel(a1, m1, us, vn)
+    accel(folds.rows(a1, m1, m + 2, keep=ih), a1, us_rows, vn)
     # vn = v + (dt/6)(k4 + (k1 + k2 + k3) + (k2 + k3)), un = u + (dt v + (dt^2/6)(k1 + k2 + k3))
     k2 += k3
     np.add(k1, k2, out=k3)
@@ -325,10 +376,15 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
         raise RuntimeError("cannot step a diverged state")
     if dt is None:
         dt = cfl_dt(params, state)
-    m, u, v = _window(state.u, state.v, state.u.size), np.zeros_like(state.u), np.zeros_like(state.v)
+    size = state.u.size
+    m, u, v = _window(state.u, state.v, size), np.zeros(size), np.zeros(size)
+    padded = np.zeros((2, size + 2))  # the state's u and the stage input
+    padded[0, 1:-1] = state.u
+    u_rows, us_rows = (_row_view(row)[:, :m] for row in padded)
     bg, t = background(params), state.t
-    diverged = _advance(bg, lam, p, _stencil(state.r, params.n), t, dt, bg.a(t), bg.mass_sq(t),
-                        state.u[:m], state.v[:m], u[:m], v[:m], np.empty((5, m)),
+    diverged = _advance(bg, lam, p, _Folds(_stencil(state.r, params.n), bg.c ** 2), t, dt,
+                        bg.a(t), bg.mass_sq(t), u_rows, state.v[:m], u[:m], v[:m],
+                        padded[1, 1:m + 1], us_rows, np.empty((4, m)), np.empty((3, m)),
                         state.data_scale)[0]
     return FieldState(state.r, u, v, t + dt, diverged, state.data_scale)
 
@@ -436,25 +492,32 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     diag.stop_reason = "t_end" if t_cap == t_end else "horizon"
     r, dr, t, scale, size = state.r, state.dr, state.t, state.data_scale, state.r.size
     # the run steps between two states, from pair 0 into pair 1 and back;
-    # pair k is zero from node extent[k] on
-    us, vs = (state.u.copy(), np.zeros(size)), (state.v.copy(), np.zeros(size))
-    extent, buf, cur = [size, 0], np.empty((5, size)), 0
+    # pair k is zero from node extent[k] on.  The u states and the stage input
+    # carry a zero ghost node either side, read through their `_row_view`s
+    padded = np.zeros((3, size + 2))
+    us, vs, stage = padded[:2, 1:-1], np.zeros((2, size)), padded[2, 1:-1]
+    us[0], vs[0] = state.u, state.v
+    views = [_row_view(row) for row in padded]
+    extent, buf, prod, cur = [size, 0], np.empty((4, size)), np.empty((3, size)), 0
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
     a_t, m_t = bg.a(t), bg.mass_sq(t)  # then a and M^2 at the last step's t + dt, the same float
+    folds = _Folds(sten, bg.c ** 2)
+    folds.rows(a_t, m_t, size)  # over the whole grid, so a static background folds once
     while t < t_cap:
-        dt = min(safety * dr * a_t / bg.c, t_cap - t)
+        dt = min(_cfl(safety, dr, a_t, bg.c), t_cap - t)
         u, v, un, vn = us[cur], vs[cur], us[1 - cur], vs[1 - cur]
         m = _window(u, v, extent[cur])
         un[m:extent[1 - cur]] = 0.0
         vn[m:extent[1 - cur]] = 0.0
-        extent[1 - cur], window = m, buf[:, :m]
-        diverged, m_mid, a_t, m_t = _advance(bg, lam, p, sten, t, dt, a_t, m_t, u[:m], v[:m],
-                                             un[:m], vn[:m], window, scale)
+        extent[1 - cur], stage_in = m, stage[:m]
+        diverged, m_mid, a_t, m_t = _advance(bg, lam, p, folds, t, dt, a_t, m_t,
+                                             views[cur][:, :m], v[:m], un[:m], vn[:m], stage_in,
+                                             views[2][:, :m], buf[:, :m], prod[:, :m], scale)
         diag.steps += 1
         diag.node_steps += m
         # the |M^2 u| space-time integral by the midpoint rule, M^2 from the
-        # step's stage at t + dt/2; |un| is in window[0]
-        t_new, mass_new = t + dt, float(weights[:m] @ window[0])
+        # step's stage at t + dt/2; |un| is in the stage input
+        t_new, mass_new = t + dt, float(weights[:m] @ stage_in)
         mass_acc += dt * abs(m_mid) * (0.5 * (mass_u + mass_new))
         mass_u, cur, t = mass_new, 1 - cur, t_new
         if diverged:

@@ -98,7 +98,8 @@ class TestLaplacian:
         r = np.linspace(0.0, 2.0, 97)
         u = np.cos(3.0 * r) * np.exp(-r)
         sten = _stencil(r, n)
-        tri = np.diag(sten.di) + np.diag(sten.lo[1:], -1) + np.diag(sten.up[:-1], 1)
+        lo, di, up = sten.rows
+        tri = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
         lap = radial_laplacian(u, r, n)
         scale = np.max(np.abs(tri) @ np.abs(u)) / sten.dr2
         assert np.max(np.abs(lap - tri @ u / sten.dr2)) <= 1e-15 * scale
@@ -200,11 +201,12 @@ def _classical_rk4_full_grid(rhs, state, dt):
 
 
 def _stencil_accel(params, lam, p, r):
-    """The solver's acceleration over every node, with its elementwise arithmetic.
+    """The solver's acceleration over every node, with its folded arithmetic.
 
-    The stencil rows lo u[i-1] + di u[i] + up u[i+1], divided by
-    a^2 dr^2 / c^2, minus c^2 M^2 u, plus c^2 lam a^(-n(p-1)/2) |u|^p,
-    pinned at the outer node.
+    The rows (s lo, s di - c^2 M^2, s up), s = c^2 / (a^2 dr^2), times u[i-1],
+    u[i] and u[i+1] with a zero ghost node either side, summed in that order
+    (row 0 adds 0 times the ghost), plus c^2 lam a^(-n(p-1)/2) |u|^p, pinned at
+    the outer node.
     """
     n = params.n
     sten = _stencil(r, n)
@@ -212,10 +214,10 @@ def _stencil_accel(params, lam, p, r):
 
     def accel(t, u):
         a = scale_factor(params, t)
-        lap = sten.di * u
-        lap[1:] += sten.lo[1:] * u[:-1]
-        lap[:-1] += sten.up[:-1] * u[1:]
-        dv = lap / (a ** 2 * sten.dr2 / c2) - (c2 * curved_mass_sq(params, t)) * u
+        lo, di, up = sten.rows * (c2 / (a * a * sten.dr2))
+        di -= c2 * curved_mass_sq(params, t)
+        padded = np.concatenate(([0.0], u, [0.0]))
+        dv = lo * padded[:-2] + di * u + up * padded[2:]
         if lam != 0.0:
             dv += (c2 * lam * a ** (-n * (p - 1.0) / 2.0)) * np.abs(u) ** p
         dv[-1] = 0.0
@@ -482,6 +484,43 @@ class TestRunUntil:
         assert diag.steps > 10
         assert len(times) == 2 * diag.steps + 1
 
+    # a power law, where a and M^2 both vary
+    POWER_LAW = CosmologyParams(n=1, m_sq=-1.0, H=0.4, sigma=0.5)
+
+    @pytest.mark.parametrize("params, folds_per_step", [
+        (CosmologyParams(n=1, m_sq=1.0), 0),  # static: the rows at t = 0 serve the whole run
+        (POWER_LAW, 2),  # t + dt/2, and t + dt, which the next step starts from
+    ])
+    def test_folds_each_stage_time_once(self, monkeypatch, params, folds_per_step):
+        folds = []
+        fold = field_solver._fold
+
+        def counted(st, c2, a, msq, out):
+            folds.append((a, msq))
+            fold(st, c2, a, msq, out)
+
+        monkeypatch.setattr(field_solver, "_fold", counted)
+        state = init_field(n=1, r0=0.5, r_max=5.0, num_nodes=641, w0=1.0, w1=1.0)
+        diag = run_until(params, 1.0, 2.0, state, 1.0, 0.5)
+        assert diag.steps > 10
+        assert len(folds) == 1 + folds_per_step * diag.steps
+        assert len(set(folds)) == len(folds)
+
+    def test_held_rows_serve_only_the_nodes_they_were_folded_over(self):
+        r = np.linspace(0.0, 1.0, 33)
+        sten = _stencil(r, 2)
+        folds = field_solver._Folds(sten, 4.0)
+        i = folds.rows(1.5, -1.0, 10)
+        assert folds.rows(1.5, -1.0, 8, keep=1 - i) == i
+        # more nodes than held: folded anew, into the buffer other than keep
+        j = folds.rows(1.5, -1.0, 12, keep=i)
+        assert j != i
+        expected = sten.rows[:, :12] * (4.0 / (1.5 * 1.5 * sten.dr2))
+        expected[1] -= 4.0 * -1.0
+        assert folds.buf[j, :, :12].tobytes() == expected.tobytes()
+        # requests beyond the grid are capped at its size
+        assert folds.rows(1.5, -1.0, 40, keep=j) == i and folds.held[i][2] == 33
+
     def test_leaves_its_input_alone(self):
         params = CosmologyParams(n=2, m_sq=-1.0)
         state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=513, w0=1.0, w1=0.5)
@@ -495,7 +534,10 @@ class TestRunUntil:
         advance = field_solver._advance
 
         def spy(*args):
-            buffers.extend(args[8:13])  # u, v, un, vn and the scratch rows
+            # the padded u and stage input (through their row views), v, un, vn,
+            # the scratch rows and the folded rows
+            buffers.extend(args[8:16])
+            buffers.append(args[3].buf)
             return advance(*args)
 
         monkeypatch.setattr(field_solver, "_advance", spy)
@@ -534,6 +576,9 @@ class TestRunUntil:
         (CosmologyParams(n=2, m_sq=1.0), 0.0, 2, 1.0, 3.0, 513, 1.0, 0.0, 1.0),
         # focusing lam > 0 on a de Sitter background, run until it diverges
         (CosmologyParams(n=1, m_sq=-1.0, H=0.3, sigma=-1.0), 1.0, 1, 0.5, 5.0, 641, 1.0, 1.0, 4.0),
+        # the same on a power law, where a and M^2 both vary, so every step
+        # starts from the rows the last one folded at its t + dt
+        (POWER_LAW, 1.0, 1, 0.5, 5.0, 641, 1.0, 1.0, 4.0),
     ])
     def test_snapshots_equal_repeated_steps(self, case):
         params, lam, n, r0, r_max, nodes, w0, w1, t_end = case
