@@ -6,22 +6,19 @@ speed justify a homogeneous Dirichlet condition at the outer edge; the run
 records the spatial mean, sup norm, energy, support radius and light-cone
 radius, and accumulates the space-time integral of |M^2 u| as a diagnostic.
 
-The discrete Laplacian is one three-row stencil per grid, (lo, di, up) with
-row i of the Laplacian (lo[i] u[i-1] + di[i] u[i] + up[i] u[i+1]) / dr^2, the
-origin row folded in and a zero outer row.  Every application reads a field
-through a read-only (3, m) view of a copy padded with a zero ghost node on
-either side, whose rows are u[i-1], u[i] and u[i+1]: one product with the
-rows and one sum over them.  `radial_laplacian` and `energy` apply the rows as
-they are.  The time stepping folds the background into them, one operator per
-stage time, (s lo, s di - c^2 M^2, s up) with s = c^2/(a^2 dr^2), so an
-acceleration is that product and sum plus the |u|^p term.  A run folds anew
-only where a or M^2 differs from the rows it holds: once per run on a static
-background, else at t + dt/2 and at t + dt, whose rows start the next step.
-RK4 is taken in its Nystrom form, as f in v' = f(t, u) does not depend on v.
-A step updates only the nodes the stencil can reach from the nonzero part of
-the field; the rest of the grid is exactly zero and stays so.  A run steps
-between two preallocated padded states, scans each footprint from just below
-the last window, and takes |u| of each state once.
+The Laplacian is one three-row stencil per grid, row i (lo[i] u[i-1] +
+di[i] u[i] + up[i] u[i+1]) / dr^2, applied to a read-only (3, m) view of a
+field padded with a zero ghost node either side: one product and one sum.
+The time stepping folds the background into the rows, (s lo, s di - c^2 M^2,
+s up) with s = c^2/(a^2 dr^2): once per run on a static background, else at
+t + dt/2 and t + dt.  RK4 is taken in its Nystrom form, as f in v' = f(t, u)
+does not depend on v.  A state is one padded (6, N + 2) block of rows k4,
+k3, k2, k1 (the stage accelerations), v and u.  The tableau is one (5, 6)
+matrix per step size; the stage inputs and the new (u, v) are three products
+of two of its rows with the block (a one-row product takes a BLAS path whose
+rounding depends on the window length).  A step updates only the nodes the
+stencil reaches from the nonzero part of the field, and ends by zeroing the
+new state beyond its last node above `_DUST_REL` times the data scale.
 """
 
 from __future__ import annotations
@@ -52,6 +49,9 @@ __all__ = [
 
 # A state diverges once its sup exceeds this multiple of its data scale.
 _SUP_GUARD = 1e8
+# A step zeroes the state beyond its last node where |u| or |v| exceeds this multiple
+# of the data scale; beyond it lies only dispersive precursor, decaying into subnormals.
+_DUST_REL = 1e-30
 # Fraction of the data scale below which grid values count as numerical dust
 # when measuring the support radius.  Chosen about 15x above the dispersive
 # precursor level that second-order central differences shed ahead of the
@@ -147,14 +147,8 @@ def _mean_weights(r: np.ndarray, n: int) -> np.ndarray:
     return n * unit_ball_volume(n) * r ** (n - 1) * _simpson_weights(r)
 
 
-def init_field(
-    n: int,
-    r0: float,
-    r_max: float,
-    num_nodes: int,
-    w0: float,
-    w1: float = 0.0,
-) -> FieldState:
+def init_field(n: int, r0: float, r_max: float, num_nodes: int, w0: float,
+               w1: float = 0.0) -> FieldState:
     """Smooth compact bump data with prescribed spatial means.
 
     The amplitude is solved so the spatial mean of u equals w0 on the given
@@ -209,8 +203,8 @@ def _stencil(r: np.ndarray, n: int) -> _Stencil:
 
 
 def _row_view(padded: np.ndarray) -> np.ndarray:
-    """The read-only (3, N) view u[i-1], u[i], u[i+1] of a field padded with a node either side."""
-    return np.lib.stride_tricks.sliding_window_view(padded, padded.size - 2)
+    """Read-only (..., 3, N) view u[i-1], u[i], u[i+1] of fields padded with a node either side."""
+    return np.lib.stride_tricks.sliding_window_view(padded, padded.shape[-1] - 2, axis=-1)
 
 
 def _apply(rows: np.ndarray, view: np.ndarray, prod: np.ndarray, out: np.ndarray) -> None:
@@ -251,30 +245,6 @@ def _fold(st: _Stencil, c2: float, a: float, msq: float, out: np.ndarray) -> Non
     out[1] -= c2 * msq
 
 
-class _Folds:
-    """The folded rows of one grid's stage times, in two (3, N) buffers.
-
-    `rows` hands back held rows when a and M^2 match over enough nodes, and
-    otherwise folds into the buffer other than `keep`, which is still in use.
-    """
-
-    def __init__(self, st: _Stencil, c2: float):
-        self.st, self.c2 = st, c2
-        self.buf = np.empty((2,) + st.rows.shape)
-        self.held = [(math.nan, math.nan, 0)] * 2  # (a, M^2, nodes) of each buffer
-
-    def rows(self, a: float, msq: float, k: int, keep: int = 1) -> int:
-        """Index of the buffer holding the rows at (a, M^2) over at least min(k, N) nodes."""
-        k = min(k, self.buf.shape[2])
-        for i, (ai, mi, ki) in enumerate(self.held):
-            if ai == a and mi == msq and ki >= k:
-                return i
-        i = 1 - keep
-        _fold(self.st, self.c2, a, msq, self.buf[i, :, :k])
-        self.held[i] = (a, msq, k)
-        return i
-
-
 def _cfl(safety: float, dr: float, a: float, c: float) -> float:
     """The CFL step safety * dr * a / c."""
     return safety * dr * a / c
@@ -295,71 +265,106 @@ def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
     """
     lo = max(stop - 8, 0)
     for a, b in ((lo, stop), (0, lo)):
-        hits = np.flatnonzero(np.logical_or(u[a:b], v[a:b]))
+        hits = np.logical_or(u[a:b], v[a:b]).nonzero()[0]
         if hits.size:
             return min(a + int(hits[-1]) + 6, u.size)
     return min(5, u.size)
 
 
-def _advance(bg, lam: float, p: float, folds: _Folds, t: float, dt: float, a0: float, m0: float,
-             u_rows, v, un, vn, us, us_rows, buf: np.ndarray, prod: np.ndarray,
-             scale: float) -> tuple[bool, float, float, float]:
-    """One RK4 step of the window (u, v) into (un, vn), all of length m.
+def _tableau(h: float) -> np.ndarray:
+    """Nystrom RK4 of step h as a (5, 6) matrix over the block rows (k4, k3, k2, k1, v, u).
 
-    u_rows and us_rows are the (3, m) `_row_view`s of the padded state u and
-    stage input us, which the step writes; buf is (4, m) scratch and prod
-    (3, m).  a0 and m0 are a(t) and M^2(t).  The rows at t + dt are folded over
-    m + 2 nodes, the reach of the next step's window.  Leaves |un| in us;
-    returns (diverged, M^2(t + dt/2), a(t + dt), M^2(t + dt)), diverged when
-    sup |un| is not finite or exceeds `_SUP_GUARD` times the data scale.  The
-    last node is pinned.
+    Its rows give v+ = v + (h/6)(k1 + 2 k2 + 2 k3 + k4), u+ = u + h v +
+    (h^2/6)(k1 + k2 + k3), Y4 = u + h v + (h^2/2) k2, Y3 = u + (h/2) v +
+    (h^2/4) k1 and Y2 = u + (h/2) v: everything turned end for end, so that a
+    product, which BLAS sums in row order, adds the state last and once.
     """
-    n, c2, m, u = bg.params.n, bg.c ** 2, un.size, u_rows[1]
-    k1, k2, k3, tmp = buf
+    g, h2 = h / 2.0, h * h
+    return np.array([[h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0, 0.0],
+                     [0.0, h2 / 6.0, h2 / 6.0, h2 / 6.0, h, 1.0],
+                     [0.0, 0.0, h2 / 2.0, 0.0, h, 1.0],
+                     [0.0, 0.0, 0.0, h2 / 4.0, g, 1.0],
+                     [0.0, 0.0, 0.0, 0.0, g, 1.0]])
 
-    def accel(i, a, rows, out):
-        # dv = folded rows applied to u + c^2 lam a^(-n(p-1)/2) |u|^p, pinned at the edge
-        _apply(folds.buf[i, :, :m], rows, prod, out)
+
+class _Stepper:
+    """What the RK4 steps on one grid share: folded rows, last tableau, stage inputs, scratch.
+
+    The folded rows sit in two (3, N) buffers: `rows` hands back held rows when
+    a and M^2 match over enough nodes, and otherwise folds into the buffer other
+    than `keep`, which is still in use.  The stage inputs are padded like a u.
+    """
+
+    def __init__(self, bg, lam: float, p: float, st: _Stencil):
+        size = st.rows.shape[1]
+        self.bg, self.lam, self.p, self.st, self.c2, self.dt = bg, lam, p, st, bg.c ** 2, math.nan
+        self.buf, self.stage = np.empty((2, 3, size)), np.zeros((2, size + 2))
+        self.held = [(math.nan, math.nan, 0)] * 2  # (a, M^2, nodes) of each buffer
+        self.views, self.prod, self.tmp = _row_view(self.stage), np.empty((3, size)), np.empty(size)
+
+    def rows(self, a: float, msq: float, k: int, keep: int = 1) -> int:
+        """Index of the buffer holding the rows at (a, M^2) over at least min(k, N) nodes."""
+        k = min(k, self.buf.shape[2])
+        for i, (ai, mi, ki) in enumerate(self.held):
+            if ai == a and mi == msq and ki >= k:
+                return i
+        i = 1 - keep
+        _fold(self.st, self.c2, a, msq, self.buf[i, :, :k])
+        self.held[i] = (a, msq, k)
+        return i
+
+
+def _advance(s: _Stepper, t: float, dt: float, a0: float, m0: float, blk: np.ndarray,
+             u_rows: np.ndarray, out: np.ndarray, scale: float) -> tuple[bool, float, float, float]:
+    """One RK4 step of the (6, m) window blk of a state block into out = (v+, u+).
+
+    blk's rows are k4, k3, k2, k1, v and u, and the step writes the k rows;
+    u_rows is the (3, m) `_row_view` of the padded u; a0 and m0 are a(t) and
+    M^2(t).  (Y3, Y2), (Y4, Y3) and out are rows 3-4, 2-3 and 0-1 of
+    `_tableau(dt)` times blk's last 3, 4 and 6 rows.  The rows at t + dt are
+    folded over m + 2 nodes, the next window's reach.  out is pinned at the
+    last node and, with |out| left in s.stage, zeroed beyond the last node
+    above `_DUST_REL` times the data scale.
+    Returns (diverged, M^2(t + dt/2), a(t + dt), M^2(t + dt)), diverged when
+    sup |u+| is not finite or exceeds `_SUP_GUARD` times the data scale.
+    """
+    bg, m, lam, p, n = s.bg, out.shape[1], s.lam, s.p, s.bg.params.n
+    rows, prod, tmp = s.buf[:, :, :m], s.prod[:, :m], s.tmp[:m]
+    ys, (y_lo, y_hi) = s.stage[:, 1:m + 1], s.views[:, :, :m]
+
+    def accel(i, a, view, k):
+        # k = folded rows i applied to a stage input + c^2 lam a^(-n(p-1)/2) |u|^p, pinned
+        _apply(rows[i], view, prod, k)
         if lam != 0.0:
-            np.power(np.abs(rows[1], out=tmp), p, out=tmp)
-            np.multiply(tmp, c2 * lam * a ** (-n * (p - 1.0) / 2.0), out=tmp)
-            out += tmp
-        out[-1] = 0.0
+            np.power(np.abs(view[1], out=tmp), p, out=tmp)
+            np.multiply(tmp, s.c2 * lam * a ** (-n * (p - 1.0) / 2.0), out=tmp)
+            k += tmp
+        k[-1] = 0.0
 
-    # u'' = f(t, u), u' = v: the u stages are u + (dt/2) v, u + ((dt/2) v + (dt^2/4) k1)
-    # and u + (dt v + (dt^2/2) k2), u added last; (dt/2) v waits in k3, k4 forms in vn
-    # a and M^2 at the two later stage times; stages 2 and 3 share t + dt/2
-    h2, th, t1 = dt * dt, t + dt / 2.0, t + dt
-    ah, a1, mh, m1 = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1)
-    i0 = folds.rows(a0, m0, m)
-    accel(i0, a0, u_rows, k1)
-    ih = folds.rows(ah, mh, m, keep=i0)
-    np.multiply(v, dt / 2.0, out=k3)
-    k3[-1] = 0.0
-    np.add(u, k3, out=us)
-    accel(ih, ah, us_rows, k2)
-    np.multiply(k1, h2 / 4.0, out=tmp)
-    tmp += k3
-    np.add(u, tmp, out=us)
-    accel(ih, ah, us_rows, k3)
-    np.multiply(v, dt, out=un)
-    un[-1] = 0.0
-    np.multiply(k2, h2 / 2.0, out=us)
-    us += un
-    us += u
-    accel(folds.rows(a1, m1, m + 2, keep=ih), a1, us_rows, vn)
-    # vn = v + (dt/6)(k4 + (k1 + k2 + k3) + (k2 + k3)), un = u + (dt v + (dt^2/6)(k1 + k2 + k3))
-    k2 += k3
-    np.add(k1, k2, out=k3)
-    vn += k3
-    vn += k2
-    vn *= dt / 6.0
-    vn += v
-    k3 *= h2 / 6.0
-    un += k3
-    un += u
-    un[-1] = vn[-1] = 0.0
-    sup = float(np.abs(un, out=us).max())
+    th, t1 = t + dt / 2.0, t + dt  # a and M^2 at the later stage times, which stages 2 and 3 share
+    ah, a1, mh, m1 = ((a0, a0, m0, m0) if bg.static
+                      else (bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1)))
+    if dt != s.dt:
+        tab = _tableau(dt)
+        s.dt, s.tab = dt, (tab[3:, 3:], tab[2:4, 2:], tab[:2])
+    i0 = s.rows(a0, m0, m)
+    accel(i0, a0, u_rows, blk[3])
+    np.matmul(s.tab[0], blk[3:], out=ys)  # Y3, Y2
+    ih = s.rows(ah, mh, m, keep=i0)
+    accel(ih, ah, y_hi, blk[2])
+    accel(ih, ah, y_lo, blk[1])
+    np.matmul(s.tab[1], blk[2:], out=ys)  # Y4 beside Y3 again, as a product takes two rows
+    accel(s.rows(a1, m1, m + 2, keep=ih), a1, y_lo, blk[0])
+    np.matmul(s.tab[2], blk, out=out)
+    out[:, -1] = 0.0
+    sup = float(np.maximum.reduce(np.abs(out, out=ys)[1]))
+    floor, lo, e = _DUST_REL * scale, max(m - 8, 0), 0
+    for a, b in ((lo, m), (0, lo)):  # the last node above floor moves about one node a step
+        hits = (np.maximum(ys[0, a:b], ys[1, a:b]) > floor).nonzero()[0]
+        if hits.size:
+            e = a + int(hits[-1]) + 1
+            break
+    out[:, e:] = ys[:, e:] = 0.0
     return not math.isfinite(sup) or sup > _SUP_GUARD * scale, mh, a1, m1
 
 
@@ -370,23 +375,21 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     Only the first ``_window`` nodes are stepped and the rest are set to zero.
     Each stepped node sees the same arithmetic as on the full grid, so the
     result equals a full-grid step bit for bit, and a step of `run_until`.
-    ``dt`` defaults to `cfl_dt`.
+    The outer node takes no velocity.  ``dt`` defaults to `cfl_dt`.
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
     if dt is None:
         dt = cfl_dt(params, state)
     size = state.u.size
-    m, u, v = _window(state.u, state.v, size), np.zeros(size), np.zeros(size)
-    padded = np.zeros((2, size + 2))  # the state's u and the stage input
-    padded[0, 1:-1] = state.u
-    u_rows, us_rows = (_row_view(row)[:, :m] for row in padded)
+    m, new = _window(state.u, state.v, size), np.zeros((2, size))
+    blk = np.zeros((6, size + 2))  # rows k4, k3, k2, k1, v, u, padded like the stage inputs
+    blk[5, 1:-1], blk[4, 1:-2] = state.u, state.v[:-1]
     bg, t = background(params), state.t
-    diverged = _advance(bg, lam, p, _Folds(_stencil(state.r, params.n), bg.c ** 2), t, dt,
-                        bg.a(t), bg.mass_sq(t), u_rows, state.v[:m], u[:m], v[:m],
-                        padded[1, 1:m + 1], us_rows, np.empty((4, m)), np.empty((3, m)),
+    diverged = _advance(_Stepper(bg, lam, p, _stencil(state.r, params.n)), t, dt, bg.a(t),
+                        bg.mass_sq(t), blk[:, 1:m + 1], _row_view(blk[5])[:, :m], new[:, :m],
                         state.data_scale)[0]
-    return FieldState(state.r, u, v, t + dt, diverged, state.data_scale)
+    return FieldState(state.r, new[1], new[0], t + dt, diverged, state.data_scale)
 
 
 def support_radius(state: FieldState, scale: float) -> float:
@@ -491,41 +494,38 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     next_record = output_interval
     diag.stop_reason = "t_end" if t_cap == t_end else "horizon"
     r, dr, t, scale, size = state.r, state.dr, state.t, state.data_scale, state.r.size
-    # the run steps between two states, from pair 0 into pair 1 and back;
-    # pair k is zero from node extent[k] on.  The u states and the stage input
-    # carry a zero ghost node either side, read through their `_row_view`s
-    padded = np.zeros((3, size + 2))
-    us, vs, stage = padded[:2, 1:-1], np.zeros((2, size)), padded[2, 1:-1]
-    us[0], vs[0] = state.u, state.v
-    views = [_row_view(row) for row in padded]
-    extent, buf, prod, cur = [size, 0], np.empty((4, size)), np.empty((3, size)), 0
+    # the run steps between two state blocks, from block 0 into block 1 and
+    # back; block k is zero from node extent[k] on.  The outer node takes no velocity
+    blocks = np.zeros((2, 6, size + 2))
+    us, vs = blocks[:, 5, 1:-1], blocks[:, 4, 1:-1]
+    us[0], vs[0, :-1] = state.u, state.v[:-1]
+    views = [_row_view(b[5]) for b in blocks]
+    extent, cur = [size, 0], 0
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
     a_t, m_t = bg.a(t), bg.mass_sq(t)  # then a and M^2 at the last step's t + dt, the same float
-    folds = _Folds(sten, bg.c ** 2)
-    folds.rows(a_t, m_t, size)  # over the whole grid, so a static background folds once
+    stepper = _Stepper(bg, lam, p, sten)
+    stepper.rows(a_t, m_t, size)  # over the whole grid, so a static background folds once
     while t < t_cap:
         dt = min(_cfl(safety, dr, a_t, bg.c), t_cap - t)
-        u, v, un, vn = us[cur], vs[cur], us[1 - cur], vs[1 - cur]
-        m = _window(u, v, extent[cur])
-        un[m:extent[1 - cur]] = 0.0
-        vn[m:extent[1 - cur]] = 0.0
-        extent[1 - cur], stage_in = m, stage[:m]
-        diverged, m_mid, a_t, m_t = _advance(bg, lam, p, folds, t, dt, a_t, m_t,
-                                             views[cur][:, :m], v[:m], un[:m], vn[:m], stage_in,
-                                             views[2][:, :m], buf[:, :m], prod[:, :m], scale)
+        m = _window(us[cur], vs[cur], extent[cur])
+        nxt = blocks[1 - cur, 4:]
+        nxt[:, m + 1:extent[1 - cur] + 1] = 0.0
+        extent[1 - cur] = m
+        diverged, m_mid, a_t, m_t = _advance(stepper, t, dt, a_t, m_t, blocks[cur, :, 1:m + 1],
+                                             views[cur][:, :m], nxt[:, 1:m + 1], scale)
         diag.steps += 1
         diag.node_steps += m
         # the |M^2 u| space-time integral by the midpoint rule, M^2 from the
-        # step's stage at t + dt/2; |un| is in the stage input
-        t_new, mass_new = t + dt, float(weights[:m] @ stage_in)
+        # step's stage at t + dt/2; |u+| is in the stage inputs
+        t_new, mass_new = t + dt, float(weights[:m] @ stepper.stage[1, 1:m + 1])
         mass_acc += dt * abs(m_mid) * (0.5 * (mass_u + mass_new))
         mass_u, cur, t = mass_new, 1 - cur, t_new
         if diverged:
             diag.diverged, diag.divergence_time, diag.stop_reason = True, t, "diverged"
-            record(FieldState(r, un, vn, t, True, scale))
+            record(FieldState(r, us[cur], vs[cur], t, True, scale))
             break
         if t >= next_record - 1e-12:
-            record(FieldState(r, un, vn, t, False, scale))
+            record(FieldState(r, us[cur], vs[cur], t, False, scale))
             next_record += output_interval
     else:
         if diag.t[-1] < t:

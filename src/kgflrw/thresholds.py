@@ -172,8 +172,9 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int):
     where a(t) or r(t) would; times where N^2 + M^2 vanishes count as zero.
     The grid is t = 0 plus ``grid_size`` points log-spaced over six decades
     below t_max = 1e3 max(1, 1/cN), kept finite and capped before a finite
-    horizon.  ``top`` is -inf when every sample is zero and inf above the
-    overflow guard.
+    horizon.  ``top`` is -inf when every sample is zero, and inf above the
+    overflow guard or when, on an infinite horizon, the maximizer is the last
+    grid point: the integrand still grows where the grid ends.
     """
     import numpy as np
 
@@ -190,7 +191,8 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int):
     log_vals[zero] = -np.inf
     best = int(np.argmax(log_vals))
     top = float(log_vals[best])
-    return (math.inf if top > math.log(_S_OVERFLOW) else top), ts, best
+    truncated = best == ts.size - 1 and math.isinf(bg.t_end_cap)
+    return (math.inf if truncated or top > math.log(_S_OVERFLOW) else top), ts, best
 
 
 # One entry: enough for a caller that computes S and then checks a problem

@@ -116,7 +116,9 @@ def _grid_sup_via_scale_factor(params, r0, N, log_value, grid_size, t_max=None):
     log_vals = np.where(window > 0.0, log_vals, -np.inf)
     best = int(np.argmax(log_vals))
     top = float(log_vals[best])
-    return (math.inf if top > math.log(1e30) else top), ts, best
+    # a maximizer at the end of the grid on an infinite horizon: the sup is not reached
+    truncated = best == ts.size - 1 and math.isinf(bg.t_end_cap)
+    return (math.inf if truncated or top > math.log(1e30) else top), ts, best
 
 
 def threshold_S_via_scale_factor(params, r0, lam, p, theta, N, grid_size=10_000, t_max=None):

@@ -11,14 +11,16 @@ from scipy.integrate import simpson
 
 from kgflrw import field_solver
 from kgflrw.cosmology import (
-    Background, ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor,
+    Background, ConeData, CosmologyParams, background, cone_radius, curved_mass_sq, scale_factor,
 )
 from kgflrw.field_solver import (
+    _DUST_REL,
     Diagnostics,
     FieldState,
     ResolutionError,
     _simpson_weights,
     _stencil,
+    _tableau,
     _window,
     cfl_dt,
     energy,
@@ -166,23 +168,24 @@ class TestStepping:
 def _rk4_full_grid(accel, state, dt):
     """RK4 in Nystrom form over every node: u'' = accel(t, u), u' = v, outer node pinned.
 
-    The pinned node takes no velocity; the new u and v are zero there.
+    The stage inputs and the new (u, v) are the solver's tableau matrix times
+    the stacked rows (k4, k3, k2, k1, v, u), two matrix rows per product.  The
+    pinned node takes no velocity; the new u and v are zero there, and beyond
+    their last node where |u| or |v| exceeds _DUST_REL times the data scale.
     """
-    t, u, v = state.t, state.u, state.v.copy()
-    v[-1] = 0.0
-    h2 = dt * dt
-    k1 = accel(t, u)
-    half = (dt / 2.0) * v
-    k2 = accel(t + dt / 2.0, u + half)
-    k3 = accel(t + dt / 2.0, u + ((h2 / 4.0) * k1 + half))
-    drift = dt * v
-    k4 = accel(t + dt, u + ((h2 / 2.0) * k2 + drift))
-    k23 = k2 + k3
-    k123 = k1 + k23
-    un = u + (drift + (h2 / 6.0) * k123)
-    vn = (k4 + k123 + k23) * (dt / 6.0) + v
-    un[-1] = 0.0
-    vn[-1] = 0.0
+    t, tab = state.t, _tableau(dt)
+    rows = np.zeros((6, state.u.size))  # k4, k3, k2, k1, v, u
+    rows[5], rows[4, :-1] = state.u, state.v[:-1]
+    rows[3] = accel(t, rows[5])
+    y3, y2 = tab[3:, 3:] @ rows[3:]
+    rows[2] = accel(t + dt / 2.0, y2)
+    rows[1] = accel(t + dt / 2.0, y3)
+    rows[0] = accel(t + dt, (tab[2:4, 2:] @ rows[2:])[0])
+    vn, un = tab[:2] @ rows
+    un[-1] = vn[-1] = 0.0
+    above = np.flatnonzero(np.maximum(np.abs(un), np.abs(vn)) > _DUST_REL * state.data_scale)
+    last = int(above[-1]) + 1 if above.size else 0
+    un[last:] = vn[last:] = 0.0
     return FieldState(r=state.r, u=un, v=vn, t=t + dt, data_scale=state.data_scale)
 
 
@@ -247,9 +250,7 @@ class TestWindowedStep:
     # (H, sigma): static, expanding and contracting de Sitter, a power law,
     # and a contraction toward a big crunch
     BACKGROUNDS = [(0.0, 0.0), (0.7, -1.0), (-0.5, -1.0), (0.6, 0.0), (-0.8, 1.0 / 3.0)]
-
-    @settings(max_examples=80, deadline=None)
-    @given(
+    SPACE = dict(
         n=st.sampled_from([1, 2, 3]),
         background=st.sampled_from(BACKGROUNDS),
         m_sq=st.sampled_from([1.0, 0.0, -1.0]),
@@ -259,6 +260,19 @@ class TestWindowedStep:
         data=st.sampled_from([(1.0, 0.0), (0.3, -2.0), (0.0, 0.0)]),
         steps=st.integers(1, 25),
     )
+
+    @staticmethod
+    def _start(n, background, m_sq, num_nodes, gap, data):
+        H, sigma = background
+        r_max = 2.0
+        dr = r_max / (num_nodes - 1)
+        # the bump's last nonzero node lies gap + 1 nodes inside the outer one
+        state = init_field(n=n, r0=r_max - (gap + 0.5) * dr, r_max=r_max,
+                           num_nodes=num_nodes, w0=data[0], w1=data[1])
+        return CosmologyParams(n=n, m_sq=m_sq, H=H, sigma=sigma), state
+
+    @settings(max_examples=80, deadline=None)
+    @given(**SPACE)
     # the footprint starts one node short of the Dirichlet node
     @example(n=3, background=(0.0, 0.0), m_sq=1.0, lam_p=(1.0, 2.0), num_nodes=128,
              gap=0, data=(1.0, 0.5), steps=5)
@@ -267,14 +281,8 @@ class TestWindowedStep:
              gap=6, data=(0.0, 0.0), steps=3)
     def test_equals_full_grid_step_bit_for_bit(self, n, background, m_sq, lam_p, num_nodes,
                                                 gap, data, steps):
-        H, sigma = background
         lam, p = lam_p
-        params = CosmologyParams(n=n, m_sq=m_sq, H=H, sigma=sigma)
-        r_max = 2.0
-        dr = r_max / (num_nodes - 1)
-        # the bump's last nonzero node lies gap + 1 nodes inside the outer one
-        state = init_field(n=n, r0=r_max - (gap + 0.5) * dr, r_max=r_max,
-                           num_nodes=num_nodes, w0=data[0], w1=data[1])
+        params, state = self._start(n, background, m_sq, num_nodes, gap, data)
         ref = state
         for _ in range(steps):
             dt = cfl_dt(params, state)
@@ -284,6 +292,34 @@ class TestWindowedStep:
             assert state.u.tobytes() == ref.u.tobytes()
             assert state.v.tobytes() == ref.v.tobytes()
             assert state.u[-1] == 0.0 and state.v[-1] == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(**SPACE)
+    def test_steps_end_at_the_dust_floor(self, n, background, m_sq, lam_p, num_nodes, gap, data,
+                                         steps):
+        # every state a step returns is zero beyond its last node where |u| or
+        # |v| exceeds 1e-30 times the data scale, and holds no subnormal
+        lam, p = lam_p
+        params, state = self._start(n, background, m_sq, num_nodes, gap, data)
+        floor = 1e-30 * state.data_scale
+        for _ in range(steps):
+            state = step(params, lam, p, state)
+            mag = np.maximum(np.abs(state.u), np.abs(state.v))
+            above = np.flatnonzero(mag > floor)
+            assert not mag[(int(above[-1]) + 1 if above.size else 0):].any()
+            assert not np.any((mag > 0.0) & (mag < np.finfo(float).tiny))
+
+    def test_zero_data_stays_zero_on_the_five_node_window(self):
+        params = CosmologyParams(n=2, m_sq=-1.0, H=0.5, sigma=0.0)
+        state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=257, w0=0.0)
+        assert state.data_scale == 0.0
+        new = step(params, 1.0, 2.0, state)
+        assert not new.u.any() and not new.v.any() and _window(new.u, new.v, 257) == 5
+        diag = run_until(params, 1.0, 2.0, state, 0.5, 1.0, output_interval=1e-9,
+                         keep_snapshots=True)
+        assert diag.steps > 0 and diag.node_steps == 5 * diag.steps
+        assert not any(u.any() or v.any() for _, u, v in diag.snapshots)
+        assert not any(diag.mean) and not any(diag.sup)
 
     @pytest.mark.parametrize("num_nodes", [64, 65])
     def test_data_on_the_whole_grid_resets_the_dirichlet_node(self, num_nodes):
@@ -359,6 +395,18 @@ def _central_difference_step(params, lam, p, state, dt):
         return du, dv
 
     return _classical_rk4_full_grid(rhs, state, dt)
+
+
+def test_tableau_rows_are_the_nystrom_weights():
+    # Nystrom RK4 from the classical Butcher tableau (A, b, c):
+    # Y_i = u + c_i h v + h^2 (A^2)_i k, u+ = u + h v + h^2 (b A) k, v+ = v + h b k
+    A = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    b, c, h = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0, A.sum(axis=1), 0.0123
+    expected = [[1.0, c[i] * h, *(h * h * (A @ A)[i])] for i in (1, 2, 3)]
+    expected += [[1.0, h, *(h * h * (b @ A))], [0.0, 1.0, *(h * b)]]
+    # rows (v+, u+, Y4, Y3, Y2) over the block rows (k4, k3, k2, k1, v, u)
+    np.testing.assert_allclose(np.flip(_tableau(h)), expected, rtol=1e-15, atol=0.0)
 
 
 class TestFoldedStencilStep:
@@ -509,7 +557,7 @@ class TestRunUntil:
     def test_held_rows_serve_only_the_nodes_they_were_folded_over(self):
         r = np.linspace(0.0, 1.0, 33)
         sten = _stencil(r, 2)
-        folds = field_solver._Folds(sten, 4.0)
+        folds = field_solver._Stepper(background(CosmologyParams(n=2, c=2.0)), 0.0, 2.0, sten)
         i = folds.rows(1.5, -1.0, 10)
         assert folds.rows(1.5, -1.0, 8, keep=1 - i) == i
         # more nodes than held: folded anew, into the buffer other than keep
@@ -534,10 +582,11 @@ class TestRunUntil:
         advance = field_solver._advance
 
         def spy(*args):
-            # the padded u and stage input (through their row views), v, un, vn,
-            # the scratch rows and the folded rows
-            buffers.extend(args[8:16])
-            buffers.append(args[3].buf)
+            # the state block, its u row view and the new state, then the
+            # stepper's stage inputs, scratch rows and folded rows
+            stepper = args[0]
+            buffers.extend(args[5:8])
+            buffers.extend([stepper.stage, stepper.prod, stepper.tmp, stepper.buf])
             return advance(*args)
 
         monkeypatch.setattr(field_solver, "_advance", spy)
@@ -636,6 +685,19 @@ class TestRunUntil:
         assert not runs[0].diverged and not runs[1].diverged
         assert runs[1].t == runs[0].t
         np.testing.assert_allclose(runs[1].mean, 1e9 * np.array(runs[0].mean), rtol=1e-12)
+
+    @pytest.mark.parametrize("params", [CosmologyParams(n=1, m_sq=1.0), POWER_LAW])
+    def test_dust_floor_is_scale_free(self, params):
+        # linear runs on data 2^40 times larger record every mean, sup and
+        # |M^2 u| integral exactly 2^40 times larger, on the same nodes
+        runs = [run_until(params, 0.0, 2.0,
+                          init_field(n=1, r0=0.5, r_max=5.0, num_nodes=641, w0=w0, w1=w0),
+                          2.0, 0.5, output_interval=0.05)
+                for w0 in (1.0, 2.0 ** 40)]
+        assert (runs[1].steps, runs[1].node_steps) == (runs[0].steps, runs[0].node_steps)
+        for name in ("mean", "sup", "mass_integral"):
+            small, big = (np.array(getattr(run, name)) for run in runs)
+            assert big.tobytes() == (2.0 ** 40 * small).tobytes()
 
     def test_snapshots_carry_grid(self):
         params = CosmologyParams(n=1, m_sq=1.0)

@@ -29,7 +29,26 @@ def test_moves_are_relative_of_peak_or_counted():
     new = _dump(2.0 * (1 + 1e-15), 11, False, [1.0, 4.0 + 2e-12, math.nan])
     moves = output_digest.compare(new, old)
     assert moves["ode.S"][:2] == ["relative", abs(2.0 * (1 + 1e-15) - 2.0) / 2.0]
-    assert moves["ode.steps_accepted"][:2] == ["changed", 1.0]
+    assert moves["ode.steps_accepted"] == ["count", 1.0, (10, 11)]
     assert moves["ode.verdicts.all_pass"][:2] == ["changed", 1.0]
     kind, move, _ = moves["pde.energy.mean"]
     assert kind == "of peak" and math.isclose(move, 5e-13, rel_tol=1e-3)
+
+
+def test_counts_print_old_and_new_totals_with_their_change():
+    old = {"ode": {f"seed 1 problem {i}": {"params": [i], "rhs_evals": 100 * (i + 1),
+                                            "verdicts": {"all_pass": True}} for i in range(3)},
+           "pde": {"energy": {"node_steps": 5052563, "steps": 3200}}}
+    new = {"ode": {f"seed 1 problem {i}": {"params": [i], "rhs_evals": 100 * (i + 1) + (i == 2),
+                                            "verdicts": {"all_pass": i != 1}} for i in range(3)},
+           "pde": {"energy": {"node_steps": 3904056, "steps": 3200}}}
+    moves = output_digest.compare(new, old)
+    # counts are summed over the records they were compared in
+    assert moves["ode.rhs_evals"] == ["count", 1.0, (600, 601)]
+    assert moves["pde.energy.node_steps"] == ["count", 1.0, (5052563, 3904056)]
+    assert moves["pde.energy.steps"] == ["count", 0.0, (3200, 3200)]
+    lines = {name: output_digest._describe(*moves[name], name)
+             for name in ("ode.rhs_evals", "pde.energy.node_steps", "ode.verdicts.all_pass")}
+    assert lines == {"ode.rhs_evals": "600 -> 601 (+0.17%) in 1 record",
+                     "pde.energy.node_steps": "5052563 -> 3904056 (-22.73%) in 1 record",
+                     "ode.verdicts.all_pass": "1 record"}

@@ -368,6 +368,17 @@ class TestPriorComparison:
         out = compare_prior_conditions(params, data, 1.0, 2.0)
         assert out == {"this_paper": True, "prior": False}
 
+    def test_prior_implies_present_where_the_grid_sup_is_truncated(self):
+        # contracting de Sitter with slope n|H|/2 - cN = 0.03 > 0: the log
+        # integrand still grows where the grid ends at t_max = 1e3 max(1, 1/cN),
+        # so both thresholds are infinite; a grid-truncated prior S of 4.09e13
+        # once let w0 = 1e14 pass the prior conditions and fail the present ones
+        params = CosmologyParams(n=2, m_sq=0.3, H=-1.0, sigma=-1.0)
+        assert thresholds._prior_S(params, 0.5, 1.0, 2.0, 0.5, 0.97) == math.inf
+        data = InitialDataSummary(w0=1e14, w1=1e22, r0=0.5)
+        out = compare_prior_conditions(params, data, 1.0, 2.0, 0.5, 0.97)
+        assert out == {"this_paper": False, "prior": False}
+
     def test_contracting_support_cap_only_in_prior(self):
         # contracting de Sitter: the earlier conditions cap r0 at 2c/(a0|H|)
         params = CosmologyParams(n=1, H=-1.0, sigma=-1.0, m_sq=-1.0)

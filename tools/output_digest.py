@@ -9,9 +9,11 @@ their worst margins; and, for each acceptance-7/8 solver run
 of the pde_physics workload, every diagnostics column with its step counts,
 divergence time and (for the weak-identity runs) the residual.  With
 ``--compare`` it prints the largest move of each output against an older
-dump: relative for scalars, relative to the column's peak for columns, and
-the number of differing records for counts, flags and verdicts (the solver
-runs are compared one by one); unmoved outputs are only counted.  Run it
+dump: relative for scalars, relative to the column's peak for columns, the
+old and new totals with their relative change for counts (steps, node_steps,
+rhs_evals, ...), and the number of differing records for counts, flags and
+verdicts (the solver runs are compared one by one); unmoved outputs are only
+counted.  Run it
 once on each checkout to be compared; it imports the package from ``src/``
 next to this directory.
 """
@@ -128,17 +130,25 @@ def _moves(new: dict, old: dict, prefix: str, label: str, moves: dict) -> None:
             move, kind, where = _column_move(n, o), "of peak", (label, None, None)
         elif isinstance(o, float) or isinstance(n, float):
             move, kind, where = _rel(n, o), "relative", (label, o, n)
+        elif isinstance(o, int) and not isinstance(o, bool):
+            move, kind, where = float(n != o), "count", (o, n)
         else:
             move, kind, where = float(n != o), "changed", None
-        best = moves.setdefault(name, [kind, 0.0, None])
-        if kind == "changed":
+        best = moves.setdefault(name, [kind, 0.0, (0, 0) if kind == "count" else None])
+        if kind == "count":
+            best[1:] = [best[1] + move, (best[2][0] + o, best[2][1] + n)]
+        elif kind == "changed":
             best[1] += move
         elif move > best[1]:
             best[1:] = [move, where]
 
 
 def compare(new: dict, old: dict) -> dict:
-    """{output: [kind, largest move or number of changed records, (record, old, new) of it]}."""
+    """{output: [kind, largest move or number of changed records, where]}.
+
+    where is (record, old, new) of the largest move of a scalar or column, and
+    (old total, new total) over the records for a count.
+    """
     moves: dict = {}
     for group in ("ode", "pde"):
         if set(new[group]) != set(old[group]):
@@ -149,6 +159,20 @@ def compare(new: dict, old: dict) -> dict:
                 raise SystemExit(f"{label}: the problem differs between the dumps")
             _moves(n, o, group if group == "ode" else f"pde.{label}", label, moves)
     return moves
+
+
+def _describe(kind: str, move: float, where, name: str) -> str:
+    """One printed line's account of a moved output."""
+    records = f"{int(move)} record" + ("s" if move != 1 else "")
+    if kind == "count":
+        old, new = where
+        rel = f" ({(new - old) / old:+.2%})" if old else ""
+        return f"{old} -> {new}{rel} in {records}"
+    if kind == "changed":
+        return records
+    at = "" if where is None or where[0] in name else f"  at {where[0]}" + (
+        "" if where[1] is None else f": {where[1]!r} -> {where[2]!r}")
+    return f"{move:.3g} {kind}{at}"
 
 
 def main(argv=None) -> int:
@@ -162,12 +186,8 @@ def main(argv=None) -> int:
         old = json.loads(Path(args.compare).read_text())
         moves = compare(data, old)
         for name, (kind, move, where) in sorted(moves.items()):
-            if not move:
-                continue
-            at = "" if where is None or where[0] in name else f"  at {where[0]}" + (
-                "" if where[1] is None else f": {where[1]!r} -> {where[2]!r}")
-            count = f"{int(move)} records" if kind == "changed" else f"{move:.3g} {kind}"
-            print(f"{name:40s} {count}{at}")
+            if move:
+                print(f"{name:40s} {_describe(kind, move, where, name)}")
         print(f"{sum(not m for _, m, _ in moves.values())} of {len(moves)} outputs unmoved")
     return 0
 
