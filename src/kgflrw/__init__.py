@@ -30,7 +30,7 @@ from .thresholds import (
     damping_rate_N,
     threshold_S,
 )
-from .comparison_ode import OdeProblem, Trajectory, blowup_time_estimate, integrate_comparison
+from .comparison_ode import OdeProblem, Trajectory, integrate_comparison
 from .field_solver import FieldState, Diagnostics, init_field, run_until
 from .testfn import build_cutoff, hypothesis_13_14, weak_identity_residual
 

@@ -101,13 +101,23 @@ def cmd_ode(spec: RunSpec, out_dir) -> int:
 
 
 def _pde_state(spec: RunSpec, t_cap: float):
+    """The initial field of a pde or identity run; ConfigError if the grid cannot carry it."""
     params = spec.params()
-    r_max = spec.r_max if spec.r_max is not None else background(params, spec.r0).r(t_cap) + 0.5
+    r_cone = background(params, spec.r0).r(t_cap)
+    r_max = spec.r_max if spec.r_max is not None else r_cone + 0.5
+    if r_max <= spec.r0:
+        raise ConfigError(f"r_max = {r_max} must exceed the bump radius r0 = {spec.r0}")
+    if r_max <= r_cone:
+        raise ConfigError(f"r_max = {r_max} does not cover the light cone r({t_cap}) = {r_cone};"
+                          " raise r_max or lower t_end")
     nodes = spec.num_nodes if spec.num_nodes is not None else int(512 * r_max) + 1
-    return field_solver.init_field(
-        n=spec.n, r0=spec.r0, r_max=r_max, num_nodes=nodes,
-        w0=spec.w0, w1=spec.resolved_w1(),
-    )
+    try:
+        return field_solver.init_field(
+            n=spec.n, r0=spec.r0, r_max=r_max, num_nodes=nodes,
+            w0=spec.w0, w1=spec.resolved_w1(),
+        )
+    except field_solver.ResolutionError as exc:
+        raise ConfigError(f"{exc}; raise num_nodes") from exc
 
 
 def cmd_pde(spec: RunSpec, out_dir) -> int:

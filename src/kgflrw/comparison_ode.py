@@ -25,12 +25,10 @@ from .thresholds import threshold_S
 __all__ = [
     "OdeProblem",
     "Trajectory",
-    "BlowupNotReachedError",
     "StiffnessError",
     "PreconditionError",
     "integrate_comparison",
     "verify_lemma21",
-    "blowup_time_estimate",
     "closed_form_oracle",
     "save_trajectory_csv",
 ]
@@ -56,10 +54,6 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-
-
-class BlowupNotReachedError(RuntimeError):
-    """The run reached t_end without divergence."""
 
 
 class StiffnessError(RuntimeError):
@@ -360,14 +354,6 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
         results["worst_margins"] = {key: float(np.min(m)) for key, m in zip(keys, margins)}
     results["all_pass"] = all(results[k] for k in keys)
     return results
-
-
-def blowup_time_estimate(problem: OdeProblem, rtol: float = 1e-10) -> tuple[float, float]:
-    """(t_star, error bar); raises when the run reaches t_end without blow-up."""
-    traj = integrate_comparison(problem, rtol=rtol)
-    if not traj.blowup:
-        raise BlowupNotReachedError(f"no blow-up before t_end = {problem.t_end}")
-    return traj.t_star, traj.t_star_err
 
 
 @dataclass(frozen=True)

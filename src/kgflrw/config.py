@@ -10,6 +10,7 @@ back to a default.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,12 +135,15 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _number(raw: dict, key: str, default=None):
+def _number(raw: dict, key: str, default=None, prefix: str = ""):
+    """raw[key] as a float, or default if absent; a ConfigError names prefix + key unless finite."""
     if key not in raw:
         return default
     val = raw[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             f"{key} must be a number, got {val!r}")
+             f"{prefix}{key} must be a number, got {val!r}")
+    # NaN and the infinities fail the bound, as do integers too large for a float
+    _require(abs(val) <= sys.float_info.max, f"{prefix}{key} must be finite, got {val!r}")
     return float(val)
 
 
@@ -153,7 +157,8 @@ def _parse_axis(obj, which: str) -> SweepAxis:
     _require(name in _SWEEP_AXES, f"sweep.{which}.name must be one of {sorted(_SWEEP_AXES)}")
     count = obj["count"]
     _require(isinstance(count, int) and count >= 2, f"sweep.{which}.count must be an integer >= 2")
-    return SweepAxis(name=name, lo=float(obj["min"]), hi=float(obj["max"]), count=count)
+    lo, hi = (_number(obj, key, prefix=f"sweep.{which}.") for key in ("min", "max"))
+    return SweepAxis(name=name, lo=lo, hi=hi, count=count)
 
 
 def parse_config_dict(raw: dict) -> RunSpec:

@@ -32,7 +32,6 @@ __all__ = [
     "weight_exponent",
     "horizon_time",
     "scale_factor",
-    "hubble_rate",
     "curved_mass_sq",
     "mass_sign_change_time",
     "cone_radius",
@@ -216,10 +215,6 @@ class Background:
             return self.H * t
         return self.two_over_q * xp.log1p(self.qH * t / 2.0)
 
-    def hubble(self, t: float) -> float:
-        """adot/a = H (a/a0)^(-n(1+sigma)/2) = H / (1 + qHt/2); equals H at t = 0."""
-        return self.H / (1.0 + self.qH * self.check_time(t) / 2.0)
-
     def mass_sq(self, t: float) -> float:
         """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)Ht/2)^-2.
 
@@ -337,11 +332,6 @@ def horizon_time(params: CosmologyParams) -> float:
 def scale_factor(params: CosmologyParams, t: float) -> float:
     """a(t) on [0, T0)."""
     return background(params).a(t)
-
-
-def hubble_rate(params: CosmologyParams, t: float) -> float:
-    """adot/a = H (a/a0)^(-n(1+sigma)/2); equals H at t = 0."""
-    return background(params).hubble(t)
 
 
 def curved_mass_sq(params: CosmologyParams, t: float) -> float:

@@ -18,7 +18,9 @@ matrix per step size; the stage inputs and the new (u, v) are three products
 of two of its rows with the block (a one-row product takes a BLAS path whose
 rounding depends on the window length).  A step updates only the nodes the
 stencil reaches from the nonzero part of the field, and ends by zeroing the
-new state beyond its last node above `_DUST_REL` times the data scale.
+new state beyond its last node above `_DUST_REL` times the data scale;
+`run_until` takes that footprint for the next step's window, so it scans a
+field for its footprint once per run.
 """
 
 from __future__ import annotations
@@ -255,20 +257,15 @@ def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> f
     return _cfl(safety, state.dr, background(params).a(state.t), params.c)
 
 
-def _window(u: np.ndarray, v: np.ndarray, stop: int) -> int:
-    """Number of leading nodes a step of (u, v), zero from node `stop` on, updates.
+def _window(u: np.ndarray, v: np.ndarray) -> int:
+    """Number of leading nodes a step of (u, v) updates.
 
     That is min(e + 6, N), e the last node where u or v is nonzero (-1 if
     none): a step carries nonzero values at most two nodes beyond e, and pins
-    the window's last node, which is zero anyway.  The scan reads the 8 nodes
-    below `stop` first, as e moves at most two nodes a step.
+    the window's last node, which is zero anyway.
     """
-    lo = max(stop - 8, 0)
-    for a, b in ((lo, stop), (0, lo)):
-        hits = np.logical_or(u[a:b], v[a:b]).nonzero()[0]
-        if hits.size:
-            return min(a + int(hits[-1]) + 6, u.size)
-    return min(5, u.size)
+    hits = np.logical_or(u, v).nonzero()[0]
+    return min((int(hits[-1]) if hits.size else -1) + 6, u.size)
 
 
 def _tableau(h: float) -> np.ndarray:
@@ -290,43 +287,36 @@ def _tableau(h: float) -> np.ndarray:
 class _Stepper:
     """What the RK4 steps on one grid share: folded rows, last tableau, stage inputs, scratch.
 
-    The folded rows sit in two (3, N) buffers: `rows` hands back held rows when
-    a and M^2 match over enough nodes, and otherwise folds into the buffer other
-    than `keep`, which is still in use.  The stage inputs are padded like a u.
+    buf[0] holds the folded rows at a step's t, and buf[1] those at t + dt/2.
+    It starts with the rows at (a, M^2) over the first k nodes.  On a static
+    background buf[0] serves every stage of every step; on a moving one
+    `_advance` refolds both.  The stage inputs are padded like a u.
     """
 
-    def __init__(self, bg, lam: float, p: float, st: _Stencil):
+    def __init__(self, bg, lam: float, p: float, st: _Stencil, a: float, msq: float, k: int):
         size = st.rows.shape[1]
         self.bg, self.lam, self.p, self.st, self.c2, self.dt = bg, lam, p, st, bg.c ** 2, math.nan
         self.buf, self.stage = np.empty((2, 3, size)), np.zeros((2, size + 2))
-        self.held = [(math.nan, math.nan, 0)] * 2  # (a, M^2, nodes) of each buffer
         self.views, self.prod, self.tmp = _row_view(self.stage), np.empty((3, size)), np.empty(size)
-
-    def rows(self, a: float, msq: float, k: int, keep: int = 1) -> int:
-        """Index of the buffer holding the rows at (a, M^2) over at least min(k, N) nodes."""
-        k = min(k, self.buf.shape[2])
-        for i, (ai, mi, ki) in enumerate(self.held):
-            if ai == a and mi == msq and ki >= k:
-                return i
-        i = 1 - keep
-        _fold(self.st, self.c2, a, msq, self.buf[i, :, :k])
-        self.held[i] = (a, msq, k)
-        return i
+        _fold(st, self.c2, a, msq, self.buf[0, :, :k])
 
 
 def _advance(s: _Stepper, t: float, dt: float, a0: float, m0: float, blk: np.ndarray,
-             u_rows: np.ndarray, out: np.ndarray, scale: float) -> tuple[bool, float, float, float]:
+             u_rows: np.ndarray, out: np.ndarray,
+             scale: float) -> tuple[bool, int, float, float, float]:
     """One RK4 step of the (6, m) window blk of a state block into out = (v+, u+).
 
     blk's rows are k4, k3, k2, k1, v and u, and the step writes the k rows;
     u_rows is the (3, m) `_row_view` of the padded u; a0 and m0 are a(t) and
-    M^2(t).  (Y3, Y2), (Y4, Y3) and out are rows 3-4, 2-3 and 0-1 of
-    `_tableau(dt)` times blk's last 3, 4 and 6 rows.  The rows at t + dt are
-    folded over m + 2 nodes, the next window's reach.  out is pinned at the
-    last node and, with |out| left in s.stage, zeroed beyond the last node
+    M^2(t), whose rows s.buf[0] holds.  (Y3, Y2), (Y4, Y3) and out are rows
+    3-4, 2-3 and 0-1 of `_tableau(dt)` times blk's last 3, 4 and 6 rows.  On a
+    moving background the rows at t + dt/2 are folded into s.buf[1], and once
+    stage 1 has read s.buf[0], the rows at t + dt into it over m + 2 nodes,
+    the next window's reach.  out is pinned at the last node and, with |out|
+    left in s.stage, zeroed from its footprint e on: the node after the last
     above `_DUST_REL` times the data scale.
-    Returns (diverged, M^2(t + dt/2), a(t + dt), M^2(t + dt)), diverged when
-    sup |u+| is not finite or exceeds `_SUP_GUARD` times the data scale.
+    Returns (diverged, e, M^2(t + dt/2), a(t + dt), M^2(t + dt)), diverged
+    when sup |u+| is not finite or exceeds `_SUP_GUARD` times the data scale.
     """
     bg, m, lam, p, n = s.bg, out.shape[1], s.lam, s.p, s.bg.params.n
     rows, prod, tmp = s.buf[:, :, :m], s.prod[:, :m], s.tmp[:m]
@@ -342,19 +332,22 @@ def _advance(s: _Stepper, t: float, dt: float, a0: float, m0: float, blk: np.nda
         k[-1] = 0.0
 
     th, t1 = t + dt / 2.0, t + dt  # a and M^2 at the later stage times, which stages 2 and 3 share
-    ah, a1, mh, m1 = ((a0, a0, m0, m0) if bg.static
-                      else (bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1)))
+    if bg.static:
+        ah, a1, mh, m1, ih = a0, a0, m0, m0, 0
+    else:
+        ah, a1, mh, m1, ih = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1), 1
+        _fold(s.st, s.c2, ah, mh, rows[1])
     if dt != s.dt:
         tab = _tableau(dt)
         s.dt, s.tab = dt, (tab[3:, 3:], tab[2:4, 2:], tab[:2])
-    i0 = s.rows(a0, m0, m)
-    accel(i0, a0, u_rows, blk[3])
+    accel(0, a0, u_rows, blk[3])
+    if not bg.static:
+        _fold(s.st, s.c2, a1, m1, s.buf[0, :, :m + 2])
     np.matmul(s.tab[0], blk[3:], out=ys)  # Y3, Y2
-    ih = s.rows(ah, mh, m, keep=i0)
     accel(ih, ah, y_hi, blk[2])
     accel(ih, ah, y_lo, blk[1])
     np.matmul(s.tab[1], blk[2:], out=ys)  # Y4 beside Y3 again, as a product takes two rows
-    accel(s.rows(a1, m1, m + 2, keep=ih), a1, y_lo, blk[0])
+    accel(0, a1, y_lo, blk[0])
     np.matmul(s.tab[2], blk, out=out)
     out[:, -1] = 0.0
     sup = float(np.maximum.reduce(np.abs(out, out=ys)[1]))
@@ -365,7 +358,7 @@ def _advance(s: _Stepper, t: float, dt: float, a0: float, m0: float, blk: np.nda
             e = a + int(hits[-1]) + 1
             break
     out[:, e:] = ys[:, e:] = 0.0
-    return not math.isfinite(sup) or sup > _SUP_GUARD * scale, mh, a1, m1
+    return not math.isfinite(sup) or sup > _SUP_GUARD * scale, e, mh, a1, m1
 
 
 def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
@@ -382,13 +375,14 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     if dt is None:
         dt = cfl_dt(params, state)
     size = state.u.size
-    m, new = _window(state.u, state.v, size), np.zeros((2, size))
+    m, new = _window(state.u, state.v), np.zeros((2, size))
     blk = np.zeros((6, size + 2))  # rows k4, k3, k2, k1, v, u, padded like the stage inputs
     blk[5, 1:-1], blk[4, 1:-2] = state.u, state.v[:-1]
     bg, t = background(params), state.t
-    diverged = _advance(_Stepper(bg, lam, p, _stencil(state.r, params.n)), t, dt, bg.a(t),
-                        bg.mass_sq(t), blk[:, 1:m + 1], _row_view(blk[5])[:, :m], new[:, :m],
-                        state.data_scale)[0]
+    a0, m0 = bg.a(t), bg.mass_sq(t)
+    stepper = _Stepper(bg, lam, p, _stencil(state.r, params.n), a0, m0, m)
+    diverged = _advance(stepper, t, dt, a0, m0, blk[:, 1:m + 1], _row_view(blk[5])[:, :m],
+                        new[:, :m], state.data_scale)[0]
     return FieldState(state.r, new[1], new[0], t + dt, diverged, state.data_scale)
 
 
@@ -503,23 +497,24 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     extent, cur = [size, 0], 0
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
     a_t, m_t = bg.a(t), bg.mass_sq(t)  # then a and M^2 at the last step's t + dt, the same float
-    stepper = _Stepper(bg, lam, p, sten)
-    stepper.rows(a_t, m_t, size)  # over the whole grid, so a static background folds once
+    # folded over the whole grid, so a static background folds once
+    stepper = _Stepper(bg, lam, p, sten, a_t, m_t, size)
+    m = _window(state.u, state.v)
     while t < t_cap:
         dt = min(_cfl(safety, dr, a_t, bg.c), t_cap - t)
-        m = _window(us[cur], vs[cur], extent[cur])
         nxt = blocks[1 - cur, 4:]
         nxt[:, m + 1:extent[1 - cur] + 1] = 0.0
         extent[1 - cur] = m
-        diverged, m_mid, a_t, m_t = _advance(stepper, t, dt, a_t, m_t, blocks[cur, :, 1:m + 1],
-                                             views[cur][:, :m], nxt[:, 1:m + 1], scale)
+        diverged, e, m_mid, a_t, m_t = _advance(stepper, t, dt, a_t, m_t, blocks[cur, :, 1:m + 1],
+                                                views[cur][:, :m], nxt[:, 1:m + 1], scale)
         diag.steps += 1
         diag.node_steps += m
         # the |M^2 u| space-time integral by the midpoint rule, M^2 from the
         # step's stage at t + dt/2; |u+| is in the stage inputs
         t_new, mass_new = t + dt, float(weights[:m] @ stepper.stage[1, 1:m + 1])
         mass_acc += dt * abs(m_mid) * (0.5 * (mass_u + mass_new))
-        mass_u, cur, t = mass_new, 1 - cur, t_new
+        # the new state is nonzero at node e - 1 and zero from e on: `_window` of it
+        mass_u, cur, t, m = mass_new, 1 - cur, t_new, min(e + 5, size)
         if diverged:
             diag.diverged, diag.divergence_time, diag.stop_reason = True, t, "diverged"
             record(FieldState(r, us[cur], vs[cur], t, True, scale))

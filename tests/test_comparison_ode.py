@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from kgflrw.comparison_ode import (
-    BlowupNotReachedError,
     OdeProblem,
     PreconditionError,
-    blowup_time_estimate,
     closed_form_oracle,
     integrate_comparison,
     save_trajectory_csv,
@@ -63,8 +61,8 @@ class TestOracle:
 
     def test_error_bar_is_honest(self):
         problem, oracle = _oracle_problem(p=2.0, b=2.0, w0=0.8)
-        t_star, err = blowup_time_estimate(problem)
-        assert abs(t_star - oracle.t_star) <= err
+        traj = integrate_comparison(problem)
+        assert traj.blowup and abs(traj.t_star - oracle.t_star) <= traj.t_star_err
 
     def test_solution_values_track_oracle(self):
         problem, oracle = _oracle_problem(p=3.0, b=1.0, w0=1.0)
@@ -84,12 +82,9 @@ class TestIntegrator:
             coefficients_fn=lambda t: (4.0, 0.0),
         )
         traj = integrate_comparison(problem)
-        assert not traj.blowup
-        assert traj.t_star is None
+        assert not traj.blowup and traj.t_star is None
         # w(t) = cos(2t) for c = 1
         assert traj.w[-1] == pytest.approx(math.cos(2.0 * traj.t[-1]), abs=1e-6)
-        with pytest.raises(BlowupNotReachedError):
-            blowup_time_estimate(problem)
 
     def test_deterministic(self):
         a = integrate_comparison(_oracle_problem()[0])

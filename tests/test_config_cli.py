@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kgflrw import field_solver
 from kgflrw.cli import emit_report, main, run_sweep
 from kgflrw.config import (
     ConfigError,
@@ -69,6 +70,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="count"):
             parse_config_dict(bad_count)
 
+        infinite = json.loads(json.dumps(good))
+        infinite["sweep"]["axis1"]["max"] = math.inf
+        with pytest.raises(ConfigError, match="sweep.axis1.max must be finite"):
+            parse_config_dict(infinite)
+
         duplicate = json.loads(json.dumps(good))
         duplicate["sweep"]["axis2"]["name"] = "p"
         with pytest.raises(ConfigError, match="distinct"):
@@ -124,12 +130,36 @@ class TestCliCommands:
         assert main(["-h"]) == 0
         assert "usage:" in capsys.readouterr().out
 
-    def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
-        # grid too coarse for the bump: a solver error, not a config error
-        cfg = _write_config(tmp_path, {"n": 1, "r0": 1.0, "num_nodes": 64,
-                                       "r_max": 3.0, "t_end": 0.5})
+    @pytest.mark.parametrize("command", ["pde", "identity"])
+    @pytest.mark.parametrize("override, key", [
+        ({"num_nodes": 64}, "num_nodes"),  # 10 nodes across the bump, 32 needed
+        ({"r_max": 0.4}, "r_max"),  # inside the bump
+        ({"r_max": 1.2}, "r_max"),  # short of the light cone r(1.2) = 1.7
+    ])
+    def test_grid_that_cannot_carry_the_run_is_exit_1(self, tmp_path, capsys, command,
+                                                      override, key):
+        cfg = _write_config(tmp_path, {"n": 1, "r0": 0.5, "r_max": 3.0, "t_end": 1.2,
+                                       "R": 1.2, **override})
+        assert main([command, "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["w0", "w1", "H", "m_sq", "r_max", "t_end"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_exit_1(self, tmp_path, capsys, key, literal):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"n": 1, "m_sq": -1.0, "r0": 0.5, "{key}": {literal}}}\n')
+        assert main(["ode", "--config", str(path)]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_runtime_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def escape(*args, **kwargs):
+            raise field_solver.ConeViolationError("support radius exceeds cone radius")
+
+        monkeypatch.setattr(field_solver, "run_until", escape)
+        cfg = _write_config(tmp_path, {"n": 1, "r0": 1.0, "w0": 1.0, "t_end": 0.5})
         assert main(["pde", "--config", cfg]) == 2
-        assert "runtime failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "ConeViolationError" in err
 
     def test_regime_command(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"n": 3, "H": -1.0, "sigma": 0.0})

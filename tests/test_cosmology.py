@@ -25,7 +25,6 @@ from kgflrw.cosmology import (
     curved_mass_sq,
     background,
     horizon_time,
-    hubble_rate,
     mass_sign_change_time,
     scale_factor,
     weight_exponent,
@@ -75,14 +74,6 @@ class TestScaleFactor:
         # n=2, sigma=1, H=1: a = (1 + 2t)^(1/2)
         params = CosmologyParams(n=2, H=1.0, sigma=1.0)
         assert scale_factor(params, 4.0) == pytest.approx(3.0, rel=1e-14)
-
-    def test_hubble_rate_matches_log_derivative(self):
-        dt = 1e-6
-        for params in (DE_SITTER_EXP, CRUNCH, RIP, CosmologyParams(n=2, H=0.7, sigma=0.8)):
-            t = 0.3
-            fd = (math.log(scale_factor(params, t + dt)) - math.log(scale_factor(params, t - dt))) / (2 * dt)
-            assert hubble_rate(params, t) == pytest.approx(fd, rel=1e-7)
-        assert hubble_rate(DE_SITTER_EXP, 5.0) == 1.0
 
     @given(
         n=st.integers(1, 4),
@@ -406,7 +397,6 @@ class TestBackground:
         assert scale_factor(params, t) == bg.a(t)
         assert curved_mass_sq(params, t) == bg.mass_sq(t)
         assert cone_radius(ConeData(r0, params), t) == bg.r(t)
-        assert hubble_rate(params, t) == bg.hubble(t)
 
     @given(point=_regime_points(), x=st.floats(0.0, 1.0, exclude_max=True))
     # beside the log cone e H ~ 2e-314, so e L is subnormal
@@ -467,7 +457,7 @@ class TestBackground:
 
     def test_domain_and_argument_checks(self):
         bg = Background(CRUNCH, 0.5)
-        for method in (bg.a, bg.r, bg.mass_sq, bg.a_r, bg.hubble):
+        for method in (bg.a, bg.r, bg.mass_sq, bg.a_r):
             with pytest.raises(DomainError):
                 method(-1e-9)
             with pytest.raises(DomainError):
