@@ -33,7 +33,7 @@ from .cosmology import (
     mass_sign_change_time,
 )
 from .thresholds import CaseMismatchError, check_hypotheses, damping_rate_N
-from .testfn import hypothesis_13_14, save_scaling_fit, weak_identity_residual
+from .testfn import hypothesis_13_14, weak_identity_residual
 
 
 def _print_json(payload: dict, out_dir, name: str) -> None:
@@ -42,6 +42,20 @@ def _print_json(payload: dict, out_dir, name: str) -> None:
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / name).write_text(text + "\n")
+
+
+def _write_table(path, header, columns) -> None:
+    """CSV of the columns under header, one row per sample, each value as repr(float)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) for x in row] for row in zip(*columns))
+
+
+def _write_sidecar(path, record, sort_keys: bool = False) -> None:
+    """The fields of the dataclass record that are not arrays, as indented JSON."""
+    meta = {k: v for k, v in vars(record).items() if not isinstance(v, np.ndarray)}
+    Path(path).write_text(json.dumps(meta, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def _time_cap(spec: RunSpec, default: float) -> float:
@@ -83,7 +97,10 @@ def cmd_ode(spec: RunSpec, out_dir) -> int:
         N=N, w0=spec.w0, w1=spec.resolved_w1(),
         t_end=spec.t_end if spec.t_end is not None else 50.0,
     )
-    traj = comparison_ode.integrate_comparison(problem)
+    try:
+        traj = comparison_ode.integrate_comparison(problem)
+    except comparison_ode.StartError as exc:
+        raise ConfigError(f"{exc}: lower w0 = {spec.w0} or w1 = {problem.w1}") from exc
     payload = {
         "blowup": traj.blowup,
         "t_star": traj.t_star,
@@ -94,9 +111,9 @@ def cmd_ode(spec: RunSpec, out_dir) -> int:
     }
     _print_json(payload, out_dir, "ode.json")
     if out_dir is not None:
-        comparison_ode.save_trajectory_csv(
-            traj, Path(out_dir) / "trajectory.csv", Path(out_dir) / "trajectory.json"
-        )
+        _write_table(Path(out_dir) / "trajectory.csv", ("t", "w", "wdot"),
+                     (traj.t, traj.w, traj.wdot))
+        _write_sidecar(Path(out_dir) / "trajectory.json", traj)
     return 0
 
 
@@ -120,6 +137,10 @@ def _pde_state(spec: RunSpec, t_cap: float):
         raise ConfigError(f"{exc}; raise num_nodes") from exc
 
 
+# the columns of diagnostics.csv
+_DIAGNOSTICS = ("t", "mean", "sup", "energy", "support_radius", "cone_radius", "mass_integral")
+
+
 def cmd_pde(spec: RunSpec, out_dir) -> int:
     t_cap = _time_cap(spec, 5.0)
     state = _pde_state(spec, t_cap)
@@ -140,7 +161,8 @@ def cmd_pde(spec: RunSpec, out_dir) -> int:
     }
     _print_json(payload, out_dir, "pde.json")
     if out_dir is not None:
-        field_solver.save_diagnostics_csv(diag, Path(out_dir) / "diagnostics.csv")
+        _write_table(Path(out_dir) / "diagnostics.csv", _DIAGNOSTICS,
+                     [getattr(diag, name) for name in _DIAGNOSTICS])
     return 0
 
 
@@ -159,10 +181,9 @@ def cmd_scaling(spec: RunSpec, out_dir) -> int:
     }
     _print_json(payload, out_dir, "scaling.json")
     if out_dir is not None:
-        save_scaling_fit(ev.fit_II, Path(out_dir) / "II_prime.csv",
-                         Path(out_dir) / "II_prime.json")
-        save_scaling_fit(ev.fit_III, Path(out_dir) / "III_prime.csv",
-                         Path(out_dir) / "III_prime.json")
+        for name, fit in (("II_prime", ev.fit_II), ("III_prime", ev.fit_III)):
+            _write_table(Path(out_dir) / f"{name}.csv", ("R", "value"), (fit.R, fit.values))
+            _write_sidecar(Path(out_dir) / f"{name}.json", fit, sort_keys=True)
     return 0
 
 

@@ -11,8 +11,6 @@ samples, where the positivity check reads them.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -29,8 +27,6 @@ __all__ = [
     "PreconditionError",
     "integrate_comparison",
     "verify_lemma21",
-    "closed_form_oracle",
-    "save_trajectory_csv",
 ]
 
 # The loop leaves (w, wdot) for the rescaled zeta = (w_s/w)^k once an accepted
@@ -50,7 +46,6 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -58,6 +53,10 @@ _DP_B4 = np.array(
 
 class StiffnessError(RuntimeError):
     """Step size collapsed below the floor before t_end, in either phase."""
+
+
+class StartError(ValueError):
+    """The right side is not finite at t = 0, so no step can start."""
 
 
 class PreconditionError(ValueError):
@@ -143,7 +142,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     second-order Taylor polynomial.  A run whose |w| falls back below |w_s|
     returns to (w, wdot).  Samples are always (t, w, wdot), with the
     (M^2, b) their last stage evaluated.  A step collapse raises
-    StiffnessError.  Runs are deterministic for fixed inputs.
+    StiffnessError, and a right side that is not finite at t = 0 StartError.
+    Runs are deterministic for fixed inputs.
     """
     t_end = min(problem.t_end, background(problem.params).t_end_cap)
     t = 0.0
@@ -156,10 +156,10 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     switch_at = _SWITCH * (abs(problem.w0) or abs(problem.w1))
 
     def coefs(ti):
-        # (M^2, b) at ti, or None where evaluating them overflows
+        # (M^2, b) at ti, or None where evaluating them overflows or divides by zero (a r^2 = 0)
         try:
             return coef(ti)
-        except OverflowError:
+        except ArithmeticError:
             return None
 
     def acc_w(cf, wi, _):
@@ -188,7 +188,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         return acc
 
     atol = 1e-12
-    dt = min(1e-3, t_end / 10.0)
+    dt = min(1e-3, t_end / 10.0) or t_end  # t_end / 10 underflows for a subnormal t_end
     ts = [t]
     ws = [x]
     wds = [xd]
@@ -212,6 +212,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     cf = coefs(t)
     cfs = [cf]
     g1 = acc(cf, x, xd)
+    if not (math.isfinite(g1) and math.isfinite(xd)):
+        raise StartError(f"the right side (wdot, wddot) = ({xd}, {g1}) is not finite at t = 0")
     while t < t_end:
         if w_s is not None and xd < 0.0:
             # zeta = 0 is singular: stop at the Taylor root once it is resolved
@@ -250,12 +252,15 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         if not bad:
             sw = atol + rtol * max(abs(x), abs(x7))
             sv = atol + rtol * max(abs(xd), abs(v7))
-            err = math.sqrt(0.5 * (((x7 - x_lo) / sw) ** 2 + ((v7 - v_lo) / sv) ** 2))
+            try:
+                err = math.sqrt(0.5 * (((x7 - x_lo) / sw) ** 2 + ((v7 - v_lo) / sv) ** 2))
+            except OverflowError:
+                err = math.inf
         if bad or err > 1.0:
             rejections += 1
             fac = min_fac if bad else max(min_fac, safety * err ** (-0.2))
             dt *= fac
-            if dt < _DT_FLOOR and (t_end - t) > 10.0 * _DT_FLOOR:
+            if dt < _DT_FLOOR and (t_end - t) > 10.0 * _DT_FLOOR or t + dt == t:
                 raise StiffnessError(
                     f"step collapsed to {dt:.3e} at t={t:.6g} with |w|={abs(ws[-1]):.3e}"
                 )
@@ -354,47 +359,3 @@ def verify_lemma21(trajectory: Trajectory, problem: OdeProblem) -> dict:
         results["worst_margins"] = {key: float(np.min(m)) for key, m in zip(keys, margins)}
     results["all_pass"] = all(results[k] for k in keys)
     return results
-
-
-@dataclass(frozen=True)
-class OracleSolution:
-    """Closed-form separable blow-up solution for constant weight, zero mass."""
-
-    p: float
-    b: float
-    w0: float
-    c: float
-    kappa: float
-    t_star: float
-
-    def w(self, t: float) -> float:
-        return self.w0 * (1.0 - self.kappa * t) ** (-2.0 / (self.p - 1.0))
-
-    def w1(self) -> float:
-        return self.c * math.sqrt(2.0 * self.b / (self.p + 1.0)) * self.w0 ** ((self.p + 1.0) / 2.0)
-
-
-def closed_form_oracle(p: float, b_const: float, w0: float, c: float = 1.0) -> OracleSolution:
-    """Exact solution of c^-2 wddot = b w^p with energy-matched initial slope.
-
-    w(t) = w0 (1 - kappa t)^(-2/(p-1)), kappa = c (p-1)/2 sqrt(2b/(p+1))
-    w0^((p-1)/2); finite blow-up at t* = 1/kappa.  Independent oracle for the
-    integrator; requires p > 1, b > 0, w0 > 0.
-    """
-    if p <= 1 or b_const <= 0 or w0 <= 0 or c <= 0:
-        raise ValueError("oracle requires p > 1, b > 0, w0 > 0, c > 0")
-    kappa = c * (p - 1.0) / 2.0 * math.sqrt(2.0 * b_const / (p + 1.0)) * w0 ** ((p - 1.0) / 2.0)
-    return OracleSolution(p=p, b=b_const, w0=w0, c=c, kappa=kappa, t_star=1.0 / kappa)
-
-
-def save_trajectory_csv(traj: Trajectory, csv_path, sidecar_path) -> None:
-    """Write samples as CSV (t,w,wdot) and every non-array `Trajectory` field in a JSON sidecar."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "w", "wdot"])
-        for t, w, wd in zip(traj.t, traj.w, traj.wdot):
-            writer.writerow([repr(float(t)), repr(float(w)), repr(float(wd))])
-    meta = {k: v for k, v in vars(traj).items() if not isinstance(v, np.ndarray)}
-    with open(sidecar_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")

@@ -10,11 +10,12 @@ back to a default.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .cosmology import CosmologyParams
+from .cosmology import CosmologyParams, background, unit_ball_volume
 from .thresholds import CaseMismatchError, InitialDataSummary, damping_rate_N
 
 
@@ -227,11 +228,21 @@ def parse_config_dict(raw: dict) -> RunSpec:
         safety=safety,
         sweep=sweep,
     )
-    # constructing the params validates the remaining physics fields
+    # constructing the params validates the remaining physics fields, and the
+    # background's constants must stay inside the float range
     try:
-        spec.params()
+        unit_ball_volume(n)
+    except OverflowError:
+        raise ConfigError(f"n = {n} is too large: the unit ball volume overflows") from None
+    _require(c * c < math.inf, f"c = {c} is too large: c^2 overflows")
+    _require(c / a0 > 0.0, f"c = {c} and a0 = {a0} make the light speed c/a0 underflow")
+    try:
+        t0 = background(spec.params(), r0).t0
+    except ArithmeticError as exc:
+        raise ConfigError(f"H, c and a0 put the background's constants out of the float range: {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _require(t0 > 0.0, f"H = {spec.H} and sigma = {spec.sigma} end the spacetime at T0 = 0")
     return spec
 
 

@@ -1,4 +1,4 @@
-"""FLRW background: scale function, Hubble rate, curved mass, light cone.
+"""FLRW background: scale function, curved mass, light cone.
 
 All quantities are closed-form in the power-law / exponential family of
 scale functions, through one log scale factor L = log(a/a0):
@@ -410,7 +410,10 @@ def _log_cone(bg: Background, ts, L):
         eL = e * L
         far = eL > min(max(_LOG_R_FAR - lead, 1.0), _LOG_R_FAR)
         if far.any():
-            closed = eL + lead + np.log1p((bg.r0 * math.exp(-lead) - 1.0) * np.exp(-eL))
+            try:
+                closed = eL + lead + np.log1p((bg.r0 * math.exp(-lead) - 1.0) * np.exp(-eL))
+            except OverflowError:  # r0 >> c/(a0 H e), so r = r0 + e^(lead + e L) to round-off
+                closed = np.logaddexp(math.log(bg.r0), eL + lead)
             return np.where(far, closed, np.log(bg._r(ts, np.where(far, 0.0, L), np)))
     return np.log(bg._r(ts, L, np))
 

@@ -25,7 +25,6 @@ field for its footprint once per run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,12 +40,10 @@ __all__ = [
     "ConeViolationError",
     "init_field",
     "radial_laplacian",
-    "cfl_dt",
     "step",
     "spatial_mean",
     "energy",
     "run_until",
-    "save_diagnostics_csv",
 ]
 
 # A state diverges once its sup exceeds this multiple of its data scale.
@@ -252,11 +249,6 @@ def _cfl(safety: float, dr: float, a: float, c: float) -> float:
     return safety * dr * a / c
 
 
-def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
-    """Wave-speed limited timestep: safety * dr * a(t) / c."""
-    return _cfl(safety, state.dr, background(params).a(state.t), params.c)
-
-
 def _window(u: np.ndarray, v: np.ndarray) -> int:
     """Number of leading nodes a step of (u, v) updates.
 
@@ -268,20 +260,27 @@ def _window(u: np.ndarray, v: np.ndarray) -> int:
     return min((int(hits[-1]) if hits.size else -1) + 6, u.size)
 
 
-def _tableau(h: float) -> np.ndarray:
+def _tableau(h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Nystrom RK4 of step h as a (5, 6) matrix over the block rows (k4, k3, k2, k1, v, u).
 
     Its rows give v+ = v + (h/6)(k1 + 2 k2 + 2 k3 + k4), u+ = u + h v +
     (h^2/6)(k1 + k2 + k3), Y4 = u + h v + (h^2/2) k2, Y3 = u + (h/2) v +
     (h^2/4) k1 and Y2 = u + (h/2) v: everything turned end for end, so that a
     product, which BLAS sums in row order, adds the state last and once.
+    Writes the entries that depend on h into out, a tableau of another step,
+    or else into a new one.
     """
+    if out is None:
+        out = np.zeros((5, 6))
+        out[0, 4] = out[1:, 5] = 1.0
     g, h2 = h / 2.0, h * h
-    return np.array([[h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0, 0.0],
-                     [0.0, h2 / 6.0, h2 / 6.0, h2 / 6.0, h, 1.0],
-                     [0.0, 0.0, h2 / 2.0, 0.0, h, 1.0],
-                     [0.0, 0.0, 0.0, h2 / 4.0, g, 1.0],
-                     [0.0, 0.0, 0.0, 0.0, g, 1.0]])
+    out[0, 0] = out[0, 3] = h / 6.0
+    out[0, 1] = out[0, 2] = h / 3.0
+    out[1, 1] = out[1, 2] = out[1, 3] = h2 / 6.0
+    out[1, 4] = out[2, 4] = h
+    out[2, 2], out[3, 3] = h2 / 2.0, h2 / 4.0
+    out[3, 4] = out[4, 4] = g
+    return out
 
 
 class _Stepper:
@@ -290,12 +289,16 @@ class _Stepper:
     buf[0] holds the folded rows at a step's t, and buf[1] those at t + dt/2.
     It starts with the rows at (a, M^2) over the first k nodes.  On a static
     background buf[0] serves every stage of every step; on a moving one
-    `_advance` refolds both.  The stage inputs are padded like a u.
+    `_advance` refolds both.  The tableau of step dt is rewritten in place
+    when dt changes, and tabs are its three two-row blocks.  The stage
+    inputs are padded like a u.
     """
 
     def __init__(self, bg, lam: float, p: float, st: _Stencil, a: float, msq: float, k: int):
         size = st.rows.shape[1]
         self.bg, self.lam, self.p, self.st, self.c2, self.dt = bg, lam, p, st, bg.c ** 2, math.nan
+        self.tab = _tableau(self.dt)
+        self.tabs = (self.tab[3:, 3:], self.tab[2:4, 2:], self.tab[:2])
         self.buf, self.stage = np.empty((2, 3, size)), np.zeros((2, size + 2))
         self.views, self.prod, self.tmp = _row_view(self.stage), np.empty((3, size)), np.empty(size)
         _fold(st, self.c2, a, msq, self.buf[0, :, :k])
@@ -338,17 +341,17 @@ def _advance(s: _Stepper, t: float, dt: float, a0: float, m0: float, blk: np.nda
         ah, a1, mh, m1, ih = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1), 1
         _fold(s.st, s.c2, ah, mh, rows[1])
     if dt != s.dt:
-        tab = _tableau(dt)
-        s.dt, s.tab = dt, (tab[3:, 3:], tab[2:4, 2:], tab[:2])
+        s.dt = dt
+        _tableau(dt, s.tab)
     accel(0, a0, u_rows, blk[3])
     if not bg.static:
         _fold(s.st, s.c2, a1, m1, s.buf[0, :, :m + 2])
-    np.matmul(s.tab[0], blk[3:], out=ys)  # Y3, Y2
+    np.matmul(s.tabs[0], blk[3:], out=ys)  # Y3, Y2
     accel(ih, ah, y_hi, blk[2])
     accel(ih, ah, y_lo, blk[1])
-    np.matmul(s.tab[1], blk[2:], out=ys)  # Y4 beside Y3 again, as a product takes two rows
+    np.matmul(s.tabs[1], blk[2:], out=ys)  # Y4 beside Y3 again, as a product takes two rows
     accel(0, a1, y_lo, blk[0])
-    np.matmul(s.tab[2], blk, out=out)
+    np.matmul(s.tabs[2], blk, out=out)
     out[:, -1] = 0.0
     sup = float(np.maximum.reduce(np.abs(out, out=ys)[1]))
     floor, lo, e = _DUST_REL * scale, max(m - 8, 0), 0
@@ -368,18 +371,19 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     Only the first ``_window`` nodes are stepped and the rest are set to zero.
     Each stepped node sees the same arithmetic as on the full grid, so the
     result equals a full-grid step bit for bit, and a step of `run_until`.
-    The outer node takes no velocity.  ``dt`` defaults to `cfl_dt`.
+    The outer node takes no velocity.  ``dt`` defaults to the CFL step
+    0.4 dr a(t) / c.
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
-    if dt is None:
-        dt = cfl_dt(params, state)
     size = state.u.size
     m, new = _window(state.u, state.v), np.zeros((2, size))
     blk = np.zeros((6, size + 2))  # rows k4, k3, k2, k1, v, u, padded like the stage inputs
     blk[5, 1:-1], blk[4, 1:-2] = state.u, state.v[:-1]
     bg, t = background(params), state.t
     a0, m0 = bg.a(t), bg.mass_sq(t)
+    if dt is None:
+        dt = _cfl(0.4, state.dr, a0, params.c)
     stepper = _Stepper(bg, lam, p, _stencil(state.r, params.n), a0, m0, m)
     diverged = _advance(stepper, t, dt, a0, m0, blk[:, 1:m + 1], _row_view(blk[5])[:, :m],
                         new[:, :m], state.data_scale)[0]
@@ -526,11 +530,3 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
         if diag.t[-1] < t:
             record(FieldState(r, us[cur], vs[cur], t, False, scale))
     return diag
-
-
-def save_diagnostics_csv(diag: Diagnostics, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "mean", "sup", "energy", "support_radius", "cone_radius", "mass_integral"])
-        for row in zip(diag.t, diag.mean, diag.sup, diag.energy, diag.support_radius, diag.cone_radius, diag.mass_integral):
-            writer.writerow([repr(float(x)) for x in row])

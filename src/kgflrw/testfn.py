@@ -19,7 +19,6 @@ load it.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,14 +37,11 @@ __all__ = [
     "HypothesisEvidence",
     "CoverageError",
     "build_cutoff",
-    "psi_pow",
-    "verify_cutoff_bounds",
     "II_prime",
     "III_prime",
     "scaling_exponent",
     "hypothesis_13_14",
     "weak_identity_residual",
-    "save_scaling_fit",
 ]
 
 # Below this value of eta the transition-layer derivative quotients are
@@ -139,18 +135,6 @@ def _holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def psi_pow(R: float, p: float, t, radius):
-    """psi_R(t, x)^p' = eta(t/R)^p' eta(|x|/R)^p' with p' = p/(p-1)."""
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
-    cut = build_cutoff()
-    pp = _holder_conjugate(p)
-    t_arr = np.asarray(t, dtype=float)
-    r_arr = np.asarray(radius, dtype=float)
-    out = cut.eta(t_arr / R) ** pp * cut.eta(r_arr / R) ** pp
-    return float(out) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
-
-
 def _pow_second_deriv_factor(cut: CutoffProfile, s: np.ndarray, pp: float) -> np.ndarray:
     """d^2/ds^2 of eta(s)^p' in closed form, with the underflow floor.
 
@@ -178,30 +162,6 @@ def _pow_first_deriv_factor(cut: CutoffProfile, s: np.ndarray, pp: float) -> np.
     return out
 
 
-def dtt_psi_pow(R: float, p: float, t, radius):
-    """Second time derivative of psi_R^p', in closed form."""
-    cut = build_cutoff()
-    pp = _holder_conjugate(p)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
-    out = _pow_second_deriv_factor(cut, t_arr / R, pp) / R**2 * cut.eta(r_arr / R) ** pp
-    return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
-
-
-def lap_psi_pow(R: float, p: float, t, radius, n: int):
-    """Spatial Laplacian of psi_R^p' for radial x, in closed form.
-
-    Delta f(|x|) = f'' + (n-1)/|x| f'; the first-derivative term vanishes
-    identically on the plateau, so the origin needs no special casing.
-    """
-    cut = build_cutoff()
-    pp = _holder_conjugate(p)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
-    out = cut.eta(t_arr / R) ** pp * _radial_lap_pow(cut, R, pp, r_arr, n)
-    return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
-
-
 def _radial_lap_pow(cut: CutoffProfile, R: float, pp: float, r: np.ndarray, n: int) -> np.ndarray:
     """Delta of eta(|x|/R)^p' at radii r: f'' + (n-1)/r f', the first term only where f' != 0."""
     s = r / R
@@ -210,52 +170,6 @@ def _radial_lap_pow(cut: CutoffProfile, R: float, pp: float, r: np.ndarray, n: i
     live = first != 0.0
     lap[live] += (n - 1.0) / r[live] * first[live]
     return lap
-
-
-def verify_cutoff_bounds(
-    R_list: Sequence[float],
-    p: float,
-    n: int = 1,
-    grid_size: int = 10_000,
-) -> dict:
-    """Measure the constants in the cutoff derivative bounds.
-
-    For each R, evaluates sup over the transition layer of
-    R^2 |dtt psi_R^p'| / psi_R^(p'-1) and R^2 |Delta psi_R^p'| / psi_R^(p'-1)
-    on a dense grid.  The construction is scale invariant (the quotients
-    depend only on t/R and |x|/R), so the report also carries the relative
-    variation across the R list, which should be at roundoff level.
-    """
-    cut = build_cutoff()
-    pp = _holder_conjugate(p)
-    constants = {}
-    for R in R_list:
-        s = np.linspace(0.5, 1.0, grid_size + 1)[1:-1]
-        t_vals = s * R
-        # the time quotient is maximized on the spatial plateau (eta_x = 1)
-        num_t = R**2 * np.abs(dtt_psi_pow(R, p, t_vals, np.zeros_like(t_vals)))
-        den = cut.eta(s) ** (pp - 1.0)
-        live = cut.eta(s) > _ETA_FLOOR
-        const_t = float(np.max(num_t[live] / den[live]))
-        # likewise the space quotient on the temporal plateau (eta_t = 1)
-        r_vals = s * R
-        num_x = R**2 * np.abs(lap_psi_pow(R, p, np.zeros_like(r_vals), r_vals, n))
-        const_x = float(np.max(num_x[live] / den[live]))
-        constants[R] = (const_t, const_x)
-    t_consts = [c[0] for c in constants.values()]
-    x_consts = [c[1] for c in constants.values()]
-
-    def rel_var(vals):
-        top, bot = max(vals), min(vals)
-        return (top - bot) / top if top > 0 else 0.0
-
-    return {
-        "constants": constants,
-        "time_constant": max(t_consts),
-        "space_constant": max(x_consts),
-        "time_variation": rel_var(t_consts),
-        "space_variation": rel_var(x_consts),
-    }
 
 
 def _guarded_quad(fn, lo, hi, points, tol) -> float:
@@ -446,14 +360,6 @@ class HypothesisEvidence:
     fit_II: ScalingFit
     fit_III: ScalingFit
 
-    @property
-    def h13(self) -> bool:
-        return self.h13_numeric
-
-    @property
-    def h14(self) -> bool:
-        return self.h14_numeric
-
 
 # Margin below the critical exponent ratio 2 that the numeric verdict
 # requires; keeps fit noise on a borderline slope from flipping a verdict.
@@ -606,18 +512,3 @@ def weak_identity_residual(
     if return_parts:
         return residual, {"I": I_R, "II": II_R, "III": III_R, "IV": IV_R, "V": V_R}
     return residual
-
-
-def save_scaling_fit(fit: ScalingFit, csv_path, json_path) -> None:
-    """Persist the (R, value) table as CSV and the other `ScalingFit` fields as JSON."""
-    import csv as _csv
-
-    with open(csv_path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["R", "value"])
-        for R, v in zip(fit.R, fit.values):
-            writer.writerow([repr(float(R)), repr(float(v))])
-    meta = {k: v for k, v in vars(fit).items() if k not in ("R", "values")}
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

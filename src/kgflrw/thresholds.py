@@ -178,7 +178,8 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int):
     """
     import numpy as np
 
-    t_max = 1e3 * max(1.0, 1.0 / (bg.c * N)) if N > 0 else 1e3
+    cN = bg.c * N
+    t_max = 1e3 * max(1.0, 1.0 / cN) if cN > 0 else 1e3
     t_max = min(t_max, bg.t_end_cap, sys.float_info.max)
     ts = np.concatenate(([0.0], t_max * _unit_log_grid(grid_size)))
     log_a, log_r, msq = background_arrays(bg.params, bg.r0, ts)
@@ -239,10 +240,15 @@ def threshold_S(
             msq, b = coefficients(t)
         except OverflowError:  # r(t) leaves the float range
             return math.inf
+        except ZeroDivisionError:  # a r^2 underflows, so b is infinite
+            return 0.0
         val = N * N + msq
         if val <= 1e-12 * (N * N + abs(msq) + 1.0):
             return 0.0
-        return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * b)) ** (1.0 / (p - 1.0))
+        try:
+            return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * b)) ** (1.0 / (p - 1.0))
+        except ArithmeticError:  # b underflows to 0, or the power overflows
+            return math.inf
 
     # golden-section refinement on the bracketing interval
     lo = float(ts[best - 1] if best > 0 else ts[0])
@@ -295,7 +301,8 @@ def admissible_p_range(params: CosmologyParams) -> tuple[float, float]:
         if n == 2 and sigma == 0.0:
             return 1.0, math.inf
         if n >= 2 and sigma > branch:
-            return 1.0, ((n + 1) * (1.0 + sigma) - 1.0) / ((n - 1) * (1.0 + sigma) - 1.0)
+            den = (n - 1) * (1.0 + sigma) - 1.0  # 0 where 1 + sigma rounds to 1 at n = 2
+            return 1.0, ((n + 1) * (1.0 + sigma) - 1.0) / den if den else math.inf
         if n >= 3 and sigma == branch:
             return 1.0, (n + 2.0) / (n - 2.0)
         # remaining: n=1 with -1<sigma<0, or n>=2 with -1<sigma<branch

@@ -1,15 +1,19 @@
-"""Independent oracles for the background closed forms, used only by the tests.
+"""Independent oracles and reference forms, used only by the tests.
 
 Finite differences of a(t) for the curved mass M^2 and adaptive quadrature
 of c/a for the light cone; neither shares code with the closed forms they
 check beyond a(t) itself.  The data thresholds S on a grid that takes a(t)
 as a power of the bracket and then its log, as they were once computed.
 The Lemma 2.1 check as a loop over samples that evaluates (M^2, b) per
-sample, as it once was.
+sample, as it once was.  The separable blow-up solution of the comparison
+ODE.  The cutoff psi_R^p' and its closed-form derivatives pointwise, from
+the profile the weak identity folds into its weights.  The CFL step a
+field state takes by default.
 """
 
 import math
 import sys
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,6 +21,10 @@ from scipy.integrate import quad
 
 from kgflrw.cosmology import (
     ConeData, CosmologyParams, background, horizon_time, scale_factor, unit_ball_volume,
+)
+from kgflrw.field_solver import FieldState, _cfl
+from kgflrw.testfn import (
+    _holder_conjugate, _pow_second_deriv_factor, _radial_lap_pow, build_cutoff,
 )
 
 
@@ -212,3 +220,75 @@ def verify_lemma21_per_sample(trajectory, problem) -> dict:
     results["worst_margins"] = worst
     results["all_pass"] = all(results[k] for k in keys)
     return results
+
+
+@dataclass(frozen=True)
+class OracleSolution:
+    """Closed-form separable blow-up solution for constant weight, zero mass."""
+
+    p: float
+    b: float
+    w0: float
+    c: float
+    kappa: float
+    t_star: float
+
+    def w(self, t: float) -> float:
+        return self.w0 * (1.0 - self.kappa * t) ** (-2.0 / (self.p - 1.0))
+
+    def w1(self) -> float:
+        return self.c * math.sqrt(2.0 * self.b / (self.p + 1.0)) * self.w0 ** ((self.p + 1.0) / 2.0)
+
+
+def closed_form_oracle(p: float, b_const: float, w0: float, c: float = 1.0) -> OracleSolution:
+    """Exact solution of c^-2 wddot = b w^p with energy-matched initial slope.
+
+    w(t) = w0 (1 - kappa t)^(-2/(p-1)), kappa = c (p-1)/2 sqrt(2b/(p+1))
+    w0^((p-1)/2); finite blow-up at t* = 1/kappa.  Independent oracle for the
+    integrator; requires p > 1, b > 0, w0 > 0.
+    """
+    if p <= 1 or b_const <= 0 or w0 <= 0 or c <= 0:
+        raise ValueError("oracle requires p > 1, b > 0, w0 > 0, c > 0")
+    kappa = c * (p - 1.0) / 2.0 * math.sqrt(2.0 * b_const / (p + 1.0)) * w0 ** ((p - 1.0) / 2.0)
+    return OracleSolution(p=p, b=b_const, w0=w0, c=c, kappa=kappa, t_star=1.0 / kappa)
+
+
+def psi_pow(R: float, p: float, t, radius):
+    """psi_R(t, x)^p' = eta(t/R)^p' eta(|x|/R)^p' with p' = p/(p-1)."""
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R}")
+    cut = build_cutoff()
+    pp = _holder_conjugate(p)
+    t_arr = np.asarray(t, dtype=float)
+    r_arr = np.asarray(radius, dtype=float)
+    out = cut.eta(t_arr / R) ** pp * cut.eta(r_arr / R) ** pp
+    return float(out) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
+
+
+def dtt_psi_pow(R: float, p: float, t, radius):
+    """Second time derivative of psi_R^p', in closed form."""
+    cut = build_cutoff()
+    pp = _holder_conjugate(p)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
+    out = _pow_second_deriv_factor(cut, t_arr / R, pp) / R**2 * cut.eta(r_arr / R) ** pp
+    return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
+
+
+def lap_psi_pow(R: float, p: float, t, radius, n: int):
+    """Spatial Laplacian of psi_R^p' for radial x, in closed form.
+
+    Delta f(|x|) = f'' + (n-1)/|x| f'; the first-derivative term vanishes
+    identically on the plateau, so the origin needs no special casing.
+    """
+    cut = build_cutoff()
+    pp = _holder_conjugate(p)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
+    out = cut.eta(t_arr / R) ** pp * _radial_lap_pow(cut, R, pp, r_arr, n)
+    return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
+
+
+def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
+    """Wave-speed limited timestep safety * dr * a(t) / c, the step `field_solver.step` takes by default."""
+    return _cfl(safety, state.dr, background(params).a(state.t), params.c)

@@ -18,7 +18,6 @@ import pytest
 
 from kgflrw.comparison_ode import (
     OdeProblem,
-    closed_form_oracle,
     integrate_comparison,
     verify_lemma21,
 )
@@ -38,7 +37,7 @@ from kgflrw.thresholds import (
     damping_rate_N,
     threshold_S,
 )
-from oracles import cone_radius_quadrature, curved_mass_sq_from_derivatives
+from oracles import closed_form_oracle, cone_radius_quadrature, curved_mass_sq_from_derivatives
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:

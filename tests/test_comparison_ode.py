@@ -10,17 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
+from kgflrw import cli
 from kgflrw.comparison_ode import (
     OdeProblem,
     PreconditionError,
-    closed_form_oracle,
     integrate_comparison,
-    save_trajectory_csv,
     verify_lemma21,
 )
 from kgflrw.cosmology import Background, CosmologyParams, DomainError
 from kgflrw.thresholds import damping_rate_N, threshold_S
-from oracles import verify_lemma21_per_sample
+from oracles import closed_form_oracle, verify_lemma21_per_sample
 
 
 def _oracle_problem(p=2.0, b=1.0, w0=1.0, c=1.0, t_end_factor=2.0, m_sq=0.0):
@@ -204,7 +203,9 @@ class TestPersistence:
         traj = integrate_comparison(problem)
         csv_path = tmp_path / "trajectory.csv"
         meta_path = tmp_path / "trajectory.json"
-        save_trajectory_csv(traj, csv_path, meta_path)
+        # as `kgflrw ode` writes trajectory.csv and trajectory.json
+        cli._write_table(csv_path, ("t", "w", "wdot"), (traj.t, traj.w, traj.wdot))
+        cli._write_sidecar(meta_path, traj)
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "w", "wdot"]

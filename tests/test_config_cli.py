@@ -1,13 +1,16 @@
 """Unit tests for config parsing/validation and the command line front end,
 including sweep determinism and resumability."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgflrw import field_solver
 from kgflrw.cli import emit_report, main, run_sweep
@@ -150,6 +153,28 @@ class TestCliCommands:
         path.write_text(f'{{"n": 1, "m_sq": -1.0, "r0": 0.5, "{key}": {literal}}}\n')
         assert main(["ode", "--config", str(path)]) == 1
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["regime", "threshold", "ode", "pde"])
+    def test_dimension_whose_ball_volume_overflows_is_exit_1(self, tmp_path, capsys, command):
+        # Gamma(n/2 + 1) overflows from n = 342 on
+        cfg = _write_config(tmp_path, {"n": 400, "m_sq": -1.0, "r0": 0.5, "w0": 10.0, "w1": 10.0})
+        assert main([command, "--config", cfg]) == 1
+        assert "n = 400" in capsys.readouterr().err
+
+    def test_ode_right_side_that_overflows_at_the_start_is_exit_1(self, tmp_path, capsys):
+        # b |w0|^2 overflows at t = 0, where the run used to collapse its first step
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5, "w0": 1e308, "w1": 1e308})
+        assert main(["ode", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "w0 = 1e+308" in err and "w1 = 1e+308" in err
+
+    def test_step_collapse_is_exit_2(self, tmp_path, capsys):
+        # t* ~ 1e-50 lies below the step floor: the right side at t = 0 is finite
+        # (b w0^2 = 1e200), the first step's stages overflow at any dt above the floor
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5, "w0": 1e100})
+        assert main(["ode", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "StiffnessError" in err
 
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
         def escape(*args, **kwargs):
@@ -303,3 +328,46 @@ class TestReadmeExamples:
         cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5, "w0": 0.1, "R": 1.5})
         assert main(["identity", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-4
+
+
+_BIG, _TINY = 1.7976931348623157e308, 5e-324
+
+
+def _reals(extremes=(0.0, _TINY, 1e-300, 1e300, _BIG)):
+    """Finite floats of either sign: a moderate range, and the extremes of the float range."""
+    return st.floats(-10.0, 10.0) | st.sampled_from([s * x for x in extremes for s in (1, -1)])
+
+
+def _positive(extremes=(_TINY, 1e-300, 1e300, _BIG)):
+    return st.floats(1e-3, 1e3) | st.sampled_from(extremes)
+
+
+_CONFIG_KEYS = {
+    "n": st.integers(1, 8) | st.sampled_from([341, 342, 400, 10**9]),
+    "H": _reals(), "sigma": _reals(), "m_sq": _reals(),
+    "c": _positive(), "a0": _positive(), "lambda": _positive(),
+    "p": st.floats(1.0, 10.0, exclude_min=True) | st.sampled_from([1.0 + 2**-52, 1e300, _BIG]),
+    "theta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.sampled_from([_TINY, 1.0 - 2**-53]),
+    "N": st.floats(0.0, 10.0) | st.sampled_from([_TINY, 1e300, _BIG]),
+    "r0": _positive(), "w0": _reals(), "w1": _reals(),
+    "t_end": st.floats(1e-3, 50.0) | st.sampled_from([_TINY, 1e-300]),
+}
+
+
+@st.composite
+def _configs(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(set(_CONFIG_KEYS) - {"n"}))))
+    return {"n": draw(_CONFIG_KEYS["n"]), **{key: draw(_CONFIG_KEYS[key]) for key in sorted(keys)}}
+
+
+@settings(max_examples=40)
+@given(config=_configs())
+def test_any_config_exits_0_or_1_or_2_only_on_a_step_collapse(tmp_path_factory, config):
+    cfg = _write_config(tmp_path_factory.mktemp("cfg"), config)
+    for command in ("regime", "threshold", "ode"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg])
+        assert code in (0, 1) or (code == 2 and "StiffnessError" in err.getvalue()), (
+            command, err.getvalue())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
-from kgflrw import field_solver
+from kgflrw import cli, field_solver
 from kgflrw.cosmology import (
     Background, ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor,
 )
@@ -22,16 +22,15 @@ from kgflrw.field_solver import (
     _stencil,
     _tableau,
     _window,
-    cfl_dt,
     energy,
     init_field,
     radial_laplacian,
     run_until,
-    save_diagnostics_csv,
     spatial_mean,
     step,
     support_radius,
 )
+from oracles import cfl_dt
 
 
 class TestInitField:
@@ -699,7 +698,7 @@ def test_save_diagnostics_round_trip(tmp_path):
         support_radius=[1.0, 1.4], cone_radius=[1.0, 1.5], mass_integral=[0.0, 0.2],
     )
     path = tmp_path / "diag.csv"
-    save_diagnostics_csv(diag, path)
+    cli._write_table(path, cli._DIAGNOSTICS, [getattr(diag, name) for name in cli._DIAGNOSTICS])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "t" and rows[0][-1] == "mass_integral"

@@ -52,3 +52,16 @@ def test_counts_print_old_and_new_totals_with_their_change():
     assert lines == {"ode.rhs_evals": "600 -> 601 (+0.17%) in 1 record",
                      "pde.energy.node_steps": "5052563 -> 3904056 (-22.73%) in 1 record",
                      "ode.verdicts.all_pass": "1 record"}
+
+
+def test_dumps_name_their_blas_kernel_and_a_difference_is_warned():
+    old, new = _dump(2.0, 10, True, [1.0]), _dump(2.0, 10, True, [1.0])
+    old["blas_kernel"] = new["blas_kernel"] = "SkylakeX"
+    assert output_digest.kernel_warning(new, old) is None
+    new["blas_kernel"] = "Haswell"
+    line = output_digest.kernel_warning(new, old)
+    assert line.startswith("warning:") and "old SkylakeX" in line and "new Haswell" in line
+    del old["blas_kernel"]  # a dump taken before dumps recorded their kernel
+    assert "old unrecorded, new Haswell" in output_digest.kernel_warning(new, old)
+    # the comparison of outputs reads only the ode and pde records
+    assert all(move == 0.0 for _, move, _ in output_digest.compare(new, old).values())

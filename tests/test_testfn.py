@@ -11,22 +11,18 @@ import pytest
 from scipy.integrate import quad
 
 from kgflrw.cosmology import ConeData, CosmologyParams, cone_radius, horizon_time
-from kgflrw import testfn
+from kgflrw import cli, testfn
 from kgflrw.field_solver import init_field, run_until
 from kgflrw.testfn import (
     CoverageError,
     II_prime,
     III_prime,
     build_cutoff,
-    dtt_psi_pow,
     hypothesis_13_14,
-    lap_psi_pow,
-    psi_pow,
-    save_scaling_fit,
     scaling_exponent,
-    verify_cutoff_bounds,
     weak_identity_residual,
 )
+from oracles import dtt_psi_pow, lap_psi_pow, psi_pow
 
 
 class TestCutoffProfile:
@@ -89,12 +85,6 @@ class TestPsiPow:
         assert lap_psi_pow(4.0, 2.0, 0.0, 0.0, 3) == 0.0
         assert lap_psi_pow(4.0, 2.0, 0.0, 1.0, 3) == 0.0
         assert lap_psi_pow(4.0, 2.0, 0.0, 5.0, 3) == 0.0
-
-    def test_bound_constants_are_scale_invariant(self):
-        out = verify_cutoff_bounds([1.0, 8.0, 64.0], p=2.0, n=3, grid_size=2000)
-        assert out["time_variation"] < 1e-12
-        assert out["space_variation"] < 1e-12
-        assert math.isfinite(out["time_constant"]) and out["time_constant"] > 0.0
 
 
 class TestGrowthIntegrals:
@@ -183,7 +173,7 @@ class TestScalingFits:
         # R^(n+1) = R^2
         ev = hypothesis_13_14(CosmologyParams(n=1), 0.5, 2.0,
                               R_grid=[2.0**k for k in range(3, 11)])
-        assert ev.h13 and ev.h14
+        assert ev.h13_numeric and ev.h14_numeric
         assert not ev.disagreement
         assert ev.fit_II.slope == pytest.approx(2.0, abs=0.05)
 
@@ -219,7 +209,9 @@ class TestScalingFits:
     def test_save_fit_round_trip(self, tmp_path):
         fit = scaling_exponent(lambda R: R**3, [1.0, 2.0, 4.0, 8.0])
         csv_path, json_path = tmp_path / "fit.csv", tmp_path / "fit.json"
-        save_scaling_fit(fit, csv_path, json_path)
+        # as `kgflrw scaling` writes II_prime.csv and II_prime.json
+        cli._write_table(csv_path, ("R", "value"), (fit.R, fit.values))
+        cli._write_sidecar(json_path, fit, sort_keys=True)
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["R", "value"]

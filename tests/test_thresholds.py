@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from kgflrw import thresholds
 from kgflrw.comparison_ode import OdeProblem, integrate_comparison, verify_lemma21
-from kgflrw.cosmology import CosmologyParams, curved_mass_bounds
+from kgflrw.cosmology import CosmologyParams, background, curved_mass_bounds
 from kgflrw.thresholds import (
     CaseMismatchError,
     InitialDataSummary,
@@ -55,6 +55,17 @@ class TestNonlinearityWeight:
             nonlinearity_weight(params, 1.0, -1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             nonlinearity_weight(params, 1.0, 1.0, 1.0, 0.0)
+
+    @given(point=_regime_points(), lam=st.floats(0.5, 2.0), p=st.floats(1.2, 3.0),
+           frac=st.floats(0.0, 1.0))
+    def test_equals_b_of_one_background_bit_for_bit(self, point, lam, p, frac):
+        # the module functions a(t) and r(t) give the bits of one Background's
+        # a_r(t), which takes L once, as the comparison ODE's right side does
+        params, r0 = point
+        bg = background(params, r0)
+        t = frac * min(bg.t_clamp, 5.0)
+        a, r = bg.a_r(t)
+        assert nonlinearity_weight(params, r0, lam, p, t) == bg.b(a, r, lam, -params.n * (p - 1.0) / 2.0)
 
 
 class TestDampingRate:

@@ -13,7 +13,9 @@ dump: relative for scalars, relative to the column's peak for columns, the
 old and new totals with their relative change for counts (steps, node_steps,
 rhs_evals, ...), and the number of differing records for counts, flags and
 verdicts (the solver runs are compared one by one); unmoved outputs are only
-counted.  Run it
+counted.  Each dump records the OpenBLAS kernel numpy loaded, since the Simpson
+means and the field step's products sum in the kernel's order, and the
+comparison warns when the two dumps' kernels differ.  Run it
 once on each checkout to be compared; it imports the package from ``src/``
 next to this directory.
 """
@@ -27,8 +29,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools")]
 
+import blas_kernels  # noqa: E402
 from kgflrw import comparison_ode, field_solver, testfn, thresholds  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -97,7 +100,17 @@ def digest() -> dict:
     for seed in SEEDS:
         for i, (params, r0, lam, p, theta, _) in enumerate(workloads.draw_problems(seed, False)):
             ode[f"seed {seed} problem {i}"] = _ode_outputs(params, r0, lam, p, theta)
-    return {"seeds": list(SEEDS), "ode": ode, "pde": _pde_outputs()}
+    return {"seeds": list(SEEDS), "blas_kernel": blas_kernels.corename(), "ode": ode,
+            "pde": _pde_outputs()}
+
+
+def kernel_warning(new: dict, old: dict):
+    """A line naming both dumps' OpenBLAS kernels when they differ (a dump without one: unrecorded), else None."""
+    kernels = [dump.get("blas_kernel", "unrecorded") for dump in (old, new)]
+    if kernels[0] != kernels[1]:
+        return (f"warning: OpenBLAS kernels differ, old {kernels[0]}, new {kernels[1]}:"
+                " PDE outputs may move by round-off without a code change")
+    return None
 
 
 def _rel(new, old) -> float:
@@ -184,6 +197,9 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(data) + "\n")
     if args.compare:
         old = json.loads(Path(args.compare).read_text())
+        warning = kernel_warning(data, old)
+        if warning:
+            print(warning)
         moves = compare(data, old)
         for name, (kind, move, where) in sorted(moves.items()):
             if move:
