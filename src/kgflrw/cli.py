@@ -64,7 +64,7 @@ def _time_cap(spec: RunSpec, default: float) -> float:
     return min(t_end, 0.99 * t0) if math.isfinite(t0) else t_end
 
 
-def cmd_regime(spec: RunSpec, out_dir) -> int:
+def cmd_regime(spec: RunSpec, args) -> int:
     params = spec.params()
     bounds = curved_mass_bounds(params)
     payload = {
@@ -74,29 +74,33 @@ def cmd_regime(spec: RunSpec, out_dir) -> int:
                                   "case": bounds.case},
         "mass_sign_change_time": mass_sign_change_time(params),
     }
-    _print_json(payload, out_dir, "regime.json")
+    _print_json(payload, args.out, "regime.json")
     return 0
 
 
-def cmd_threshold(spec: RunSpec, out_dir) -> int:
+def cmd_threshold(spec: RunSpec, args) -> int:
     report = check_hypotheses(
         spec.params(), spec.data(), spec.lam, spec.p, theta=spec.theta, N_user=spec.N
     )
-    _print_json(report.to_dict(), out_dir, "threshold.json")
+    _print_json(report.to_dict(), args.out, "threshold.json")
     return 0
 
 
-def cmd_ode(spec: RunSpec, out_dir) -> int:
-    params = spec.params()
-    try:
-        N, _ = damping_rate_N(params, spec.N)
-    except CaseMismatchError as exc:
-        raise ConfigError(f"no damping rate N for this background: {exc}") from exc
-    problem = comparison_ode.OdeProblem(
-        params=params, r0=spec.r0, lam=spec.lam, p=spec.p, theta=spec.theta,
+def _ode_problem(spec: RunSpec, N: float) -> comparison_ode.OdeProblem:
+    """The comparison ODE of spec at damping rate N, up to t_end (default 50)."""
+    return comparison_ode.OdeProblem(
+        params=spec.params(), r0=spec.r0, lam=spec.lam, p=spec.p, theta=spec.theta,
         N=N, w0=spec.w0, w1=spec.resolved_w1(),
         t_end=spec.t_end if spec.t_end is not None else 50.0,
     )
+
+
+def cmd_ode(spec: RunSpec, args) -> int:
+    try:
+        N, _ = damping_rate_N(spec.params(), spec.N)
+    except CaseMismatchError as exc:
+        raise ConfigError(f"no damping rate N for this background: {exc}") from exc
+    problem = _ode_problem(spec, N)
     try:
         traj = comparison_ode.integrate_comparison(problem)
     except comparison_ode.StartError as exc:
@@ -109,16 +113,20 @@ def cmd_ode(spec: RunSpec, out_dir) -> int:
         "final_w": float(traj.w[-1]),
         "samples": int(traj.t.size),
     }
-    _print_json(payload, out_dir, "ode.json")
-    if out_dir is not None:
-        _write_table(Path(out_dir) / "trajectory.csv", ("t", "w", "wdot"),
+    _print_json(payload, args.out, "ode.json")
+    if args.out is not None:
+        _write_table(Path(args.out) / "trajectory.csv", ("t", "w", "wdot"),
                      (traj.t, traj.w, traj.wdot))
-        _write_sidecar(Path(out_dir) / "trajectory.json", traj)
+        _write_sidecar(Path(args.out) / "trajectory.json", traj)
     return 0
 
 
-def _pde_state(spec: RunSpec, t_cap: float):
-    """The initial field of a pde or identity run; ConfigError if the grid cannot carry it."""
+def _pde_run(spec: RunSpec, t_cap: float, keep_snapshots: bool) -> field_solver.Diagnostics:
+    """The solver run of a pde or identity command up to t_cap.
+
+    ConfigError if the grid cannot carry the initial field, or if that field
+    or its nonlinearity c^2 lambda a0^(-n(p-1)/2) |u|^p is not finite at t = 0.
+    """
     params = spec.params()
     r_cone = background(params, spec.r0).r(t_cap)
     r_max = spec.r_max if spec.r_max is not None else r_cone + 0.5
@@ -128,26 +136,34 @@ def _pde_state(spec: RunSpec, t_cap: float):
         raise ConfigError(f"r_max = {r_max} does not cover the light cone r({t_cap}) = {r_cone};"
                           " raise r_max or lower t_end")
     nodes = spec.num_nodes if spec.num_nodes is not None else int(512 * r_max) + 1
+    w1 = spec.resolved_w1()
     try:
-        return field_solver.init_field(
-            n=spec.n, r0=spec.r0, r_max=r_max, num_nodes=nodes,
-            w0=spec.w0, w1=spec.resolved_w1(),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a field that is not finite is refused below
+            state = field_solver.init_field(
+                n=spec.n, r0=spec.r0, r_max=r_max, num_nodes=nodes, w0=spec.w0, w1=w1,
+            )
     except field_solver.ResolutionError as exc:
         raise ConfigError(f"{exc}; raise num_nodes") from exc
+    peak = float(np.max(np.abs(state.u)))
+    try:
+        force = spec.c ** 2 * spec.lam * spec.a0 ** (-spec.n * (spec.p - 1.0) / 2.0) * peak ** spec.p
+    except OverflowError:
+        force = math.inf
+    if not (math.isfinite(force) and np.isfinite(state.v).all()):
+        raise ConfigError(f"the initial field or its nonlinearity is not finite at t = 0:"
+                          f" lower w0 = {spec.w0}, w1 = {w1} or n = {spec.n}")
+    return field_solver.run_until(
+        params, spec.lam, spec.p, state, t_cap, spec.r0,
+        output_interval=spec.output_interval, safety=spec.safety, keep_snapshots=keep_snapshots,
+    )
 
 
 # the columns of diagnostics.csv
 _DIAGNOSTICS = ("t", "mean", "sup", "energy", "support_radius", "cone_radius", "mass_integral")
 
 
-def cmd_pde(spec: RunSpec, out_dir) -> int:
-    t_cap = _time_cap(spec, 5.0)
-    state = _pde_state(spec, t_cap)
-    diag = field_solver.run_until(
-        spec.params(), spec.lam, spec.p, state, t_cap, spec.r0,
-        output_interval=spec.output_interval, safety=spec.safety,
-    )
+def cmd_pde(spec: RunSpec, args) -> int:
+    diag = _pde_run(spec, _time_cap(spec, 5.0), keep_snapshots=False)
     payload = {
         "diverged": diag.diverged,
         "divergence_time": diag.divergence_time,
@@ -159,14 +175,14 @@ def cmd_pde(spec: RunSpec, out_dir) -> int:
         "node_steps": diag.node_steps,
         "stop_reason": diag.stop_reason,
     }
-    _print_json(payload, out_dir, "pde.json")
-    if out_dir is not None:
-        _write_table(Path(out_dir) / "diagnostics.csv", _DIAGNOSTICS,
+    _print_json(payload, args.out, "pde.json")
+    if args.out is not None:
+        _write_table(Path(args.out) / "diagnostics.csv", _DIAGNOSTICS,
                      [getattr(diag, name) for name in _DIAGNOSTICS])
     return 0
 
 
-def cmd_scaling(spec: RunSpec, out_dir) -> int:
+def cmd_scaling(spec: RunSpec, args) -> int:
     ev = hypothesis_13_14(spec.params(), spec.r0, spec.p)
     payload = {
         "h13_numeric": ev.h13_numeric,
@@ -179,15 +195,15 @@ def cmd_scaling(spec: RunSpec, out_dir) -> int:
         "III_slope": ev.fit_III.slope,
         "III_exponential": ev.fit_III.exponential,
     }
-    _print_json(payload, out_dir, "scaling.json")
-    if out_dir is not None:
+    _print_json(payload, args.out, "scaling.json")
+    if args.out is not None:
         for name, fit in (("II_prime", ev.fit_II), ("III_prime", ev.fit_III)):
-            _write_table(Path(out_dir) / f"{name}.csv", ("R", "value"), (fit.R, fit.values))
-            _write_sidecar(Path(out_dir) / f"{name}.json", fit, sort_keys=True)
+            _write_table(Path(args.out) / f"{name}.csv", ("R", "value"), (fit.R, fit.values))
+            _write_sidecar(Path(args.out) / f"{name}.json", fit, sort_keys=True)
     return 0
 
 
-def cmd_identity(spec: RunSpec, out_dir) -> int:
+def cmd_identity(spec: RunSpec, args) -> int:
     R = spec.R if spec.R is not None else 2.0 * spec.r0 + 2.0
     if R <= 2.0 * spec.r0:
         raise ConfigError(f"R = {R} must exceed 2 r0 = {2.0 * spec.r0}")
@@ -195,12 +211,7 @@ def cmd_identity(spec: RunSpec, out_dir) -> int:
     window = min(R, 0.99 * horizon_time(spec.params()))
     if t_cap < window:
         raise ConfigError(f"t_end = {t_cap} does not cover the cutoff window [0, {R}]")
-    state = _pde_state(spec, t_cap)
-    diag = field_solver.run_until(
-        spec.params(), spec.lam, spec.p, state, t_cap, spec.r0,
-        output_interval=spec.output_interval, safety=spec.safety,
-        keep_snapshots=True,
-    )
+    diag = _pde_run(spec, t_cap, keep_snapshots=True)
     if diag.diverged and diag.divergence_time < window:
         t_div, two_r0 = diag.divergence_time, 2.0 * spec.r0
         fits = (f"choose 2 r0 = {two_r0} < R <= {t_div:.6g}" if t_div > two_r0
@@ -212,7 +223,7 @@ def cmd_identity(spec: RunSpec, out_dir) -> int:
         diag, spec.params(), spec.lam, spec.p, R, return_parts=True
     )
     payload = {"R": R, "residual": residual, **parts}
-    _print_json(payload, out_dir, "identity.json")
+    _print_json(payload, args.out, "identity.json")
     return 0
 
 
@@ -230,26 +241,18 @@ def _axis_values(axis) -> list[float]:
 
 
 def _sweep_point(task) -> list[str]:
-    """Evaluate one grid point; any failure is recorded in-row."""
-    base, name1, val1, name2, val2, run_ode = task
-    raw = dict(base)
-    raw[name1] = val1
-    raw[name2] = val2
+    """Evaluate one grid point (sweep, axis1 value, axis2 value); any failure is recorded in-row."""
+    sweep, val1, val2 = task
     row = [repr(val1), repr(val2)] + [""] * len(_SWEEP_FIELDS)
     try:
-        spec = parse_config_dict(raw)
+        spec = parse_config_dict({**dict(sweep.base), sweep.axis1.name: val1, sweep.axis2.name: val2})
         report = check_hypotheses(
             spec.params(), spec.data(), spec.lam, spec.p, theta=spec.theta, N_user=spec.N
         )
         row[2:8] = [repr(report.N), repr(report.S), repr(report.p_lower),
                     repr(report.p_upper), report.case_label, report.verdict]
-        if run_ode and report.verdict == "admissible":
-            problem = comparison_ode.OdeProblem(
-                params=spec.params(), r0=spec.r0, lam=spec.lam, p=spec.p,
-                theta=spec.theta, N=report.N, w0=spec.w0, w1=spec.resolved_w1(),
-                t_end=spec.t_end if spec.t_end is not None else 50.0,
-            )
-            traj = comparison_ode.integrate_comparison(problem)
+        if sweep.run_ode and report.verdict == "admissible":
+            traj = comparison_ode.integrate_comparison(_ode_problem(spec, report.N))
             row[8] = repr(traj.t_star) if traj.blowup else ""
     except Exception as exc:  # recorded, never aborts the sweep
         row[9] = f"{type(exc).__name__}: {exc}"
@@ -280,14 +283,8 @@ def run_sweep(spec: RunSpec, out_dir, jobs: int = 1) -> Path:
                 for row in reader:
                     existing[(row[0], row[1])] = row
 
-    base = spec.to_dict()
-    base.pop("sweep", None)
-    tasks = []
-    keys = []
-    for v1 in _axis_values(sweep.axis1):
-        for v2 in _axis_values(sweep.axis2):
-            keys.append((repr(v1), repr(v2)))
-            tasks.append((base, sweep.axis1.name, v1, sweep.axis2.name, v2, sweep.run_ode))
+    tasks = [(sweep, v1, v2) for v1 in _axis_values(sweep.axis1) for v2 in _axis_values(sweep.axis2)]
+    keys = [(repr(v1), repr(v2)) for _, v1, v2 in tasks]
 
     todo = [t for t, k in zip(tasks, keys) if k not in existing]
     if todo:
@@ -353,12 +350,24 @@ def emit_report(out_dir) -> str:
     return text
 
 
-def cmd_sweep(spec: RunSpec, out_dir, jobs: int) -> int:
-    if out_dir is None:
+def cmd_sweep(spec: RunSpec, args) -> int:
+    if args.out is None:
         raise ConfigError("sweep requires --out")
-    run_sweep(spec, out_dir, jobs=jobs)
-    print(emit_report(out_dir), end="")
+    run_sweep(spec, args.out, jobs=args.jobs)
+    print(emit_report(args.out), end="")
     return 0
+
+
+# name: (help, handler) of each subcommand, in the order -h lists them
+_COMMANDS = {
+    "regime": ("classify the background and its horizon", cmd_regime),
+    "threshold": ("hypothesis ledger and admissibility verdict", cmd_threshold),
+    "ode": ("integrate the extremal comparison ODE", cmd_ode),
+    "pde": ("run the radial field solver", cmd_pde),
+    "scaling": ("fit the cutoff growth integrals and decide the limits", cmd_scaling),
+    "sweep": ("two-axis parameter sweep with CSV persistence", cmd_sweep),
+    "identity": ("weak-solution identity residual on a solver run", cmd_identity),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "FLRW backgrounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("regime", "classify the background and its horizon"),
-        ("threshold", "hypothesis ledger and admissibility verdict"),
-        ("ode", "integrate the extremal comparison ODE"),
-        ("pde", "run the radial field solver"),
-        ("scaling", "fit the cutoff growth integrals and decide the limits"),
-        ("sweep", "two-axis parameter sweep with CSV persistence"),
-        ("identity", "weak-solution identity residual on a solver run"),
-    ):
+    for name, (doc, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="path to a JSON run spec")
         cmd.add_argument("--out", default=None, help="output directory")
@@ -394,22 +395,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
         return 1 if exc.code else 0
     try:
-        spec = parse_config(args.config)
-        if args.command == "regime":
-            return cmd_regime(spec, args.out)
-        if args.command == "threshold":
-            return cmd_threshold(spec, args.out)
-        if args.command == "ode":
-            return cmd_ode(spec, args.out)
-        if args.command == "pde":
-            return cmd_pde(spec, args.out)
-        if args.command == "scaling":
-            return cmd_scaling(spec, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(spec, args.out, args.jobs)
-        if args.command == "identity":
-            return cmd_identity(spec, args.out)
-        raise RuntimeError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command][1](parse_config(args.config), args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

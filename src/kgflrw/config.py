@@ -1,4 +1,4 @@
-"""Run-specification parsing, validation, and serialization.
+"""Run-specification parsing and validation.
 
 A run specification is a flat JSON object naming the background, the
 nonlinearity, and the initial data, plus optional numerical knobs and an
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .cosmology import CosmologyParams, background, unit_ball_volume
@@ -22,15 +22,6 @@ from .thresholds import CaseMismatchError, InitialDataSummary, damping_rate_N
 class ConfigError(ValueError):
     """Malformed or invalid run specification."""
 
-
-# keys of the flat spec object; values are (default, validator description)
-_KNOWN_KEYS = {
-    "n", "H", "sigma", "m_sq", "c", "a0",
-    "lambda", "p", "theta", "N",
-    "r0", "w0", "w1",
-    "t_end", "R", "num_nodes", "r_max", "output_interval", "safety",
-    "sweep",
-}
 
 _SWEEP_AXES = {"sigma", "H", "p", "m_sq", "lambda", "r0", "w0", "w1", "theta"}
 
@@ -47,10 +38,15 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Two-axis grid over an otherwise fixed run specification."""
+    """Two-axis grid over an otherwise fixed run specification.
+
+    base holds the config's other keys as written, as (key, value) pairs;
+    each grid point is base with the two axis values set, validated anew.
+    """
 
     axis1: SweepAxis
     axis2: SweepAxis
+    base: tuple
     run_ode: bool = False
 
 
@@ -101,34 +97,9 @@ class RunSpec:
     def data(self) -> InitialDataSummary:
         return InitialDataSummary(w0=self.w0, w1=self.resolved_w1(), r0=self.r0)
 
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n, "H": self.H, "sigma": self.sigma, "m_sq": self.m_sq,
-            "c": self.c, "a0": self.a0, "lambda": self.lam, "p": self.p,
-            "theta": self.theta, "r0": self.r0, "w0": self.w0,
-            "safety": self.safety,
-        }
-        for key, val in (
-            ("N", self.N), ("w1", self.w1), ("t_end", self.t_end), ("R", self.R),
-            ("num_nodes", self.num_nodes), ("r_max", self.r_max),
-            ("output_interval", self.output_interval),
-        ):
-            if val is not None:
-                out[key] = val
-        if self.sweep is not None:
-            def axis_dict(axis: SweepAxis) -> dict:
-                return {"name": axis.name, "min": axis.lo, "max": axis.hi,
-                        "count": axis.count}
 
-            out["sweep"] = {
-                "axis1": axis_dict(self.sweep.axis1),
-                "axis2": axis_dict(self.sweep.axis2),
-                "run_ode": self.sweep.run_ode,
-            }
-        return out
-
-    def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+# the config's keys are RunSpec's fields, with lam spelled lambda
+_KEYS = {f.name for f in fields(RunSpec)} - {"lam"} | {"lambda"}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -165,7 +136,7 @@ def _parse_axis(obj, which: str) -> SweepAxis:
 def parse_config_dict(raw: dict) -> RunSpec:
     """Validate a decoded JSON object into a RunSpec."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - _KEYS
     _require(not unknown, f"unknown config keys {sorted(unknown)}")
     _require("n" in raw, "n is required")
     n = raw["n"]
@@ -175,20 +146,13 @@ def parse_config_dict(raw: dict) -> RunSpec:
     _require(0.0 < theta < 1.0, f"theta must lie in (0, 1), got {theta}")
     p = _number(raw, "p", 2.0)
     _require(p > 1.0, f"p must exceed 1, got {p}")
-    c = _number(raw, "c", 1.0)
-    _require(c > 0.0, f"c must be positive, got {c}")
-    a0 = _number(raw, "a0", 1.0)
-    _require(a0 > 0.0, f"a0 must be positive, got {a0}")
-    r0 = _number(raw, "r0", 1.0)
-    _require(r0 > 0.0, f"r0 must be positive, got {r0}")
-    lam = _number(raw, "lambda", 1.0)
-    _require(lam > 0.0, f"lambda must be positive, got {lam}")
+    pos = {}
+    for key, default in (("c", 1.0), ("a0", 1.0), ("r0", 1.0), ("lambda", 1.0), ("t_end", None),
+                         ("R", None), ("r_max", None), ("output_interval", None)):
+        val = pos[key] = _number(raw, key, default)
+        _require(val is None or val > 0.0, f"{key} must be positive, got {val}")
     safety = _number(raw, "safety", 0.4)
     _require(0.0 < safety <= 1.0, f"safety must lie in (0, 1], got {safety}")
-    for key in ("t_end", "R", "r_max", "output_interval"):
-        val = _number(raw, key)
-        if val is not None:
-            _require(val > 0.0, f"{key} must be positive, got {val}")
     num_nodes = raw.get("num_nodes")
     if num_nodes is not None:
         _require(isinstance(num_nodes, int) and num_nodes >= 3,
@@ -209,24 +173,14 @@ def parse_config_dict(raw: dict) -> RunSpec:
         _require(axis1.name != axis2.name, "sweep axes must name distinct parameters")
         run_ode = sw.get("run_ode", False)
         _require(isinstance(run_ode, bool), "sweep.run_ode must be a boolean")
-        sweep = SweepSpec(axis1=axis1, axis2=axis2, run_ode=run_ode)
+        sweep = SweepSpec(axis1=axis1, axis2=axis2, run_ode=run_ode,
+                          base=tuple((key, val) for key, val in raw.items() if key != "sweep"))
 
     spec = RunSpec(
-        n=n,
-        H=_number(raw, "H", 0.0),
-        sigma=_number(raw, "sigma", 0.0),
-        m_sq=_number(raw, "m_sq", 0.0),
-        c=c, a0=a0, lam=lam, p=p, theta=theta, N=N,
-        r0=r0,
-        w0=_number(raw, "w0", 10.0),
-        w1=_number(raw, "w1"),
-        t_end=_number(raw, "t_end"),
-        R=_number(raw, "R"),
-        num_nodes=num_nodes,
-        r_max=_number(raw, "r_max"),
-        output_interval=_number(raw, "output_interval"),
-        safety=safety,
-        sweep=sweep,
+        n=n, H=_number(raw, "H", 0.0), sigma=_number(raw, "sigma", 0.0),
+        m_sq=_number(raw, "m_sq", 0.0), lam=pos.pop("lambda"), p=p, theta=theta, N=N,
+        w0=_number(raw, "w0", 10.0), w1=_number(raw, "w1"), num_nodes=num_nodes,
+        safety=safety, sweep=sweep, **pos,
     )
     # constructing the params validates the remaining physics fields, and the
     # background's constants must stay inside the float range
@@ -234,10 +188,11 @@ def parse_config_dict(raw: dict) -> RunSpec:
         unit_ball_volume(n)
     except OverflowError:
         raise ConfigError(f"n = {n} is too large: the unit ball volume overflows") from None
+    c, a0 = spec.c, spec.a0
     _require(c * c < math.inf, f"c = {c} is too large: c^2 overflows")
     _require(c / a0 > 0.0, f"c = {c} and a0 = {a0} make the light speed c/a0 underflow")
     try:
-        t0 = background(spec.params(), r0).t0
+        t0 = background(spec.params(), spec.r0).t0
     except ArithmeticError as exc:
         raise ConfigError(f"H, c and a0 put the background's constants out of the float range: {exc}") from None
     except ValueError as exc:

@@ -239,15 +239,15 @@ def III_prime(
     upper = bg.t_clamp if bg.t0 < R else R
     n = params.n
     wn = unit_ball_volume(n)
-    half_vol = (R / 2.0) ** n
 
     t_entry = 0.0 if r0 >= R / 2.0 else bg.cone_time(R / 2.0)
     if t_entry is None or t_entry >= upper:
         return 0.0
 
     def integrand(t):
+        # both powers inside the guard, which maps their overflow to inf
         a, r = bg.a_r(t)
-        annulus = min(R, r) ** n - half_vol
+        annulus = min(R, r) ** n - (R / 2.0) ** n
         if annulus <= 0.0:
             return 0.0
         return a ** (n / 2.0 - 2.0 * pp) * wn * annulus

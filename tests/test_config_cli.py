@@ -45,6 +45,11 @@ class TestConfigParsing:
         ({"n": 1, "p": 1.0}, "p must exceed 1"),
         ({"n": 1, "lambda": -1.0}, "lambda must be positive"),
         ({"n": 1, "r0": 0.0}, "r0 must be positive"),
+        ({"n": 1, "c": 0.0}, "c must be positive"),
+        ({"n": 1, "a0": -1.0}, "a0 must be positive"),
+        ({"n": 1, "t_end": 0.0}, "t_end must be positive"),
+        ({"n": 1, "output_interval": -1.0}, "output_interval must be positive"),
+        ({"n": 1, "safety": 1.5}, "safety must lie in (0, 1]"),
         ({"n": 1, "num_nodes": 2}, "num_nodes"),
         ({"n": 1, "H": "fast"}, "H must be a number"),
     ])
@@ -62,6 +67,7 @@ class TestConfigParsing:
         assert spec.sweep.axis1.name == "p"
         assert spec.sweep.axis2.count == 3
         assert spec.sweep.run_ode is False
+        assert spec.sweep.base == (("n", 1),)  # the config's other keys, as written
 
         bad_name = json.loads(json.dumps(good))
         bad_name["sweep"]["axis1"]["name"] = "n"
@@ -91,16 +97,6 @@ class TestConfigParsing:
         # real mass on a static background has no damping rate
         spec = parse_config_dict({"n": 1, "m_sq": 1.0})
         assert spec.resolved_w1() == 0.0
-
-    def test_serialize_round_trip(self):
-        spec = parse_config_dict({
-            "n": 3, "H": -1.0, "sigma": -3.0, "m_sq": -1.0, "lambda": 0.5,
-            "p": 1.5, "w1": 7.0,
-            "sweep": {"axis1": {"name": "p", "min": 1.1, "max": 1.6, "count": 2},
-                      "axis2": {"name": "w0", "min": 1.0, "max": 9.0, "count": 2}},
-        })
-        again = parse_config_dict(json.loads(spec.serialize()))
-        assert again == spec
 
     def test_parse_config_reports_json_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -160,6 +156,27 @@ class TestCliCommands:
         cfg = _write_config(tmp_path, {"n": 400, "m_sq": -1.0, "r0": 0.5, "w0": 10.0, "w1": 10.0})
         assert main([command, "--config", cfg]) == 1
         assert "n = 400" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pde", "identity"])
+    @pytest.mark.parametrize("key, value", [
+        ("w0", 1e308),  # the bump's amplitude w0 / mean overflows
+        ("n", 300),  # an amplitude near 1e289, whose |u|^2 overflows
+    ])
+    def test_field_that_is_not_finite_at_the_start_is_exit_1(self, tmp_path, capsys, command,
+                                                             key, value):
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5, "w0": 10.0, "w1": 10.0,
+                                       "r_max": 3.0, "t_end": 1.2, "R": 1.2, key: value})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} = {value}" in err and "Warning" not in err
+
+    def test_scaling_whose_volumes_overflow_is_exit_0(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"n": 300, "m_sq": -1.0, "r0": 0.5, "w0": 10.0, "w1": 10.0})
+        assert main(["scaling", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["II_slope"] == pytest.approx(300.0, rel=1e-2)
+        assert payload["III_slope"] == pytest.approx(300.0, rel=1e-2)
+        assert not payload["disagreement"]
 
     def test_ode_right_side_that_overflows_at_the_start_is_exit_1(self, tmp_path, capsys):
         # b |w0|^2 overflows at t = 0, where the run used to collapse its first step
@@ -280,6 +297,29 @@ class TestSweep:
         # a parallel run matches the serial bytes
         par_dir = tmp_path / "par"
         assert run_sweep(spec, par_dir, jobs=2).read_bytes() == first
+
+    def test_each_point_is_validated_on_its_own(self, tmp_path):
+        # theta in [-0.5, 1.5] and p in [0.5, 2] both leave their ranges
+        config = {**self.CONFIG, "sweep": {
+            "axis1": {"name": "theta", "min": -0.5, "max": 1.5, "count": 5},
+            "axis2": {"name": "p", "min": 0.5, "max": 2.0, "count": 4}}}
+        cfg = _write_config(tmp_path, config)
+        outputs = []
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", cfg, "--out", str(out_dir), "--jobs", str(jobs)]) == 0
+            outputs.append((out_dir / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = list(csv.DictReader(outputs[0].decode().splitlines()))
+        assert len(rows) == 20
+        for row in rows:
+            theta, p = float(row["theta"]), float(row["p"])
+            if not 0.0 < theta < 1.0:
+                assert row["error"] == f"ConfigError: theta must lie in (0, 1), got {theta}"
+            elif p <= 1.0:
+                assert row["error"] == f"ConfigError: p must exceed 1, got {p}"
+            else:
+                assert row["error"] == "" and row["verdict"]
 
     def test_emit_report_boundary(self, tmp_path):
         spec = parse_config_dict(self.CONFIG)

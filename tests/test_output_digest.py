@@ -1,6 +1,7 @@
 """The comparison of tools/output_digest.py on hand-made dumps."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -65,3 +66,39 @@ def test_dumps_name_their_blas_kernel_and_a_difference_is_warned():
     assert "old unrecorded, new Haswell" in output_digest.kernel_warning(new, old)
     # the comparison of outputs reads only the ode and pde records
     assert all(move == 0.0 for _, move, _ in output_digest.compare(new, old).values())
+
+
+def test_cli_files_are_every_file_the_readme_runs_write():
+    files = output_digest._cli_files()
+    assert set(files) == {
+        "regime/regime.json", "threshold/threshold.json",
+        "ode/ode.json", "ode/trajectory.csv", "ode/trajectory.json",
+        *(f"scaling/{name}" for name in ("scaling.json", "II_prime.csv", "II_prime.json",
+                                         "III_prime.csv", "III_prime.json")),
+        *(f"sweep jobs {jobs}/{name}" for jobs in (1, 2)
+          for name in ("sweep.csv", "summary.txt", "boundary.csv")),
+    }
+    # a parallel sweep writes the serial bytes
+    for name in ("sweep.csv", "summary.txt", "boundary.csv"):
+        assert files[f"sweep jobs 1/{name}"] == files[f"sweep jobs 2/{name}"]
+
+
+def test_cli_files_that_differ_are_named():
+    old = {"cli": {"regime/regime.json": "a", "ode/ode.json": "b"}}
+    new = {"cli": {"regime/regime.json": "a", "ode/ode.json": "c", "sweep jobs 1/sweep.csv": "d"}}
+    assert output_digest.changed_files(new, old) == ["ode/ode.json", "sweep jobs 1/sweep.csv"]
+    assert output_digest.changed_files(old, old) == []
+
+
+def test_compare_prints_the_count_of_cli_files_that_differ(tmp_path, monkeypatch, capsys):
+    dump = _dump(2.0, 10, True, [1.0])
+    monkeypatch.setattr(output_digest, "digest",
+                        lambda: {**dump, "cli": {"regime/regime.json": "a", "ode/ode.json": "c"}})
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**dump, "cli": {"regime/regime.json": "a", "ode/ode.json": "b"}}))
+    assert output_digest.main([str(tmp_path / "new.json"), "--compare", str(old)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["cli file ode/ode.json differs", "1 of 2 CLI files differ"]
+    old.write_text(json.dumps(dump))  # a dump taken before dumps held CLI files
+    assert output_digest.main([str(tmp_path / "new.json"), "--compare", str(old)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "the old dump holds no CLI files"

@@ -131,6 +131,12 @@ class TestGrowthIntegrals:
         tail, _ = quad(lambda t: min(1.0, cone_radius(cone, t)) ** 3 * (1.0 - 1.5 * t), 0.5, t0)
         assert val == pytest.approx(4.0 / 3.0 * math.pi * tail, rel=1e-8)
 
+    def test_annulus_integral_whose_volume_overflows_is_inf(self):
+        # (R/2)^300 overflows at R = 2^16, the top of the fit's first R window,
+        # which the window then slides below
+        params = CosmologyParams(n=300, m_sq=-1.0)
+        assert III_prime(params, 0.5, 2.0 ** 16, 2.0) == math.inf
+
     def test_tolerance_consistency(self):
         params = CosmologyParams(n=2, H=1.0, sigma=1.0)
         for fn in (lambda tol: II_prime(params, 0.5, 16.0, tol=tol),

@@ -7,32 +7,41 @@ seeds 1-3, the data threshold S, t*, its error bar, the accepted, rejected
 and right-hand-side counts, the stop reason and the Lemma 2.1 verdicts with
 their worst margins; and, for each acceptance-7/8 solver run
 of the pde_physics workload, every diagnostics column with its step counts,
-divergence time and (for the weak-identity runs) the residual.  With
-``--compare`` it prints the largest move of each output against an older
+divergence time and (for the weak-identity runs) the residual; and the
+sha256 of every file ``kgflrw`` regime, threshold, ode and scaling write on
+README.md's run config, and of the three files its sweep writes with
+``--jobs 1`` and ``--jobs 2`` (pde and identity are left out: the solver
+outputs above hold their numbers, and their bytes move with the BLAS kernel).
+With ``--compare`` it prints the largest move of each output against an older
 dump: relative for scalars, relative to the column's peak for columns, the
 old and new totals with their relative change for counts (steps, node_steps,
 rhs_evals, ...), and the number of differing records for counts, flags and
 verdicts (the solver runs are compared one by one); unmoved outputs are only
-counted.  Each dump records the OpenBLAS kernel numpy loaded, since the Simpson
-means and the field step's products sum in the kernel's order, and the
-comparison warns when the two dumps' kernels differ.  Run it
-once on each checkout to be compared; it imports the package from ``src/``
-next to this directory.
+counted, and so are the CLI files whose bytes did not change.  Each dump
+records the OpenBLAS kernel numpy loaded, since the Simpson means and the
+field step's products sum in the kernel's order, and the comparison warns
+when the two dumps' kernels differ.  Run it once on each checkout to be
+compared; it imports the package from ``src/`` next to this directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools")]
 
 import blas_kernels  # noqa: E402
-from kgflrw import comparison_ode, field_solver, testfn, thresholds  # noqa: E402
+from kgflrw import cli, comparison_ode, field_solver, testfn, thresholds  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -95,13 +104,33 @@ def _pde_outputs() -> dict:
     return runs
 
 
+def _cli_files() -> dict:
+    """{file: sha256} of what the CLI writes on README.md's run and sweep configs, run in process."""
+    run, sweep = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "run.json").write_text(run)
+        (out / "sweep.json").write_text(sweep)
+        calls = [[command, "--config", str(out / "run.json"), "--out", str(out / command)]
+                 for command in ("regime", "threshold", "ode", "scaling")]
+        calls += [["sweep", "--config", str(out / "sweep.json"), "--out", str(out / f"sweep jobs {jobs}"),
+                   "--jobs", str(jobs)] for jobs in (1, 2)]
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code:
+                raise SystemExit(f"kgflrw {argv[0]} exited with {code}")
+        return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.glob("*/*"))}
+
+
 def digest() -> dict:
     ode = {}
     for seed in SEEDS:
         for i, (params, r0, lam, p, theta, _) in enumerate(workloads.draw_problems(seed, False)):
             ode[f"seed {seed} problem {i}"] = _ode_outputs(params, r0, lam, p, theta)
     return {"seeds": list(SEEDS), "blas_kernel": blas_kernels.corename(), "ode": ode,
-            "pde": _pde_outputs()}
+            "pde": _pde_outputs(), "cli": _cli_files()}
 
 
 def kernel_warning(new: dict, old: dict):
@@ -174,6 +203,12 @@ def compare(new: dict, old: dict) -> dict:
     return moves
 
 
+def changed_files(new: dict, old: dict) -> list:
+    """The CLI files whose digest differs between the dumps, or that only one of them holds."""
+    files, was = new.get("cli", {}), old.get("cli", {})
+    return sorted(name for name in files.keys() | was.keys() if files.get(name) != was.get(name))
+
+
 def _describe(kind: str, move: float, where, name: str) -> str:
     """One printed line's account of a moved output."""
     records = f"{int(move)} record" + ("s" if move != 1 else "")
@@ -205,6 +240,13 @@ def main(argv=None) -> int:
             if move:
                 print(f"{name:40s} {_describe(kind, move, where, name)}")
         print(f"{sum(not m for _, m, _ in moves.values())} of {len(moves)} outputs unmoved")
+        if "cli" in old:
+            changed = changed_files(data, old)
+            for name in changed:
+                print(f"cli file {name} differs")
+            print(f"{len(changed)} of {len(data['cli'].keys() | old['cli'].keys())} CLI files differ")
+        else:
+            print("the old dump holds no CLI files")
     return 0
 
 
