@@ -232,11 +232,21 @@ class Background:
         t = self.check_time(t)
         return self._r(t, self._log_a(t))
 
-    def a_r(self, t: float) -> tuple[float, float]:
-        """(a(t), r(t)), checking t once and taking L once."""
-        t = self.check_time(t)
-        L = self._log_a(t)
-        return self.a0 * math.exp(L), self._r(t, L)
+    def log_a_r(self, t: float, to_horizon: Optional[float] = None) -> tuple[float, float]:
+        """(L, r(t)), checking t once and taking L once.
+
+        Given to_horizon = T0 - t, for times past the horizon clamp, L is taken
+        from it, as 1 + qHt/2 = (T0 - t)/T0, and an r past the float range is inf.
+        """
+        if to_horizon is None:
+            t = self.check_time(t)
+            L = self._log_a(t)
+            return L, self._r(t, L)
+        L = self.two_over_q * math.log(to_horizon / self.t0)
+        try:
+            return L, self._r(t, L)
+        except OverflowError:  # r grows without bound toward the horizon
+            return L, math.inf
 
     def _r(self, t, L, xp=math):
         """r0 + c/(a0 H) expm1(e L)/e with e = q/2 - 1 and L = `_log_a(t)`.
@@ -420,14 +430,11 @@ def _log_cone(bg: Background, ts, L):
 
 @dataclass(frozen=True)
 class MassBounds:
-    """Pointwise envelope of M^2(t) on [0, T0)."""
+    """Pointwise envelope of M^2(t) on [0, T0): its infimum and supremum there."""
 
     case: str  # one of "i".."vi"
     lower: float  # -inf allowed
     upper: float  # +inf allowed
-    inf_m_sq: float  # infimum of M^2 over [0, T0)
-    sup_m_sq: float  # supremum of M^2 over [0, T0)
-    limit: Optional[float]  # limit of M^2 at the end of the time domain
 
 
 def curved_mass_bounds(params: CosmologyParams) -> MassBounds:
@@ -435,17 +442,16 @@ def curved_mass_bounds(params: CosmologyParams) -> MassBounds:
     H, sigma, m_sq = params.H, params.sigma, params.m_sq
     shift = background(params).shift
     if H == 0.0 or sigma == 0.0:
-        return MassBounds("i", m_sq, m_sq, m_sq, m_sq, m_sq)
+        return MassBounds("i", m_sq, m_sq)
     if sigma == -1.0:
-        v = m_sq + shift
-        return MassBounds("ii", v, v, v, v, v)
+        return MassBounds("ii", m_sq + shift, m_sq + shift)
     if H > 0 and sigma > 0:
         # decreasing from m^2 + shift (shift > 0) toward m^2
-        return MassBounds("iii", m_sq, m_sq + shift, m_sq, m_sq + shift, m_sq)
+        return MassBounds("iii", m_sq, m_sq + shift)
     if (1.0 + sigma) * H > 0 and sigma < 0:
         # increasing from m^2 + shift (shift < 0) toward m^2
-        return MassBounds("iv", m_sq + shift, m_sq, m_sq + shift, m_sq, m_sq)
+        return MassBounds("iv", m_sq + shift, m_sq)
     if H < 0 and sigma > 0:
-        return MassBounds("v", m_sq + shift, math.inf, m_sq + shift, math.inf, math.inf)
+        return MassBounds("v", m_sq + shift, math.inf)
     # (1+sigma)H < 0 with sigma < 0
-    return MassBounds("vi", -math.inf, m_sq + shift, -math.inf, m_sq + shift, -math.inf)
+    return MassBounds("vi", -math.inf, m_sq + shift)

@@ -121,29 +121,33 @@ def spatial_mean(u: np.ndarray, n: int, r: np.ndarray) -> float:
     return float(_mean_weights(r, n) @ u)
 
 
-def _simpson_weights(r: np.ndarray) -> np.ndarray:
-    """Weights w with w @ y = Simpson's rule for int y dr on the uniform grid r.
+def _simpson_weights(h: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y = Simpson's rule for int y over nodes spaced by the widths h.
 
-    The composite 1/3 rule for an odd node count; for an even one, the 1/3
-    rule up to the last interval plus the same last-interval correction as
-    scipy.integrate.simpson, h (-1, 8, 5)/12 on the last three nodes.
+    Cartwright's uneven-step 1/3 rule (J. Math. Sci. Math. Educ. 12(2), 2017), as
+    scipy.integrate.simpson's from 1.11: pair by pair, and an odd last interval by
+    its three-node correction.  Each weight is a width times a function of width
+    ratios, so equal widths give h/3 (1, 4, 2, ..., 4, 1) and h (-1, 8, 5)/12 exactly.
     """
-    if r.size < 3:
-        raise ValueError(f"Simpson's rule needs at least 3 nodes, got {r.size}")
-    h = r[1] - r[0]
-    odd = r.size - 1 + r.size % 2
-    w = np.zeros_like(r)
-    w[:odd] = 2.0 * h / 3.0
-    w[1:odd:2] = 4.0 * h / 3.0
-    w[0] = w[odd - 1] = h / 3.0
-    if odd < r.size:
-        w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+    if h.size < 2:
+        raise ValueError(f"Simpson's rule needs at least 3 nodes, got {h.size + 1}")
+    pairs = h.size - h.size % 2
+    h0, h1 = h[0:pairs:2], h[1:pairs:2]
+    q, third = h1 / h0, (h0 + h1) / 6.0
+    w = np.zeros(h.size + 1)
+    w[0:pairs:2] = third * (2.0 - q)
+    w[1:pairs:2] = third * (1.0 + q) ** 2 / q
+    w[2:pairs + 1:2] += third * (2.0 - 1.0 / q)
+    if pairs < h.size:
+        q = h[-1] / h[-2]
+        w[-3:] += np.array([-2.0 * q * q / (1.0 + q), 2.0 * (q + 3.0),
+                            (4.0 * q + 6.0) / (1.0 + q)]) * (h[-1] / 12.0)
     return w
 
 
 def _mean_weights(r: np.ndarray, n: int) -> np.ndarray:
     """Weights w with w @ u = n omega_n int u r^(n-1) dr (Simpson)."""
-    return n * unit_ball_volume(n) * r ** (n - 1) * _simpson_weights(r)
+    return n * unit_ball_volume(n) * r ** (n - 1) * _simpson_weights(np.full(r.size - 1, r[1] - r[0]))
 
 
 def init_field(n: int, r0: float, r_max: float, num_nodes: int, w0: float,

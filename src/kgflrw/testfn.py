@@ -12,15 +12,16 @@ It also evaluates the weak-solution integral identity on stored solver
 snapshots, with every derivative of the cutoff computed in closed form so
 that the reported residual measures solver and quadrature error only.
 
-scipy is imported inside the functions that call it, so importing the
-package, or any CLI subcommand that does not use this module, does not
-load it.
+Its quadratures are its own: eta's partial integral is the exact integral
+of a cubic Hermite interpolant, the identity's time integrals take
+`field_solver`'s Simpson weights, and II'_R and III'_R a tanh-sinh rule
+(Takahasi & Mori, Publ. RIMS 9, 1974) on each smooth piece of their
+integrands.  The package needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .cosmology import CosmologyParams, background, unit_ball_volume
-from .field_solver import _mean_weights
+from .field_solver import _mean_weights, _simpson_weights
 from .thresholds import analytic_scaling_conditions
 
 __all__ = [
@@ -54,24 +55,14 @@ class CoverageError(ValueError):
     """Solver snapshots do not span the window a cutoff integral needs."""
 
 
-def _bump_integrand(s):
-    """exp(-1/((s-1/2)(1-s))) on (1/2, 1), zero elsewhere (vectorized)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > 0.5) & (s < 1.0)
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / ((si - 0.5) * (1.0 - si)))
-    return out
-
-
-def _bump_integrand_deriv(s):
-    """Derivative of the bump integrand, again zero outside (1/2, 1)."""
+def _bump_integrand(s, deriv: bool = False):
+    """exp(-1/((s-1/2)(1-s))) on (1/2, 1), or its derivative, zero elsewhere (vectorized)."""
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = (s > 0.5) & (s < 1.0)
     si = s[inside]
     phi = (si - 0.5) * (1.0 - si)
-    out[inside] = np.exp(-1.0 / phi) * (1.5 - 2.0 * si) / phi**2
+    out[inside] = np.exp(-1.0 / phi) * ((1.5 - 2.0 * si) / phi**2 if deriv else 1.0)
     return out
 
 
@@ -81,23 +72,20 @@ class CutoffProfile:
 
     eta0 is the normalization making eta continuous with eta(1) = 0; the
     descent is eta(s) = 1 - eta0 * int_{1/2}^s exp(-1/((q-1/2)(1-q))) dq.
-    The partial integral is evaluated through a cubic-spline antiderivative
-    of the (entire, endpoint-flat) integrand so that pointwise calls are
-    cheap and accurate to ~1e-12.
+    The partial integral is that of the cubic Hermite interpolant of the
+    (smooth, endpoint-flat) integrand and its derivative, so that pointwise
+    calls are cheap and accurate to ~1e-14.
     """
 
     eta0: float
     _partial: Callable = field(repr=False)
-
-    def _descent(self, s: np.ndarray) -> np.ndarray:
-        return 1.0 - self.eta0 * self._partial(s)
 
     def eta(self, s):
         s_arr = np.asarray(s, dtype=float)
         out = np.ones_like(s_arr)
         out[s_arr >= 1.0] = 0.0
         mid = (s_arr > 0.5) & (s_arr < 1.0)
-        out[mid] = np.clip(self._descent(s_arr[mid]), 0.0, 1.0)
+        out[mid] = np.clip(1.0 - self.eta0 * self._partial(s_arr[mid]), 0.0, 1.0)
         return float(out) if np.ndim(s) == 0 else out
 
     def eta_prime(self, s):
@@ -105,28 +93,32 @@ class CutoffProfile:
         return float(out) if np.ndim(s) == 0 else out
 
     def eta_pp(self, s):
-        out = -self.eta0 * _bump_integrand_deriv(s)
+        out = -self.eta0 * _bump_integrand(s, deriv=True)
         return float(out) if np.ndim(s) == 0 else out
 
 
 @lru_cache(maxsize=1)
 def build_cutoff() -> CutoffProfile:
-    """Construct the shared cutoff profile.
+    """The shared cutoff profile.
 
-    The normalization is computed by adaptive quadrature to 1e-12 absolute;
-    the spline antiderivative used for pointwise evaluation agrees with it
-    to the same level because the integrand is smooth with all derivatives
-    vanishing at both endpoints.
+    eta's partial integral is exact for the cubic Hermite interpolant of the
+    integrand on 4,097 nodes: h (f0 + f1)/2 + h^2 (f0' - f1')/12 per interval,
+    summed, and a quartic in the offset inside one.
     """
-    from scipy.integrate import quad
-    from scipy.interpolate import CubicSpline
+    nodes = np.linspace(0.5, 1.0, 4097)
+    h = nodes[1] - nodes[0]
+    f, df = _bump_integrand(nodes), _bump_integrand(nodes, deriv=True) * h
+    cumulative = np.concatenate(([0.0], np.cumsum(h * (f[:-1] + f[1:]) / 2.0
+                                                   + h * (df[:-1] - df[1:]) / 12.0)))
 
-    total, err = quad(_bump_integrand, 0.5, 1.0, epsabs=1e-14, epsrel=1e-13)
-    if err > 1e-12:
-        raise RuntimeError(f"cutoff normalization quadrature error {err} too large")
-    grid = np.linspace(0.5, 1.0, 4097)
-    antideriv = CubicSpline(grid, _bump_integrand(grid)).antiderivative()
-    return CutoffProfile(eta0=1.0 / total, _partial=antideriv)
+    def partial(s):
+        i = np.minimum(((s - 0.5) / h).astype(int), nodes.size - 2)
+        x, f0, f1, d0, d1 = (s - nodes[i]) / h, f[i], f[i + 1], df[i], df[i + 1]
+        # the interpolant is f0 + d0 x + c2 x^2 + c3 x^3 in x = (s - node)/h
+        c2, c3 = 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1
+        return cumulative[i] + h * x * (f0 + x * (d0 / 2.0 + x * (c2 / 3.0 + x * c3 / 4.0)))
+
+    return CutoffProfile(eta0=1.0 / cumulative[-1], _partial=partial)
 
 
 def _holder_conjugate(p: float) -> float:
@@ -135,59 +127,107 @@ def _holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _pow_second_deriv_factor(cut: CutoffProfile, s: np.ndarray, pp: float) -> np.ndarray:
-    """d^2/ds^2 of eta(s)^p' in closed form, with the underflow floor.
+def _pow_deriv_factors(cut: CutoffProfile, s: np.ndarray, pp: float):
+    """d/ds and d^2/ds^2 of eta(s)^p' in closed form, with the underflow floor.
 
-    Equals p'((p'-1) eta^(p'-2) eta'^2 + eta^(p'-1) eta'').  Where eta has
-    decayed below the floor the whole expression is super-polynomially
-    small, so it is set to zero instead of risking 0 * inf.
+    p' eta^(p'-1) eta' and p'((p'-1) eta^(p'-2) eta'^2 + eta^(p'-1) eta'').
+    Where eta has decayed below the floor both are super-polynomially small,
+    so they are set to zero instead of risking 0 * inf.
     """
     e = cut.eta(s)
     ep = cut.eta_prime(s)
     epp = cut.eta_pp(s)
-    out = np.zeros_like(e)
+    first, second = np.zeros_like(e), np.zeros_like(e)
     live = e > _ETA_FLOOR
     el, epl, eppl = e[live], ep[live], epp[live]
-    out[live] = pp * ((pp - 1.0) * el ** (pp - 2.0) * epl**2 + el ** (pp - 1.0) * eppl)
-    return out
-
-
-def _pow_first_deriv_factor(cut: CutoffProfile, s: np.ndarray, pp: float) -> np.ndarray:
-    """d/ds of eta(s)^p' in closed form: p' eta^(p'-1) eta'."""
-    e = cut.eta(s)
-    ep = cut.eta_prime(s)
-    out = np.zeros_like(e)
-    live = e > _ETA_FLOOR
-    out[live] = pp * e[live] ** (pp - 1.0) * ep[live]
-    return out
+    e1 = el ** (pp - 1.0)
+    first[live] = pp * e1 * epl
+    second[live] = pp * ((pp - 1.0) * el ** (pp - 2.0) * epl**2 + e1 * eppl)
+    return first, second
 
 
 def _radial_lap_pow(cut: CutoffProfile, R: float, pp: float, r: np.ndarray, n: int) -> np.ndarray:
     """Delta of eta(|x|/R)^p' at radii r: f'' + (n-1)/r f', the first term only where f' != 0."""
-    s = r / R
-    lap = _pow_second_deriv_factor(cut, s, pp) / R**2
-    first = _pow_first_deriv_factor(cut, s, pp) / R
+    first, second = _pow_deriv_factors(cut, r / R, pp)
+    lap = second / R**2
+    first = first / R
     live = first != 0.0
     lap[live] += (n - 1.0) / r[live] * first[live]
     return lap
 
 
-def _guarded_quad(fn, lo, hi, points, tol) -> float:
-    """Adaptive quadrature that maps divergence to inf instead of garbage."""
-    from scipy.integrate import IntegrationWarning, quad
+# The tanh-sinh nodes u = j 2^-k run over |u| <= 4.5, within 1e-61 of the
+# ends of the interval, and the step stops at 2^-8.
+_DE_U_MAX = 4.5
+_DE_LEVELS = 9
 
+
+@lru_cache(maxsize=None)
+def _tanh_sinh_level(k: int):
+    """(1 - x, w) at x = tanh(pi/2 sinh(u)), for u = j 2^-k > 0 new at level k (j odd past 0).
+
+    1 - x = 2/(exp(2v) + 1) keeps a node's distance from the end, and w = pi/2 cosh(u)/cosh(v)^2.
+    """
+    u = np.arange(1, int(_DE_U_MAX * 2**k) + 1, 1 if k == 0 else 2) / 2.0**k
+    e = np.exp(-math.pi * np.sinh(u))
+    return tuple(zip((2.0 * e / (1.0 + e)).tolist(),
+                     (2.0 * math.pi * np.cosh(u) * e / (1.0 + e) ** 2).tolist()))
+
+
+def _tanh_sinh(fn, lo: float, hi: float, tol: float) -> float:
+    """int_lo^hi fn(t) dt for a scalar fn smooth on (lo, hi), by the tanh-sinh rule.
+
+    Halves the step from 1 until two levels agree to tol, relative, with the
+    outermost nodes' share of the sum below tol, as it is where fn decays at
+    both ends (Takahasi & Mori).  inf when that never happens, the integral
+    then diverging at an end, and when fn overflows.
+    """
     if hi <= lo:
         return 0.0
-    pts = [q for q in points if q is not None and lo < q < hi]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, err = quad(fn, lo, hi, points=pts or None, epsrel=tol, epsabs=0.0, limit=200)
-        except (IntegrationWarning, OverflowError):
-            return math.inf
-    if not math.isfinite(val) or (val != 0.0 and err > 0.1 * abs(val)):
-        return math.inf
-    return val
+    half = (hi - lo) / 2.0
+    try:
+        total, last = math.pi / 2.0 * fn(lo + half), None
+        for k in range(_DE_LEVELS):
+            terms = [w * (fn(lo + half * d) + fn(hi - half * d)) for d, w in _tanh_sinh_level(k)]
+            total += sum(terms)
+            estimate = half * total / 2.0**k
+            if (last is not None and abs(estimate - last) <= tol * abs(estimate)
+                    and abs(terms[-1]) <= tol * abs(total)):
+                return estimate
+            last = estimate
+    except OverflowError:
+        pass
+    return math.inf
+
+
+def _growth_integral(params: CosmologyParams, r0: float, R: float, lo: float, x: float,
+                     inner: float, tol: float) -> float:
+    """omega_n int_lo^min(R, T0) a^x max(min(R, r)^n - inner^n, 0) dt.
+
+    `_tanh_sinh` on each side of the kink `cone_time(R)`, with every power
+    inside the rule, which maps its overflow to inf.  A piece that ends at a
+    horizon T0 < R is integrated over the distance d to T0, L and r taken from
+    d, so that its nodes come as close to T0 as the rule puts them; there a^x
+    comes from log a, since a alone leaves the float range first.  Before the
+    clamp a^x goes through a itself, whose overflow counts as the integrand's.
+    """
+    bg = background(params, r0)
+    n = params.n
+
+    def integrand(t, to_horizon=None):
+        L, r = bg.log_a_r(t, to_horizon)
+        bracket = min(R, r) ** n - inner ** n
+        if bracket <= 0.0:
+            return 0.0
+        if to_horizon is None:
+            return (bg.a0 * math.exp(L)) ** x * bracket
+        return math.exp(x * (math.log(bg.a0) + L)) * bracket
+
+    hi, kink = min(R, bg.t0), bg.cone_time(R)
+    cuts = [lo, kink, hi] if kink is not None and lo < kink < hi else [lo, hi]
+    return unit_ball_volume(n) * sum(
+        _tanh_sinh(lambda d: integrand(b - d, d), 0.0, b - a, tol) if b == bg.t0
+        else _tanh_sinh(integrand, a, b, tol) for a, b in zip(cuts, cuts[1:]))
 
 
 def II_prime(
@@ -199,22 +239,13 @@ def II_prime(
     """Cutoff-layer growth integral omega_n int_{R/2}^R min(R, r(t))^n a^(n/2) dt.
 
     a(t) and r(t) come from the problem's `Background`, and the kink where
-    the cone reaches R is its closed-form `cone_time(R)`.  Truncated at the
-    horizon when the spacetime ends before t = R.  Returns inf when the
-    integral diverges at the horizon.
+    the cone reaches R is its closed-form `cone_time(R)`.  Up to the horizon
+    when the spacetime ends before t = R.  Returns inf when the integral
+    diverges at the horizon.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    bg = background(params, r0)
-    upper = bg.t_clamp if bg.t0 < R else R
-    n = params.n
-    wn = unit_ball_volume(n)
-
-    def integrand(t):
-        a, r = bg.a_r(t)
-        return min(R, r) ** n * a ** (n / 2.0)
-
-    return wn * _guarded_quad(integrand, R / 2.0, upper, [bg.cone_time(R)], tol)
+    return _growth_integral(params, r0, R, R / 2.0, params.n / 2.0, 0.0, tol)
 
 
 def III_prime(
@@ -230,29 +261,15 @@ def III_prime(
     `Background.cone_time(R/2)`, or at t = 0 when r0 >= R/2 and the cone
     starts inside it, and has its kink at `cone_time(R)`.  Exactly zero
     when the light cone never reaches radius R/2 before both t = R and the
-    horizon; truncated at the horizon as II_prime is.
+    horizon; up to the horizon as II_prime is.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     pp = _holder_conjugate(p)
-    bg = background(params, r0)
-    upper = bg.t_clamp if bg.t0 < R else R
-    n = params.n
-    wn = unit_ball_volume(n)
-
-    t_entry = 0.0 if r0 >= R / 2.0 else bg.cone_time(R / 2.0)
-    if t_entry is None or t_entry >= upper:
+    t_entry = 0.0 if r0 >= R / 2.0 else background(params, r0).cone_time(R / 2.0)
+    if t_entry is None:
         return 0.0
-
-    def integrand(t):
-        # both powers inside the guard, which maps their overflow to inf
-        a, r = bg.a_r(t)
-        annulus = min(R, r) ** n - (R / 2.0) ** n
-        if annulus <= 0.0:
-            return 0.0
-        return a ** (n / 2.0 - 2.0 * pp) * wn * annulus
-
-    return _guarded_quad(integrand, t_entry, upper, [bg.cone_time(R)], tol)
+    return _growth_integral(params, r0, R, t_entry, params.n / 2.0 - 2.0 * pp, R / 2.0, tol)
 
 
 @dataclass
@@ -452,13 +469,11 @@ def weak_identity_residual(
     spatial factor eta(|x|/R)^p' and its radial Laplacian are formed once on
     the snapshot grid and folded into the solver's Simpson weights; each
     snapshot then costs three dot products and scalar time factors, with a
-    and M^2 from the run's `Background`.  Simpson's rule over the
-    (non-uniform) snapshot times gives the four time integrals.  Requires
-    snapshots spanning [0, min(R, horizon)] and R > 2 r0 so the data sit on
-    the cutoff plateau.
+    and M^2 from the run's `Background`.  Simpson's rule over the uneven
+    snapshot times, `field_solver._simpson_weights` of their steps, gives
+    the four time integrals.  Requires snapshots spanning [0, min(R,
+    horizon)] and R > 2 r0 so the data sit on the cutoff plateau.
     """
-    from scipy.integrate import simpson
-
     cut = build_cutoff()
     pp = _holder_conjugate(p)
     snaps = getattr(diag, "snapshots", None)
@@ -486,7 +501,7 @@ def weak_identity_residual(
     w_lap = weights * _radial_lap_pow(cut, R, pp, r, n)
     ts = ts_all[keep]
     psi_t = cut.eta(ts / R) ** pp
-    dtt_t = _pow_second_deriv_factor(cut, ts / R, pp) / R**2
+    dtt_t = _pow_deriv_factors(cut, ts / R, pp)[1] / R**2
     expo = -n * (p - 1.0) / 2.0
     rows = np.empty((4, ts.size))  # the integrands of I, II, III and IV over time
     for j, idx in enumerate(np.flatnonzero(keep)):
@@ -499,7 +514,7 @@ def weak_identity_residual(
             a ** (-2.0) * psi_t[j] * (u @ w_lap),
             bg.mass_sq(t) * psi_t[j] * u_psi,
         )
-    I_R, II_R, III_R, IV_R = (float(simpson(row, x=ts)) for row in rows)
+    I_R, II_R, III_R, IV_R = (rows @ _simpson_weights(np.diff(ts))).tolist()
     V_R = float(psi_t[0] * (snaps[0][2] @ w_psi))
 
     c2 = params.c**2

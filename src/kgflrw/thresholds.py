@@ -135,23 +135,23 @@ def damping_rate_N(
             raise CaseMismatchError("contracting case requires purely imaginary mass (m_sq <= 0)")
         return math.sqrt(-m_sq - sigma * shift_abs), "3"
     # raw fallback: minimal N compatible with the mass window, when one exists
-    if not math.isfinite(bounds.inf_m_sq):
+    if not math.isfinite(bounds.lower):
         raise CaseMismatchError(
             f"M^2 is unbounded below (case {bounds.case}); no finite N exists"
         )
-    if bounds.sup_m_sq > 1e-12:
+    if bounds.upper > 1e-12:
         raise CaseMismatchError(
             f"M^2 becomes positive (case {bounds.case}); curved mass is not purely imaginary"
         )
-    N = math.sqrt(max(0.0, -bounds.inf_m_sq))
+    N = math.sqrt(max(0.0, -bounds.lower))
     return N, "raw"
 
 
 def _require_mass_window(N: float, bounds) -> None:
-    if not math.isfinite(bounds.inf_m_sq):
+    if not math.isfinite(bounds.lower):
         raise CaseMismatchError("M^2 is unbounded below; the mass hypothesis fails for any N")
-    if N * N + bounds.inf_m_sq < -1e-10 * (1.0 + N * N):
-        raise CaseMismatchError(f"N^2 + inf M^2 = {N*N + bounds.inf_m_sq} < 0")
+    if N * N + bounds.lower < -1e-10 * (1.0 + N * N):
+        raise CaseMismatchError(f"N^2 + inf M^2 = {N*N + bounds.lower} < 0")
 
 
 @functools.lru_cache(maxsize=4)

@@ -8,24 +8,25 @@ The Lemma 2.1 check as a loop over samples that evaluates (M^2, b) per
 sample, as it once was.  The separable blow-up solution of the comparison
 ODE.  The cutoff psi_R^p' and its closed-form derivatives pointwise, from
 the profile the weak identity folds into its weights.  The CFL step a
-field state takes by default.
+field state takes by default.  Simpson's weights on a uniform grid, and the
+growth integrals II'_R and III'_R by scipy's adaptive quadrature, as they
+were once computed.
 """
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from kgflrw.cosmology import (
     ConeData, CosmologyParams, background, horizon_time, scale_factor, unit_ball_volume,
 )
 from kgflrw.field_solver import FieldState, _cfl
-from kgflrw.testfn import (
-    _holder_conjugate, _pow_second_deriv_factor, _radial_lap_pow, build_cutoff,
-)
+from kgflrw.testfn import _holder_conjugate, _pow_deriv_factors, _radial_lap_pow, build_cutoff
 
 
 def curved_mass_sq_from_derivatives(
@@ -271,7 +272,7 @@ def dtt_psi_pow(R: float, p: float, t, radius):
     pp = _holder_conjugate(p)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     r_arr = np.atleast_1d(np.asarray(radius, dtype=float))
-    out = _pow_second_deriv_factor(cut, t_arr / R, pp) / R**2 * cut.eta(r_arr / R) ** pp
+    out = _pow_deriv_factors(cut, t_arr / R, pp)[1] / R**2 * cut.eta(r_arr / R) ** pp
     return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
 
 
@@ -289,6 +290,76 @@ def lap_psi_pow(R: float, p: float, t, radius, n: int):
     return float(out[0]) if np.ndim(t) == 0 and np.ndim(radius) == 0 else out
 
 
+def uniform_simpson_weights(r: np.ndarray) -> np.ndarray:
+    """Simpson's weights on the uniform grid r from its first step h alone.
+
+    h/3 (1, 4, 2, ..., 4, 1) for an odd node count; for an even one, the same
+    up to the last interval plus h (-1, 8, 5)/12 on the last three nodes.
+    """
+    h = r[1] - r[0]
+    odd = r.size - 1 + r.size % 2
+    w = np.zeros_like(r)
+    w[:odd] = 2.0 * h / 3.0
+    w[1:odd:2] = 4.0 * h / 3.0
+    w[0] = w[odd - 1] = h / 3.0
+    if odd < r.size:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+    return w
+
+
 def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
     """Wave-speed limited timestep safety * dr * a(t) / c, the step `field_solver.step` takes by default."""
     return _cfl(safety, state.dr, background(params).a(state.t), params.c)
+
+
+def _guarded_quad(fn, lo, hi, points, tol) -> float:
+    """Adaptive quadrature that maps divergence to inf instead of garbage."""
+    if hi <= lo:
+        return 0.0
+    pts = [q for q in points if q is not None and lo < q < hi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            val, err = quad(fn, lo, hi, points=pts or None, epsrel=tol, epsabs=0.0, limit=200)
+        except (IntegrationWarning, OverflowError):
+            return math.inf
+    if not math.isfinite(val) or (val != 0.0 and err > 0.1 * abs(val)):
+        return math.inf
+    return val
+
+
+def II_prime_quad(params: CosmologyParams, r0: float, R: float, tol: float = 1e-10) -> float:
+    """`testfn.II_prime` by `quad`, up to the horizon clamp when the spacetime ends before R."""
+    bg = background(params, r0)
+    upper = bg.t_clamp if bg.t0 < R else R
+    n = params.n
+
+    def integrand(t):
+        L, r = bg.log_a_r(t)
+        a = bg.a0 * math.exp(L)
+        return min(R, r) ** n * a ** (n / 2.0)
+
+    return unit_ball_volume(n) * _guarded_quad(integrand, R / 2.0, upper, [bg.cone_time(R)], tol)
+
+
+def III_prime_quad(params: CosmologyParams, r0: float, R: float, p: float,
+                   tol: float = 1e-10) -> float:
+    """`testfn.III_prime` by `quad`, up to the horizon clamp when the spacetime ends before R."""
+    pp = _holder_conjugate(p)
+    bg = background(params, r0)
+    upper = bg.t_clamp if bg.t0 < R else R
+    n = params.n
+    wn = unit_ball_volume(n)
+    t_entry = 0.0 if r0 >= R / 2.0 else bg.cone_time(R / 2.0)
+    if t_entry is None or t_entry >= upper:
+        return 0.0
+
+    def integrand(t):
+        L, r = bg.log_a_r(t)
+        a = bg.a0 * math.exp(L)
+        annulus = min(R, r) ** n - (R / 2.0) ** n
+        if annulus <= 0.0:
+            return 0.0
+        return a ** (n / 2.0 - 2.0 * pp) * wn * annulus
+
+    return _guarded_quad(integrand, t_entry, upper, [bg.cone_time(R)], tol)

@@ -30,7 +30,7 @@ from kgflrw.field_solver import (
     step,
     support_radius,
 )
-from oracles import cfl_dt
+from oracles import cfl_dt, uniform_simpson_weights
 
 
 class TestInitField:
@@ -66,14 +66,31 @@ class TestSimpsonWeights:
         # last-interval correction; the sum is exactly rounded, as a BLAS dot
         # product's rounding depends on the kernel
         r = np.linspace(0.0, num_nodes / 512.0, num_nodes)
-        w = _simpson_weights(r)
+        w = _simpson_weights(np.full(num_nodes - 1, r[1] - r[0]))
         rng = np.random.default_rng(num_nodes)
         for y in (rng.standard_normal(num_nodes), np.exp(-r) * np.cos(40.0 * r), np.ones_like(r)):
             assert abs(math.fsum(w * y) - simpson(y, x=r)) <= 1e-14 * np.sum(np.abs(w * y))
 
+    @pytest.mark.parametrize("num_nodes", [3, 4, 5, 6, 41, 100, 1001])
+    def test_match_scipy_simpson_on_uneven_nodes(self, num_nodes):
+        # Cartwright's uneven-step rule, which scipy uses from 1.11, with steps
+        # that vary by up to 20x
+        rng = np.random.default_rng(num_nodes)
+        x = np.cumsum(np.concatenate(([0.0], rng.uniform(0.05, 1.0, num_nodes - 1))))
+        w = _simpson_weights(np.diff(x))
+        for y in (rng.standard_normal(num_nodes), np.exp(-x) * np.cos(3.0 * x), np.ones_like(x)):
+            assert abs(math.fsum(w * y) - simpson(y, x=x)) <= 1e-13 * np.sum(np.abs(w * y))
+
+    @pytest.mark.parametrize("num_nodes", [3, 4, 5, 6, 1025, 3968, 6145])
+    @pytest.mark.parametrize("r_max", [1.0, 5.5, 12.0, 0.1])
+    def test_equal_widths_give_the_uniform_weights_bit_for_bit(self, num_nodes, r_max):
+        r = np.linspace(0.0, r_max, num_nodes)
+        w = _simpson_weights(np.full(num_nodes - 1, r[1] - r[0]))
+        assert np.array_equal(w, uniform_simpson_weights(r))
+
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError):
-            _simpson_weights(np.array([0.0, 1.0]))
+            _simpson_weights(np.array([1.0]))
 
 
 class TestLaplacian:

@@ -102,3 +102,18 @@ def test_compare_prints_the_count_of_cli_files_that_differ(tmp_path, monkeypatch
     old.write_text(json.dumps(dump))  # a dump taken before dumps held CLI files
     assert output_digest.main([str(tmp_path / "new.json"), "--compare", str(old)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "the old dump holds no CLI files"
+
+
+def test_scaling_values_move_one_by_one():
+    def dump(values):
+        return {**_dump(2.0, 10, True, [1.0]), "scaling": {"point 0": {
+            "params": [1, 0.0, 0.0, 2.0], "R_II": [1.0, 2.0, 4.0], "II_prime": values}}}
+
+    old = dump([1.0, 1e6, math.inf])
+    moves = output_digest.compare(dump([1.0, 1e6 * (1 + 2e-12), math.inf]), old)
+    # relative to each value, not to the largest, and inf against inf does not move
+    assert moves["scaling.II_prime"][0] == "relative"
+    assert math.isclose(moves["scaling.II_prime"][1], 2e-12, rel_tol=1e-3)
+    assert moves["scaling.R_II"][1] == 0.0
+    assert output_digest.compare(dump([1.0, 1e6, 5.0]), old)["scaling.II_prime"][1] == math.inf
+    assert output_digest.compare(dump([1.0, 1e6]), old)["scaling.II_prime"][1] == math.inf

@@ -59,12 +59,14 @@ class TestNonlinearityWeight:
     @given(point=_regime_points(), lam=st.floats(0.5, 2.0), p=st.floats(1.2, 3.0),
            frac=st.floats(0.0, 1.0))
     def test_equals_b_of_one_background_bit_for_bit(self, point, lam, p, frac):
-        # the module functions a(t) and r(t) give the bits of one Background's
-        # a_r(t), which takes L once, as the comparison ODE's right side does
+        # the module functions a(t) and r(t) give the bits of a0 exp(L) and r from
+        # one Background's log_a_r(t), which takes L once, as the comparison ODE's
+        # right side does
         params, r0 = point
         bg = background(params, r0)
         t = frac * min(bg.t_clamp, 5.0)
-        a, r = bg.a_r(t)
+        L, r = bg.log_a_r(t)
+        a = bg.a0 * math.exp(L)
         assert nonlinearity_weight(params, r0, lam, p, t) == bg.b(a, r, lam, -params.n * (p - 1.0) / 2.0)
 
 
@@ -180,7 +182,7 @@ class TestThresholdOracle:
         # wherever the oracle's a stays in the float range; where it does not,
         # log a still does, and S must still be a number
         params, r0 = point
-        inf_m_sq = curved_mass_bounds(params).inf_m_sq
+        inf_m_sq = curved_mass_bounds(params).lower
         N = (math.sqrt(max(0.0, -inf_m_sq)) if math.isfinite(inf_m_sq) else 0.0) + extra
         for fast, oracle in ((threshold_S, threshold_S_via_scale_factor),
                              (thresholds._prior_S, prior_S_via_scale_factor)):

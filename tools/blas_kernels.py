@@ -8,8 +8,8 @@ in ``KERNELS`` this runs ``pytest -q tests/test_field_solver.py`` (the
 bit-for-bit tests of the windowed step among them) and ``tools/output_digest.py``
 in child processes whose environment alone sets the variable, and prints one
 line per kernel: the kernel OpenBLAS reports it loaded, the tests' summary
-line, and the digest's count of outputs unmoved against a digest taken with
-the default kernel.  A kernel whose instructions the CPU lacks ends its
+line, and the digest's counts of outputs unmoved and of CLI files that differ
+against a digest taken with the default kernel.  A kernel whose instructions the CPU lacks ends its
 children with a signal, which the line shows as a negative exit code.
 """
 
@@ -46,8 +46,9 @@ def corename() -> str:
     return "?"
 
 
-def _run(args: list, kernel) -> str:
-    """The last line a child prints, with OPENBLAS_CORETYPE = kernel (None: unset)."""
+def _run(args: list, kernel, ends=("",)) -> str:
+    """The last line a child prints that ends with each of ``ends``, joined by "; ",
+    with OPENBLAS_CORETYPE = kernel (None: unset)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tools")]))
     env.pop("OPENBLAS_CORETYPE", None)
     if kernel is not None:
@@ -55,7 +56,8 @@ def _run(args: list, kernel) -> str:
     done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
                           text=True)
     lines = done.stdout.strip().splitlines()
-    last = lines[-1] if lines else ""
+    last = "; ".join(next((line for line in reversed(lines) if line.endswith(end)), "")
+                     for end in ends)
     return last if done.returncode == 0 else f"exit {done.returncode}: {last}"
 
 
@@ -70,7 +72,7 @@ def main() -> int:
             tests = _run(["-m", "pytest", "-q", "-p", "no:cacheprovider",
                           "tests/test_field_solver.py"], kernel)
             moved = _run([digest, str(Path(tmp) / f"{kernel}.json"), "--compare", default],
-                         kernel)
+                         kernel, ends=("outputs unmoved", "CLI files differ"))
             print(f"{kernel:12s} {_run(loaded, kernel):12s} {tests:28s} {moved}", flush=True)
     return 0
 

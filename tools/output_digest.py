@@ -5,23 +5,26 @@
 Writes one JSON file holding, for every ode_positivity problem of benchmark
 seeds 1-3, the data threshold S, t*, its error bar, the accepted, rejected
 and right-hand-side counts, the stop reason and the Lemma 2.1 verdicts with
-their worst margins; and, for each acceptance-7/8 solver run
-of the pde_physics workload, every diagnostics column with its step counts,
-divergence time and (for the weak-identity runs) the residual; and the
-sha256 of every file ``kgflrw`` regime, threshold, ode and scaling write on
-README.md's run config, and of the three files its sweep writes with
-``--jobs 1`` and ``--jobs 2`` (pde and identity are left out: the solver
-outputs above hold their numbers, and their bytes move with the BLAS kernel).
+their worst margins; for each acceptance-7/8 solver run of the pde_physics
+workload, every diagnostics column with its step counts, divergence time and
+(for the weak-identity runs) the residual and its parts I-V; the radii and
+II'_R, III'_R values of every acceptance-6 fit; and the sha256 of every file
+``kgflrw`` regime, threshold, ode and scaling write on README.md's run
+config, and of the three files its sweep writes with ``--jobs 1`` and
+``--jobs 2`` (pde and identity are left out: the solver outputs above hold
+their numbers, and their bytes move with the BLAS kernel).
 With ``--compare`` it prints the largest move of each output against an older
 dump: relative for scalars, relative to the column's peak for columns, the
-old and new totals with their relative change for counts (steps, node_steps,
-rhs_evals, ...), and the number of differing records for counts, flags and
-verdicts (the solver runs are compared one by one); unmoved outputs are only
-counted, and so are the CLI files whose bytes did not change.  Each dump
-records the OpenBLAS kernel numpy loaded, since the Simpson means and the
-field step's products sum in the kernel's order, and the comparison warns
-when the two dumps' kernels differ.  Run it once on each checkout to be
-compared; it imports the package from ``src/`` next to this directory.
+largest relative move of one value for the acceptance-6 lists (inf against
+inf is no move), the old and new totals with their relative change for counts
+(steps, node_steps, rhs_evals, ...), and the number of differing records for
+counts, flags and verdicts (the solver runs are compared one by one); unmoved
+outputs are only counted, and so are the CLI files whose bytes did not change.
+Each dump records the OpenBLAS kernel numpy loaded, since the Simpson means
+and the field step's products sum in the kernel's order, and the comparison
+warns when the two dumps' kernels differ.  Run it once on each checkout to be
+compared; it imports the package from ``src/`` next to this directory, and
+acceptance 6's matrix from ``tests/``.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools"), str(ROOT / "tests")]
 
 import blas_kernels  # noqa: E402
 from kgflrw import cli, comparison_ode, field_solver, testfn, thresholds  # noqa: E402
 from perfbench import workloads  # noqa: E402
+from test_acceptance import _MATRIX  # noqa: E402
 
 SEEDS = (1, 2, 3)
 _COLUMNS = ("t", "mean", "sup", "energy", "support_radius", "cone_radius", "mass_integral")
@@ -99,9 +103,23 @@ def _pde_outputs() -> dict:
         state = field_solver.init_field(n=1, r0=r0, r_max=r_max, num_nodes=nodes, w0=w0, w1=w1)
         diag = field_solver.run_until(params, lam, 2.0, state, R, r0,
                                       output_interval=R / (0.625 * per_unit), keep_snapshots=True)
-        residual = testfn.weak_identity_residual(diag, params, lam, 2.0, R)
-        runs[label] = _diagnostics(diag, residual=residual)
+        residual, parts = testfn.weak_identity_residual(diag, params, lam, 2.0, R, return_parts=True)
+        runs[label] = _diagnostics(diag, residual=residual, parts=parts)
     return runs
+
+
+def _scaling_outputs() -> dict:
+    """Acceptance 6's fits: {point: the radii and II'_R, III'_R values of both fits}."""
+    points = [(params, p) for params, p, _, _ in _MATRIX] + [(workloads.CosmologyParams(n=2), 2.5)]
+    out = {}
+    for i, (params, p) in enumerate(points):
+        ev = testfn.hypothesis_13_14(params, 0.5, p, tol=1e-8)
+        out[f"point {i}"] = {
+            "params": [params.n, params.H, params.sigma, p],
+            "R_II": ev.fit_II.R.tolist(), "II_prime": ev.fit_II.values.tolist(),
+            "R_III": ev.fit_III.R.tolist(), "III_prime": ev.fit_III.values.tolist(),
+        }
+    return out
 
 
 def _cli_files() -> dict:
@@ -130,7 +148,7 @@ def digest() -> dict:
         for i, (params, r0, lam, p, theta, _) in enumerate(workloads.draw_problems(seed, False)):
             ode[f"seed {seed} problem {i}"] = _ode_outputs(params, r0, lam, p, theta)
     return {"seeds": list(SEEDS), "blas_kernel": blas_kernels.corename(), "ode": ode,
-            "pde": _pde_outputs(), "cli": _cli_files()}
+            "pde": _pde_outputs(), "scaling": _scaling_outputs(), "cli": _cli_files()}
 
 
 def kernel_warning(new: dict, old: dict):
@@ -159,8 +177,15 @@ def _column_move(new: list, old: list) -> float:
                 for a, b in zip(new, old)), default=0.0)
 
 
+def _values_move(new: list, old: list) -> float:
+    """The largest relative move of one value of a list, inf where the lengths differ."""
+    if len(new) != len(old):
+        return math.inf
+    return max(map(_rel, new, old), default=0.0)
+
+
 def _moves(new: dict, old: dict, prefix: str, label: str, moves: dict) -> None:
-    """Fold the moves of one record's outputs into ``moves``."""
+    """Fold the moves of one record's outputs into ``moves``; a scaling record's lists value by value."""
     for key, o in old.items():
         n, name = new[key], f"{prefix}.{key}"
         if key == "params" or (o is None and n is None):
@@ -168,7 +193,9 @@ def _moves(new: dict, old: dict, prefix: str, label: str, moves: dict) -> None:
         if isinstance(o, dict):
             _moves(n, o, name, label, moves)
             continue
-        if isinstance(o, list):
+        if isinstance(o, list) and prefix == "scaling":
+            move, kind, where = _values_move(n, o), "relative", (label, None, None)
+        elif isinstance(o, list):
             move, kind, where = _column_move(n, o), "of peak", (label, None, None)
         elif isinstance(o, float) or isinstance(n, float):
             move, kind, where = _rel(n, o), "relative", (label, o, n)
@@ -192,14 +219,16 @@ def compare(new: dict, old: dict) -> dict:
     (old total, new total) over the records for a count.
     """
     moves: dict = {}
-    for group in ("ode", "pde"):
+    for group in ("ode", "pde", "scaling"):
+        if group not in old:  # a dump taken before dumps held it
+            continue
         if set(new[group]) != set(old[group]):
             raise SystemExit(f"{group}: the dumps hold different records")
         for label, o in old[group].items():
             n = new[group][label]
             if n.get("params") != o.get("params"):
                 raise SystemExit(f"{label}: the problem differs between the dumps")
-            _moves(n, o, group if group == "ode" else f"pde.{label}", label, moves)
+            _moves(n, o, f"pde.{label}" if group == "pde" else group, label, moves)
     return moves
 
 
