@@ -58,6 +58,10 @@ def _write_sidecar(path, record, sort_keys: bool = False) -> None:
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=sort_keys) + "\n")
 
 
+# The most node-steps a pde or identity run may take: 127 times acceptance 7 (a)'s 7.9e7.
+_NODE_STEPS = 1e10
+
+
 def _time_cap(spec: RunSpec, default: float) -> float:
     t0 = horizon_time(spec.params())
     t_end = spec.t_end if spec.t_end is not None else default
@@ -125,7 +129,9 @@ def _pde_run(spec: RunSpec, t_cap: float, keep_snapshots: bool) -> field_solver.
     """The solver run of a pde or identity command up to t_cap.
 
     ConfigError if the grid cannot carry the initial field, or if that field
-    or its nonlinearity c^2 lambda a0^(-n(p-1)/2) |u|^p is not finite at t = 0.
+    or its nonlinearity c^2 lambda a0^(-n(p-1)/2) |u|^p is not finite at t = 0;
+    before the grid is allocated, if its node count times the run's estimated
+    step count exceeds `_NODE_STEPS`.
     """
     params = spec.params()
     r_cone = background(params, spec.r0).r(t_cap)
@@ -135,7 +141,14 @@ def _pde_run(spec: RunSpec, t_cap: float, keep_snapshots: bool) -> field_solver.
     if r_max <= r_cone:
         raise ConfigError(f"r_max = {r_max} does not cover the light cone r({t_cap}) = {r_cone};"
                           " raise r_max or lower t_end")
-    nodes = spec.num_nodes if spec.num_nodes is not None else int(512 * r_max) + 1
+    # a count past the work bound is refused below, so the clamp moves no run's grid
+    nodes = spec.num_nodes if spec.num_nodes is not None else int(min(512 * r_max, _NODE_STEPS)) + 1
+    # the cone gains _CFL dr a step (dt = _CFL dr a/c, r' = c/a): about this many steps, one at least
+    steps = max((r_cone - spec.r0) * (nodes - 1) / (field_solver._CFL * r_max), 1.0)
+    if nodes * steps > _NODE_STEPS:
+        raise ConfigError(f"a run to t = {t_cap:.6g} on r_max = {r_max:.6g} with num_nodes = {nodes:.3g}"
+                          f" takes about {nodes * steps:.3g} node-steps, over {_NODE_STEPS:.0e}:"
+                          " lower t_end, r_max or num_nodes")
     w1 = spec.resolved_w1()
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a field that is not finite is refused below
@@ -154,7 +167,7 @@ def _pde_run(spec: RunSpec, t_cap: float, keep_snapshots: bool) -> field_solver.
                           f" lower w0 = {spec.w0}, w1 = {w1} or n = {spec.n}")
     return field_solver.run_until(
         params, spec.lam, spec.p, state, t_cap, spec.r0,
-        output_interval=spec.output_interval, safety=spec.safety, keep_snapshots=keep_snapshots,
+        output_interval=spec.output_interval, keep_snapshots=keep_snapshots,
     )
 
 
@@ -208,11 +221,13 @@ def cmd_identity(spec: RunSpec, args) -> int:
     if R <= 2.0 * spec.r0:
         raise ConfigError(f"R = {R} must exceed 2 r0 = {2.0 * spec.r0}")
     t_cap = _time_cap(spec, R)
-    window = min(R, 0.99 * horizon_time(spec.params()))
-    if t_cap < window:
-        raise ConfigError(f"t_end = {t_cap} does not cover the cutoff window [0, {R}]")
+    if t_cap < R:
+        t_end = spec.t_end if spec.t_end is not None else R
+        raise ConfigError(f"the cutoff window [0, R = {R}] passes the run's end t = {t_cap} ="
+                          f" min(t_end = {t_end}, 0.99 T0 = {0.99 * horizon_time(spec.params())});"
+                          " lower R")
     diag = _pde_run(spec, t_cap, keep_snapshots=True)
-    if diag.diverged and diag.divergence_time < window:
+    if diag.diverged and diag.divergence_time < R:
         t_div, two_r0 = diag.divergence_time, 2.0 * spec.r0
         fits = (f"choose 2 r0 = {two_r0} < R <= {t_div:.6g}" if t_div > two_r0
                 else f"no R > 2 r0 = {two_r0} fits")

@@ -196,7 +196,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     blowup = False
     w_s = t_switch = None  # w_s is set while the loop steps zeta
     acc = acc_w
-    safety, min_fac, max_fac = 0.9, 0.2, 5.0
+    shrink, min_fac, max_fac = 0.9, 0.2, 5.0
     a21, = _DP_A[1]
     a31, a32 = _DP_A[2]
     a41, a42, a43 = _DP_A[3]
@@ -258,7 +258,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
                 err = math.inf
         if bad or err > 1.0:
             rejections += 1
-            fac = min_fac if bad else max(min_fac, safety * err ** (-0.2))
+            fac = min_fac if bad else max(min_fac, shrink * err ** (-0.2))
             dt *= fac
             if dt < _DT_FLOOR and (t_end - t) > 10.0 * _DT_FLOOR or t + dt == t:
                 raise StiffnessError(
@@ -283,7 +283,7 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         ws.append(w)
         wds.append(wd)
         cfs.append(cf)
-        dt *= min(max_fac, max(min_fac, safety * (err + 1e-30) ** (-0.2)))
+        dt *= min(max_fac, max(min_fac, shrink * (err + 1e-30) ** (-0.2)))
         # switch variables at an accepted sample; zeta'' and w'' follow from
         # the FSAL stage, so a switch costs no right-hand side
         if w_s is None and abs(w) > switch_at and w * wd > 0.0:

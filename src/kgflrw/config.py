@@ -72,7 +72,6 @@ class RunSpec:
     num_nodes: Optional[int] = None
     r_max: Optional[float] = None
     output_interval: Optional[float] = None
-    safety: float = 0.4
     sweep: Optional[SweepSpec] = None
 
     def params(self) -> CosmologyParams:
@@ -151,8 +150,6 @@ def parse_config_dict(raw: dict) -> RunSpec:
                          ("R", None), ("r_max", None), ("output_interval", None)):
         val = pos[key] = _number(raw, key, default)
         _require(val is None or val > 0.0, f"{key} must be positive, got {val}")
-    safety = _number(raw, "safety", 0.4)
-    _require(0.0 < safety <= 1.0, f"safety must lie in (0, 1], got {safety}")
     num_nodes = raw.get("num_nodes")
     if num_nodes is not None:
         _require(isinstance(num_nodes, int) and num_nodes >= 3,
@@ -180,7 +177,7 @@ def parse_config_dict(raw: dict) -> RunSpec:
         n=n, H=_number(raw, "H", 0.0), sigma=_number(raw, "sigma", 0.0),
         m_sq=_number(raw, "m_sq", 0.0), lam=pos.pop("lambda"), p=p, theta=theta, N=N,
         w0=_number(raw, "w0", 10.0), w1=_number(raw, "w1"), num_nodes=num_nodes,
-        safety=safety, sweep=sweep, **pos,
+        sweep=sweep, **pos,
     )
     # constructing the params validates the remaining physics fields, and the
     # background's constants must stay inside the float range

@@ -51,6 +51,8 @@ _SUP_GUARD = 1e8
 # A step zeroes the state beyond its last node where |u| or |v| exceeds this multiple
 # of the data scale; beyond it lies only dispersive precursor, decaying into subnormals.
 _DUST_REL = 1e-30
+# The time step is this fraction of the CFL limit dr a(t) / c.
+_CFL = 0.4
 # Fraction of the data scale below which grid values count as numerical dust
 # when measuring the support radius.  Chosen about 15x above the dispersive
 # precursor level that second-order central differences shed ahead of the
@@ -225,11 +227,7 @@ def radial_laplacian(u: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
     At the origin the symmetric regularization is n u_rr(0) with the ghost
     value u(-dr) = u(dr).  The outer node is Dirichlet and gets zero.
     """
-    return _laplacian(u, _stencil(r, n))
-
-
-def _laplacian(u: np.ndarray, st: _Stencil) -> np.ndarray:
-    """`radial_laplacian` on the grid's stencil."""
+    st = _stencil(r, n)
     padded = np.zeros(u.size + 2)
     padded[1:-1] = u
     lap = np.empty_like(u)
@@ -248,9 +246,9 @@ def _fold(st: _Stencil, c2: float, a: float, msq: float, out: np.ndarray) -> Non
     out[1] -= c2 * msq
 
 
-def _cfl(safety: float, dr: float, a: float, c: float) -> float:
-    """The CFL step safety * dr * a / c."""
-    return safety * dr * a / c
+def _cfl(dr: float, a: float, c: float) -> float:
+    """The CFL step `_CFL` * dr * a / c, which `step` and `run_until` take."""
+    return _CFL * dr * a / c
 
 
 def _window(u: np.ndarray, v: np.ndarray) -> int:
@@ -376,7 +374,7 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     Each stepped node sees the same arithmetic as on the full grid, so the
     result equals a full-grid step bit for bit, and a step of `run_until`.
     The outer node takes no velocity.  ``dt`` defaults to the CFL step
-    0.4 dr a(t) / c.
+    `_cfl` at a(t).
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
@@ -387,7 +385,7 @@ def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
     bg, t = background(params), state.t
     a0, m0 = bg.a(t), bg.mass_sq(t)
     if dt is None:
-        dt = _cfl(0.4, state.dr, a0, params.c)
+        dt = _cfl(state.dr, a0, params.c)
     stepper = _Stepper(bg, lam, p, _stencil(state.r, params.n), a0, m0, m)
     diverged = _advance(stepper, t, dt, a0, m0, blk[:, 1:m + 1], _row_view(blk[5])[:, :m],
                         new[:, :m], state.data_scale)[0]
@@ -424,27 +422,22 @@ def energy(state: FieldState, params: CosmologyParams) -> float:
     """
     if params.H != 0.0:
         raise ValueError("energy conservation only holds on a static background")
-    return _energy(state, params, _stencil(state.r, params.n))
-
-
-def _energy(state: FieldState, params: CosmologyParams, st: _Stencil) -> float:
-    """`energy` on the grid's stencil, without the argument check."""
     r, u, v = state.r, state.u, state.v
     n = params.n
     weights = np.full_like(r, state.dr)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     radial = weights * r ** (n - 1)
-    lap = _laplacian(u, st)
+    lap = radial_laplacian(u, r, n)
     quad = (v / params.c) ** 2 + params.m_sq * u ** 2
     total = np.sum(radial * quad) - np.sum(radial * u * lap) / params.a0 ** 2
     return float(0.5 * n * unit_ball_volume(n) * total)
 
 
 def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, t_end: float,
-              r0: float, output_interval: Optional[float] = None, safety: float = 0.4,
+              r0: float, output_interval: Optional[float] = None,
               keep_snapshots: bool = False) -> Diagnostics:
-    """Advance with CFL steps to t_end, divergence, or the horizon cap.
+    """Advance with the CFL steps of `_cfl` to t_end, divergence, or the horizon cap.
 
     Diagnostics are recorded every ``output_interval`` (default t_end/200).
     The grid must cover the light cone r(t) at the last time, else ValueError.
@@ -461,7 +454,6 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     if output_interval is None:
         output_interval = t_cap / 200.0
     weights = _mean_weights(state.r, params.n)
-    sten = _stencil(state.r, params.n)
     diag = Diagnostics()
     if keep_snapshots:
         diag.snapshot_grid = state.r.copy()
@@ -479,7 +471,7 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
         diag.t.append(st.t)
         diag.mean.append(float(weights @ st.u))
         diag.sup.append(sup)
-        diag.energy.append(_energy(st, params, sten) if linear_static and live else math.nan)
+        diag.energy.append(energy(st, params) if linear_static and live else math.nan)
         sr = support_radius(st, scale=peak_mag)
         rc = bg.r(st.t)
         diag.support_radius.append(sr)
@@ -506,10 +498,10 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
     a_t, m_t = bg.a(t), bg.mass_sq(t)  # then a and M^2 at the last step's t + dt, the same float
     # folded over the whole grid, so a static background folds once
-    stepper = _Stepper(bg, lam, p, sten, a_t, m_t, size)
+    stepper = _Stepper(bg, lam, p, _stencil(r, params.n), a_t, m_t, size)
     m = _window(state.u, state.v)
     while t < t_cap:
-        dt = min(_cfl(safety, dr, a_t, bg.c), t_cap - t)
+        dt = min(_cfl(dr, a_t, bg.c), t_cap - t)
         nxt = blocks[1 - cur, 4:]
         nxt[:, m + 1:extent[1 - cur] + 1] = 0.0
         extent[1 - cur] = m

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -156,9 +156,10 @@ def _radial_lap_pow(cut: CutoffProfile, R: float, pp: float, r: np.ndarray, n: i
     return lap
 
 
-# The tanh-sinh nodes u = j 2^-k run over |u| <= 4.5, within 1e-61 of the
-# ends of the interval, and the step stops at 2^-8.
-_DE_U_MAX = 4.5
+# The tanh-sinh nodes u = j 2^-k run over |u| <= 6, within 2e-275 of the
+# half-length of the ends of the interval (node and weight still normal
+# floats), and the step stops at 2^-8.
+_DE_U_MAX = 6.0
 _DE_LEVELS = 9
 
 
@@ -180,10 +181,12 @@ def _tanh_sinh(fn, lo: float, hi: float, tol: float) -> float:
     Halves the step from 1 until two levels agree to tol, relative, with the
     outermost nodes' share of the sum below tol, as it is where fn decays at
     both ends (Takahasi & Mori).  inf when that never happens, the integral
-    then diverging at an end, and when fn overflows.
+    then diverging at an end, and when fn overflows.  fn is called once per
+    abscissa, so the outer nodes that round onto lo or hi share one call.
     """
     if hi <= lo:
         return 0.0
+    fn = cache(fn)
     half = (hi - lo) / 2.0
     try:
         total, last = math.pi / 2.0 * fn(lo + half), None
@@ -471,8 +474,8 @@ def weak_identity_residual(
     snapshot then costs three dot products and scalar time factors, with a
     and M^2 from the run's `Background`.  Simpson's rule over the uneven
     snapshot times, `field_solver._simpson_weights` of their steps, gives
-    the four time integrals.  Requires snapshots spanning [0, min(R,
-    horizon)] and R > 2 r0 so the data sit on the cutoff plateau.
+    the four time integrals.  Requires snapshots spanning [0, R], where
+    psi_R vanishes, and R > 2 r0 so the data sit on the cutoff plateau.
     """
     cut = build_cutoff()
     pp = _holder_conjugate(p)
@@ -480,15 +483,14 @@ def weak_identity_residual(
     if not snaps:
         raise CoverageError("run carries no snapshots; rerun with keep_snapshots")
     bg = background(params)
-    needed = min(R, (1.0 - 1e-6) * bg.t0)
     ts_all = np.array([s[0] for s in snaps])
     if ts_all[0] > 1e-12:
         raise CoverageError(f"first snapshot at t = {ts_all[0]}, need t = 0 for the data term")
-    if ts_all[-1] < needed * (1.0 - 1e-9):
+    if ts_all[-1] < R * (1.0 - 1e-9):
         raise CoverageError(
-            f"snapshots end at t = {ts_all[-1]}, need coverage to t = {needed}"
+            f"snapshots end at t = {ts_all[-1]}, need coverage to R = {R}"
         )
-    keep = ts_all <= needed * (1.0 + 1e-12)
+    keep = ts_all <= R * (1.0 + 1e-12)
     if keep.sum() < 5:
         raise CoverageError("fewer than five snapshots inside the cutoff window")
     r = getattr(diag, "snapshot_grid", None)

@@ -307,9 +307,9 @@ def uniform_simpson_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-def cfl_dt(params: CosmologyParams, state: FieldState, safety: float = 0.4) -> float:
-    """Wave-speed limited timestep safety * dr * a(t) / c, the step `field_solver.step` takes by default."""
-    return _cfl(safety, state.dr, background(params).a(state.t), params.c)
+def cfl_dt(params: CosmologyParams, state: FieldState) -> float:
+    """Wave-speed limited timestep `_CFL` * dr * a(t) / c, the step `field_solver.step` takes by default."""
+    return _cfl(state.dr, background(params).a(state.t), params.c)
 
 
 def _guarded_quad(fn, lo, hi, points, tol) -> float:

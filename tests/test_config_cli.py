@@ -49,7 +49,7 @@ class TestConfigParsing:
         ({"n": 1, "a0": -1.0}, "a0 must be positive"),
         ({"n": 1, "t_end": 0.0}, "t_end must be positive"),
         ({"n": 1, "output_interval": -1.0}, "output_interval must be positive"),
-        ({"n": 1, "safety": 1.5}, "safety must lie in (0, 1]"),
+        ({"n": 1, "safety": 1.5}, "unknown config keys ['safety']"),  # the CFL step is a constant
         ({"n": 1, "num_nodes": 2}, "num_nodes"),
         ({"n": 1, "H": "fast"}, "H must be a number"),
     ])
@@ -253,6 +253,23 @@ class TestCliCommands:
         header = (out_dir / "diagnostics.csv").read_text().splitlines()[0]
         assert header == "t,mean,sup,energy,support_radius,cone_radius,mass_integral"
 
+    @pytest.mark.parametrize("config", [
+        # n (1 + sigma) < 2: r(t) grows without bound toward the crunch, to r(0.99 T0) = 1.33e6
+        {"n": 1, "H": -1.0, "sigma": -0.5, "m_sq": -1.0, "r0": 0.5},
+        # 512 r_max overflows
+        {"n": 1, "r0": 0.5, "r_max": 1e306, "t_end": 1.0},
+    ])
+    def test_pde_grid_over_the_work_bound_is_exit_1_before_allocation(self, tmp_path, capsys,
+                                                                     monkeypatch, config):
+        def allocate(*args, **kwargs):
+            raise AssertionError("init_field called")
+
+        monkeypatch.setattr(field_solver, "init_field", allocate)
+        assert main(["pde", "--config", _write_config(tmp_path, config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "node-steps" in err
+        assert all(key in err for key in ("t = ", "r_max = ", "num_nodes = "))
+
 
 class TestSweep:
     CONFIG = {
@@ -363,6 +380,20 @@ class TestReadmeExamples:
         err = capsys.readouterr().err
         assert "diverges at t = 0.82" in err
         assert "R = 3.0" in err and "2 r0 = 1.0" in err
+
+    @pytest.mark.parametrize("config", [
+        {"n": 2, "H": -1.0, "sigma": 0.0, "m_sq": 0.0, "r0": 0.25, "R": 1.5, "w0": 0.1,
+         "lambda": 1e-3},  # T0 = 1
+        {"n": 3, "H": -0.5, "sigma": 0.0, "m_sq": -1.0, "r0": 0.25, "R": 2.0, "w0": 0.1,
+         "lambda": 1e-3},  # T0 = 4/3
+    ])
+    def test_identity_whose_window_passes_the_run_is_exit_1(self, tmp_path, capsys, config):
+        # psi_R vanishes only from t = R on, past the run's end 0.99 T0
+        assert main(["identity", "--config", _write_config(tmp_path, config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"R = {config['R']}" in err and "0.99 T0" in err
+        if config["n"] == 2:  # a window inside the run
+            assert main(["identity", "--config", _write_config(tmp_path, {**config, "R": 0.9})]) == 0
 
     def test_identity_without_divergence_is_exit_0(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5, "w0": 0.1, "R": 1.5})

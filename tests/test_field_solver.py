@@ -11,7 +11,7 @@ from scipy.integrate import simpson
 
 from kgflrw import cli, field_solver
 from kgflrw.cosmology import (
-    Background, ConeData, CosmologyParams, cone_radius, curved_mass_sq, scale_factor,
+    Background, ConeData, CosmologyParams, background, cone_radius, curved_mass_sq, scale_factor,
 )
 from kgflrw.field_solver import (
     _DUST_REL,
@@ -137,7 +137,19 @@ class TestStepping:
     def test_cfl_scales_with_grid_and_background(self):
         params = CosmologyParams(n=1, c=2.0)
         state = init_field(n=1, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0)
-        assert cfl_dt(params, state, safety=0.4) == pytest.approx(0.4 * state.dr / 2.0)
+        assert cfl_dt(params, state) == pytest.approx(0.4 * state.dr / 2.0)
+
+    @pytest.mark.parametrize("params, t0", [
+        (CosmologyParams(n=1, c=2.0), 0.0),
+        (CosmologyParams(n=2, c=1.5, H=0.5, sigma=0.5, a0=2.0), 0.25),
+    ])
+    def test_step_and_run_take_the_cfl_step_bit_for_bit(self, params, t0):
+        state = init_field(n=params.n, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0)
+        state.t = t0
+        dt = 0.4 * state.dr * background(params).a(t0) / params.c
+        assert step(params, 0.0, 2.0, state).t == t0 + dt
+        diag = run_until(params, 0.0, 2.0, state, t0 + 3.0 * dt, 1.0, output_interval=dt / 2.0)
+        assert diag.t[1] == t0 + dt
 
     def test_step_preserves_boundary_and_advances_time(self):
         params = CosmologyParams(n=1, m_sq=1.0)

@@ -115,5 +115,29 @@ def test_scaling_values_move_one_by_one():
     assert moves["scaling.II_prime"][0] == "relative"
     assert math.isclose(moves["scaling.II_prime"][1], 2e-12, rel_tol=1e-3)
     assert moves["scaling.R_II"][1] == 0.0
-    assert output_digest.compare(dump([1.0, 1e6, 5.0]), old)["scaling.II_prime"][1] == math.inf
+    moves = output_digest.compare(dump([1.0, 1e6, 5.0]), old)
+    assert moves["scaling.II_prime"][1] == math.inf
+    assert output_digest._describe(*moves["scaling.II_prime"], "scaling.II_prime") == (
+        "inf relative  at point 0")
     assert output_digest.compare(dump([1.0, 1e6]), old)["scaling.II_prime"][1] == math.inf
+
+
+def test_records_only_one_dump_holds_are_named(tmp_path, monkeypatch, capsys):
+    old = _dump(2.0, 10, True, [1.0])
+    new = _dump(2.0, 11, True, [1.0])
+    new["scaling"] = {"crunch III'": {"params": [3], "III_prime_crunch": [24.4]}}
+    old["scaling"] = {}
+    new["pde"]["nonlinear"] = {"mean": [2.0]}
+    old["pde"]["linear"] = {"mean": [3.0]}
+    # the records both hold are compared
+    assert output_digest.compare(new, old) == {
+        "ode.S": ["relative", 0.0, None], "ode.steps_accepted": ["count", 1.0, (10, 11)],
+        "ode.verdicts.all_pass": ["changed", 0.0, None], "pde.energy.mean": ["of peak", 0.0, None]}
+    assert output_digest.lone_records(new, old) == [
+        "pde: linear (old dump only)", "pde: nonlinear (new dump only)",
+        "scaling: crunch III' (new dump only)"]
+    monkeypatch.setattr(output_digest, "digest", lambda: new)
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    assert output_digest.main([str(tmp_path / "new.json"), "--compare", str(tmp_path / "old.json")]) == 0
+    out = capsys.readouterr().out
+    assert "record scaling: crunch III' (new dump only)" in out and "3 of 4 outputs unmoved" in out

@@ -132,7 +132,8 @@ class TestGrowthIntegrals:
         tail, _ = quad(lambda t: min(1.0, cone_radius(cone, t)) ** 3 * (1.0 - 1.5 * t), 0.5, t0)
         assert val == pytest.approx(4.0 / 3.0 * math.pi * tail, rel=1e-8)
 
-    @pytest.mark.parametrize("p, beta", [(9.0, -0.5), (27.0 / 7.0, -0.8), (27.0 / 11.0, -1.25)])
+    @pytest.mark.parametrize("p, beta", [(9.0, -0.5), (27.0 / 7.0, -0.8), (57.0 / 17.0, -0.9),
+                                         (117.0 / 37.0, -0.95), (27.0 / 11.0, -1.25)])
     def test_annulus_integral_up_to_a_crunch(self, p, beta):
         # n=3, H=-1: a = (1 - t/T0)^(2/3) up to T0 = 2/3, and from r0 = R = 1 the
         # annulus is full throughout, so the integrand is omega_3 (1 - 1/8) a^k with
@@ -140,8 +141,21 @@ class TestGrowthIntegrals:
         # T0: T0/(1 + beta) in all, or divergent from beta = -1 on
         params = CosmologyParams(n=3, H=-1.0, sigma=0.0)
         exact = 4.0 / 3.0 * math.pi * 7.0 / 8.0 * (2.0 / 3.0) / (1.0 + beta)
-        assert III_prime(params, 1.0, 1.0, p) == (pytest.approx(exact, rel=1e-9) if beta > -1.0
+        assert III_prime(params, 1.0, 1.0, p) == (pytest.approx(exact, rel=1e-12) if beta > -1.0
                                                   else math.inf)
+
+    def test_rule_calls_each_abscissa_once(self):
+        # on a piece before any horizon the outer nodes round onto lo and hi, and
+        # share the one call at each end
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return math.exp(-t)
+
+        value = testfn._tanh_sinh(fn, 0.5, 2.0, 1e-10)
+        assert value == pytest.approx(math.exp(-0.5) - math.exp(-2.0), rel=1e-13)
+        assert len(calls) == len(set(calls)) and {0.5, 2.0} <= set(calls)
 
     def test_integrals_up_to_a_crunch_past_the_float_range_of_a_and_r(self):
         # q = n(1 + sigma) = 0.3: a = (1 - t/T0)^(20/3) underflows, and r (unbounded, as

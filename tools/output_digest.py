@@ -8,7 +8,8 @@ and right-hand-side counts, the stop reason and the Lemma 2.1 verdicts with
 their worst margins; for each acceptance-7/8 solver run of the pde_physics
 workload, every diagnostics column with its step counts, divergence time and
 (for the weak-identity runs) the residual and its parts I-V; the radii and
-II'_R, III'_R values of every acceptance-6 fit; and the sha256 of every file
+II'_R, III'_R values of every acceptance-6 fit, and III'_R where its integrand
+blows up at a crunch like (T0 - t)^beta; and the sha256 of every file
 ``kgflrw`` regime, threshold, ode and scaling write on README.md's run
 config, and of the three files its sweep writes with ``--jobs 1`` and
 ``--jobs 2`` (pde and identity are left out: the solver outputs above hold
@@ -20,6 +21,8 @@ inf is no move), the old and new totals with their relative change for counts
 (steps, node_steps, rhs_evals, ...), and the number of differing records for
 counts, flags and verdicts (the solver runs are compared one by one); unmoved
 outputs are only counted, and so are the CLI files whose bytes did not change.
+Records that both dumps hold are compared, and each record only one of them
+holds is named, so a dump taken before a record was added still compares.
 Each dump records the OpenBLAS kernel numpy loaded, since the Simpson means
 and the field step's products sum in the kernel's order, and the comparison
 warns when the two dumps' kernels differ.  Run it once on each checkout to be
@@ -119,6 +122,10 @@ def _scaling_outputs() -> dict:
             "R_II": ev.fit_II.R.tolist(), "II_prime": ev.fit_II.values.tolist(),
             "R_III": ev.fit_III.R.tolist(), "III_prime": ev.fit_III.values.tolist(),
         }
+    # n = 3, H = -1, r0 = R = 1: the integrand is a constant times (T0 - t)^beta, beta = 1 - 4p'/3
+    crunch, betas = workloads.CosmologyParams(n=3, H=-1.0), [-0.8, -0.85, -0.9, -0.95, -0.97, -0.99]
+    out["crunch III'"] = {"params": [3, -1.0, 0.0], "beta": betas, "III_prime_crunch": [
+        testfn.III_prime(crunch, 1.0, 1.0, pp / (pp - 1.0)) for pp in (0.75 * (1.0 - b) for b in betas)]}
     return out
 
 
@@ -213,7 +220,7 @@ def _moves(new: dict, old: dict, prefix: str, label: str, moves: dict) -> None:
 
 
 def compare(new: dict, old: dict) -> dict:
-    """{output: [kind, largest move or number of changed records, where]}.
+    """{output: [kind, largest move or number of changed records, where]} over the records both dumps hold.
 
     where is (record, old, new) of the largest move of a scalar or column, and
     (old total, new total) over the records for a count.
@@ -222,14 +229,21 @@ def compare(new: dict, old: dict) -> dict:
     for group in ("ode", "pde", "scaling"):
         if group not in old:  # a dump taken before dumps held it
             continue
-        if set(new[group]) != set(old[group]):
-            raise SystemExit(f"{group}: the dumps hold different records")
         for label, o in old[group].items():
+            if label not in new[group]:
+                continue
             n = new[group][label]
             if n.get("params") != o.get("params"):
                 raise SystemExit(f"{label}: the problem differs between the dumps")
             _moves(n, o, f"pde.{label}" if group == "pde" else group, label, moves)
     return moves
+
+
+def lone_records(new: dict, old: dict) -> list:
+    """"group: label (which dump)" of each record that only one of the dumps holds."""
+    return [f"{group}: {label} ({'new' if label in new[group] else 'old'} dump only)"
+            for group in ("ode", "pde", "scaling") if group in old
+            for label in sorted(new[group].keys() ^ old[group].keys())]
 
 
 def changed_files(new: dict, old: dict) -> list:
@@ -240,16 +254,16 @@ def changed_files(new: dict, old: dict) -> list:
 
 def _describe(kind: str, move: float, where, name: str) -> str:
     """One printed line's account of a moved output."""
+    if kind not in ("count", "changed"):  # a move, possibly inf
+        at = "" if where is None or where[0] in name else f"  at {where[0]}" + (
+            "" if where[1] is None else f": {where[1]!r} -> {where[2]!r}")
+        return f"{move:.3g} {kind}{at}"
     records = f"{int(move)} record" + ("s" if move != 1 else "")
-    if kind == "count":
-        old, new = where
-        rel = f" ({(new - old) / old:+.2%})" if old else ""
-        return f"{old} -> {new}{rel} in {records}"
     if kind == "changed":
         return records
-    at = "" if where is None or where[0] in name else f"  at {where[0]}" + (
-        "" if where[1] is None else f": {where[1]!r} -> {where[2]!r}")
-    return f"{move:.3g} {kind}{at}"
+    old, new = where
+    rel = f" ({(new - old) / old:+.2%})" if old else ""
+    return f"{old} -> {new}{rel} in {records}"
 
 
 def main(argv=None) -> int:
@@ -265,6 +279,8 @@ def main(argv=None) -> int:
         if warning:
             print(warning)
         moves = compare(data, old)
+        for record in lone_records(data, old):
+            print(f"record {record}")
         for name, (kind, move, where) in sorted(moves.items()):
             if move:
                 print(f"{name:40s} {_describe(kind, move, where, name)}")
