@@ -60,6 +60,8 @@ def _write_sidecar(path, record, sort_keys: bool = False) -> None:
 
 # The most node-steps a pde or identity run may take: 127 times acceptance 7 (a)'s 7.9e7.
 _NODE_STEPS = 1e10
+# The most grid nodes a pde or identity run may allocate: a run holds about 150 bytes a node.
+_NODES = 1e7
 
 
 def _time_cap(spec: RunSpec, default: float) -> float:
@@ -131,7 +133,7 @@ def _pde_run(spec: RunSpec, t_cap: float, keep_snapshots: bool) -> field_solver.
     ConfigError if the grid cannot carry the initial field, or if that field
     or its nonlinearity c^2 lambda a0^(-n(p-1)/2) |u|^p is not finite at t = 0;
     before the grid is allocated, if its node count times the run's estimated
-    step count exceeds `_NODE_STEPS`.
+    step count exceeds `_NODE_STEPS`, or its node count exceeds `_NODES`.
     """
     params = spec.params()
     r_cone = background(params, spec.r0).r(t_cap)
@@ -149,6 +151,9 @@ def _pde_run(spec: RunSpec, t_cap: float, keep_snapshots: bool) -> field_solver.
         raise ConfigError(f"a run to t = {t_cap:.6g} on r_max = {r_max:.6g} with num_nodes = {nodes:.3g}"
                           f" takes about {nodes * steps:.3g} node-steps, over {_NODE_STEPS:.0e}:"
                           " lower t_end, r_max or num_nodes")
+    if nodes > _NODES:
+        raise ConfigError(f"a grid on r_max = {r_max:.6g} with num_nodes = {nodes:.3g} has over"
+                          f" {_NODES:.0e} nodes, more than a run may allocate: lower r_max or num_nodes")
     w1 = spec.resolved_w1()
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a field that is not finite is refused below

@@ -448,7 +448,7 @@ def curved_mass_bounds(params: CosmologyParams) -> MassBounds:
     if H > 0 and sigma > 0:
         # decreasing from m^2 + shift (shift > 0) toward m^2
         return MassBounds("iii", m_sq, m_sq + shift)
-    if (1.0 + sigma) * H > 0 and sigma < 0:
+    if (sigma > -1.0) == (H > 0) and sigma < 0:  # (1 + sigma) H > 0, which may underflow
         # increasing from m^2 + shift (shift < 0) toward m^2
         return MassBounds("iv", m_sq + shift, m_sq)
     if H < 0 and sigma > 0:

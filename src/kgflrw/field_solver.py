@@ -19,8 +19,10 @@ of two of its rows with the block (a one-row product takes a BLAS path whose
 rounding depends on the window length).  A step updates only the nodes the
 stencil reaches from the nonzero part of the field, and ends by zeroing the
 new state beyond its last node above `_DUST_REL` times the data scale;
-`run_until` takes that footprint for the next step's window, so it scans a
-field for its footprint once per run.
+that footprint sets the next step's window, so a run scans a field for its
+footprint once.  One private run object, `_Run`, holds the two state blocks
+a run steps between and takes each step; `run_until` drives it, and `step`
+is one step of a run started from its state.
 """
 
 from __future__ import annotations
@@ -285,111 +287,119 @@ def _tableau(h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-class _Stepper:
-    """What the RK4 steps on one grid share: folded rows, last tableau, stage inputs, scratch.
+class _Run:
+    """One RK4 run on one grid: its two state blocks, folded rows, tableau and scratch.
 
-    buf[0] holds the folded rows at a step's t, and buf[1] those at t + dt/2.
-    It starts with the rows at (a, M^2) over the first k nodes.  On a static
-    background buf[0] serves every stage of every step; on a moving one
-    `_advance` refolds both.  The tableau of step dt is rewritten in place
-    when dt changes, and tabs are its three two-row blocks.  The stage
-    inputs are padded like a u.
+    The run steps from block `cur` into the other one and back; each block is
+    padded like a u, its rows are k4, k3, k2, k1 (the stage accelerations), v
+    and u, and block k is zero from node extent[k] on.  `m` is the number of
+    leading nodes the next step updates, t, a and msq the time and a, M^2 at
+    it.  buf[0] holds the rows folded at (a, M^2(t)) and buf[1] those at
+    t + dt/2; on a static background buf[0], folded once over the whole grid,
+    serves every stage of every step.  The tableau of step dt is rewritten in
+    place when dt changes, and tabs are its three two-row blocks.  The stage
+    inputs are padded like a u.  The outer node takes no velocity.
     """
 
-    def __init__(self, bg, lam: float, p: float, st: _Stencil, a: float, msq: float, k: int):
-        size = st.rows.shape[1]
-        self.bg, self.lam, self.p, self.st, self.c2, self.dt = bg, lam, p, st, bg.c ** 2, math.nan
+    def __init__(self, bg, lam: float, p: float, state: FieldState):
+        n, size = bg.params.n, state.r.size
+        self.bg, self.lam, self.p, self.c2, self.dt = bg, lam, p, bg.c ** 2, math.nan
+        self.expo = -n * (p - 1.0) / 2.0  # of a in the nonlinearity
+        self.r, self.scale, self.t, self.st = state.r, state.data_scale, state.t, _stencil(state.r, n)
+        self.a, self.msq = bg.a(self.t), bg.mass_sq(self.t)
         self.tab = _tableau(self.dt)
         self.tabs = (self.tab[3:, 3:], self.tab[2:4, 2:], self.tab[:2])
         self.buf, self.stage = np.empty((2, 3, size)), np.zeros((2, size + 2))
         self.views, self.prod, self.tmp = _row_view(self.stage), np.empty((3, size)), np.empty(size)
-        _fold(st, self.c2, a, msq, self.buf[0, :, :k])
+        _fold(self.st, self.c2, self.a, self.msq, self.buf[0])
+        self.blocks = np.zeros((2, 6, size + 2))
+        self.us, self.vs = self.blocks[:, 5, 1:-1], self.blocks[:, 4, 1:-1]
+        self.us[0], self.vs[0, :-1] = state.u, state.v[:-1]
+        self.u_views = [_row_view(b[5]) for b in self.blocks]
+        self.extent, self.cur, self.m = [size, 0], 0, _window(state.u, state.v)
 
+    def state(self, diverged: bool) -> FieldState:
+        """The run's current state, whose u and v are views of its block."""
+        return FieldState(self.r, self.us[self.cur], self.vs[self.cur], self.t, diverged, self.scale)
 
-def _advance(s: _Stepper, t: float, dt: float, a0: float, m0: float, blk: np.ndarray,
-             u_rows: np.ndarray, out: np.ndarray,
-             scale: float) -> tuple[bool, int, float, float, float]:
-    """One RK4 step of the (6, m) window blk of a state block into out = (v+, u+).
+    def advance(self, dt: float) -> tuple[bool, float]:
+        """One RK4 step of the first m nodes from t to t + dt, into the other block.
 
-    blk's rows are k4, k3, k2, k1, v and u, and the step writes the k rows;
-    u_rows is the (3, m) `_row_view` of the padded u; a0 and m0 are a(t) and
-    M^2(t), whose rows s.buf[0] holds.  (Y3, Y2), (Y4, Y3) and out are rows
-    3-4, 2-3 and 0-1 of `_tableau(dt)` times blk's last 3, 4 and 6 rows.  On a
-    moving background the rows at t + dt/2 are folded into s.buf[1], and once
-    stage 1 has read s.buf[0], the rows at t + dt into it over m + 2 nodes,
-    the next window's reach.  out is pinned at the last node and, with |out|
-    left in s.stage, zeroed from its footprint e on: the node after the last
-    above `_DUST_REL` times the data scale.
-    Returns (diverged, e, M^2(t + dt/2), a(t + dt), M^2(t + dt)), diverged
-    when sup |u+| is not finite or exceeds `_SUP_GUARD` times the data scale.
-    """
-    bg, m, lam, p, n = s.bg, out.shape[1], s.lam, s.p, s.bg.params.n
-    rows, prod, tmp = s.buf[:, :, :m], s.prod[:, :m], s.tmp[:m]
-    ys, (y_lo, y_hi) = s.stage[:, 1:m + 1], s.views[:, :, :m]
+        (Y3, Y2), (Y4, Y3) and the new (v, u) are rows 3-4, 2-3 and 0-1 of
+        `_tableau(dt)` times the block's last 3, 4 and 6 rows.  On a moving
+        background the rows at t + dt/2 are folded into buf[1], and once
+        stage 1 has read buf[0], the rows at t + dt into it over m + 2 nodes,
+        the next window's reach.  The new state is pinned at the last node
+        and, with its |v| and |u| left in the stage inputs, zeroed from its
+        footprint e on: the node after the last above `_DUST_REL` times the
+        data scale.  The next step's window is then min(e + 5, N), `_window`
+        of the new state.  Returns (diverged, M^2(t + dt/2)), diverged when
+        sup |u+| is not finite or exceeds `_SUP_GUARD` times the data scale.
+        """
+        bg, lam, p, c2, expo, st, buf = self.bg, self.lam, self.p, self.c2, self.expo, self.st, self.buf
+        m, cur, t, a0, m0, tabs = self.m, self.cur, self.t, self.a, self.msq, self.tabs
+        blk, u_rows, nxt = self.blocks[cur, :, 1:m + 1], self.u_views[cur][:, :m], self.blocks[1 - cur]
+        nxt[4:, m + 1:self.extent[1 - cur] + 1] = 0.0  # what a wider window left two steps ago
+        out, self.extent[1 - cur] = nxt[4:, 1:m + 1], m
+        rows, prod, tmp = buf[:, :, :m], self.prod[:, :m], self.tmp[:m]
+        ys, (y_lo, y_hi) = self.stage[:, 1:m + 1], self.views[:, :, :m]
 
-    def accel(i, a, view, k):
-        # k = folded rows i applied to a stage input + c^2 lam a^(-n(p-1)/2) |u|^p, pinned
-        _apply(rows[i], view, prod, k)
-        if lam != 0.0:
-            np.power(np.abs(view[1], out=tmp), p, out=tmp)
-            np.multiply(tmp, s.c2 * lam * a ** (-n * (p - 1.0) / 2.0), out=tmp)
-            k += tmp
-        k[-1] = 0.0
+        def accel(i, a, view, k):
+            # k = folded rows i applied to a stage input + c^2 lam a^(-n(p-1)/2) |u|^p, pinned
+            _apply(rows[i], view, prod, k)
+            if lam != 0.0:
+                np.power(np.abs(view[1], out=tmp), p, out=tmp)
+                np.multiply(tmp, c2 * lam * a ** expo, out=tmp)
+                k += tmp
+            k[-1] = 0.0
 
-    th, t1 = t + dt / 2.0, t + dt  # a and M^2 at the later stage times, which stages 2 and 3 share
-    if bg.static:
-        ah, a1, mh, m1, ih = a0, a0, m0, m0, 0
-    else:
-        ah, a1, mh, m1, ih = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1), 1
-        _fold(s.st, s.c2, ah, mh, rows[1])
-    if dt != s.dt:
-        s.dt = dt
-        _tableau(dt, s.tab)
-    accel(0, a0, u_rows, blk[3])
-    if not bg.static:
-        _fold(s.st, s.c2, a1, m1, s.buf[0, :, :m + 2])
-    np.matmul(s.tabs[0], blk[3:], out=ys)  # Y3, Y2
-    accel(ih, ah, y_hi, blk[2])
-    accel(ih, ah, y_lo, blk[1])
-    np.matmul(s.tabs[1], blk[2:], out=ys)  # Y4 beside Y3 again, as a product takes two rows
-    accel(0, a1, y_lo, blk[0])
-    np.matmul(s.tabs[2], blk, out=out)
-    out[:, -1] = 0.0
-    sup = float(np.maximum.reduce(np.abs(out, out=ys)[1]))
-    floor, lo, e = _DUST_REL * scale, max(m - 8, 0), 0
-    for a, b in ((lo, m), (0, lo)):  # the last node above floor moves about one node a step
-        hits = (np.maximum(ys[0, a:b], ys[1, a:b]) > floor).nonzero()[0]
-        if hits.size:
-            e = a + int(hits[-1]) + 1
-            break
-    out[:, e:] = ys[:, e:] = 0.0
-    return not math.isfinite(sup) or sup > _SUP_GUARD * scale, e, mh, a1, m1
+        th, t1 = t + dt / 2.0, t + dt  # a and M^2 at the later stage times, which stages 2 and 3 share
+        if bg.static:
+            ah, a1, mh, m1, ih = a0, a0, m0, m0, 0
+        else:
+            ah, a1, mh, m1, ih = bg.a(th), bg.a(t1), bg.mass_sq(th), bg.mass_sq(t1), 1
+            _fold(st, c2, ah, mh, rows[1])
+        if dt != self.dt:
+            self.dt = dt
+            _tableau(dt, self.tab)
+        accel(0, a0, u_rows, blk[3])
+        if not bg.static:
+            _fold(st, c2, a1, m1, buf[0, :, :m + 2])
+        np.matmul(tabs[0], blk[3:], out=ys)  # Y3, Y2
+        accel(ih, ah, y_hi, blk[2])
+        accel(ih, ah, y_lo, blk[1])
+        np.matmul(tabs[1], blk[2:], out=ys)  # Y4 beside Y3 again, as a product takes two rows
+        accel(0, a1, y_lo, blk[0])
+        np.matmul(tabs[2], blk, out=out)
+        out[:, -1] = 0.0
+        sup = float(np.maximum.reduce(np.abs(out, out=ys)[1]))
+        floor, lo, e = _DUST_REL * self.scale, max(m - 8, 0), 0
+        for a, b in ((lo, m), (0, lo)):  # the last node above floor moves about one node a step
+            hits = (np.maximum(ys[0, a:b], ys[1, a:b]) > floor).nonzero()[0]
+            if hits.size:
+                e = a + int(hits[-1]) + 1
+                break
+        out[:, e:] = ys[:, e:] = 0.0
+        self.t, self.a, self.msq, self.cur, self.m = t1, a1, m1, 1 - cur, min(e + 5, self.r.size)
+        return not math.isfinite(sup) or sup > _SUP_GUARD * self.scale, mh
 
 
 def step(params: CosmologyParams, lam: float, p: float, state: FieldState,
          dt: Optional[float] = None) -> FieldState:
     """One classical RK4 step of the first-order system (u, v), in Nystrom form.
 
-    Only the first ``_window`` nodes are stepped and the rest are set to zero.
-    Each stepped node sees the same arithmetic as on the full grid, so the
-    result equals a full-grid step bit for bit, and a step of `run_until`.
-    The outer node takes no velocity.  ``dt`` defaults to the CFL step
-    `_cfl` at a(t).
+    One `_Run.advance` of a run started from ``state``: the step `run_until`
+    takes.  Only the first ``_window`` nodes are stepped and the rest are set
+    to zero; each stepped node sees the same arithmetic as on the full grid,
+    so the result equals a full-grid step bit for bit.  The outer node takes
+    no velocity.  ``dt`` defaults to the CFL step `_cfl` at a(t).
     """
     if state.diverged:
         raise RuntimeError("cannot step a diverged state")
-    size = state.u.size
-    m, new = _window(state.u, state.v), np.zeros((2, size))
-    blk = np.zeros((6, size + 2))  # rows k4, k3, k2, k1, v, u, padded like the stage inputs
-    blk[5, 1:-1], blk[4, 1:-2] = state.u, state.v[:-1]
-    bg, t = background(params), state.t
-    a0, m0 = bg.a(t), bg.mass_sq(t)
-    if dt is None:
-        dt = _cfl(state.dr, a0, params.c)
-    stepper = _Stepper(bg, lam, p, _stencil(state.r, params.n), a0, m0, m)
-    diverged = _advance(stepper, t, dt, a0, m0, blk[:, 1:m + 1], _row_view(blk[5])[:, :m],
-                        new[:, :m], state.data_scale)[0]
-    return FieldState(state.r, new[1], new[0], t + dt, diverged, state.data_scale)
+    run = _Run(background(params), lam, p, state)
+    new = run.state(run.advance(_cfl(state.dr, run.a, params.c) if dt is None else dt)[0])
+    new.u, new.v = new.u.copy(), new.v.copy()  # not views of the run's blocks
+    return new
 
 
 def support_radius(state: FieldState, scale: float) -> float:
@@ -487,42 +497,26 @@ def run_until(params: CosmologyParams, lam: float, p: float, state: FieldState, 
     record(state)
     next_record = output_interval
     diag.stop_reason = "t_end" if t_cap == t_end else "horizon"
-    r, dr, t, scale, size = state.r, state.dr, state.t, state.data_scale, state.r.size
-    # the run steps between two state blocks, from block 0 into block 1 and
-    # back; block k is zero from node extent[k] on.  The outer node takes no velocity
-    blocks = np.zeros((2, 6, size + 2))
-    us, vs = blocks[:, 5, 1:-1], blocks[:, 4, 1:-1]
-    us[0], vs[0, :-1] = state.u, state.v[:-1]
-    views = [_row_view(b[5]) for b in blocks]
-    extent, cur = [size, 0], 0
     mass_u = float(weights @ np.abs(state.u))  # int |u| of the current state
-    a_t, m_t = bg.a(t), bg.mass_sq(t)  # then a and M^2 at the last step's t + dt, the same float
-    # folded over the whole grid, so a static background folds once
-    stepper = _Stepper(bg, lam, p, _stencil(r, params.n), a_t, m_t, size)
-    m = _window(state.u, state.v)
-    while t < t_cap:
-        dt = min(_cfl(dr, a_t, bg.c), t_cap - t)
-        nxt = blocks[1 - cur, 4:]
-        nxt[:, m + 1:extent[1 - cur] + 1] = 0.0
-        extent[1 - cur] = m
-        diverged, e, m_mid, a_t, m_t = _advance(stepper, t, dt, a_t, m_t, blocks[cur, :, 1:m + 1],
-                                                views[cur][:, :m], nxt[:, 1:m + 1], scale)
+    run, dr = _Run(bg, lam, p, state), state.dr
+    while run.t < t_cap:
+        m = run.m
+        dt = min(_cfl(dr, run.a, bg.c), t_cap - run.t)
+        diverged, m_mid = run.advance(dt)
         diag.steps += 1
         diag.node_steps += m
         # the |M^2 u| space-time integral by the midpoint rule, M^2 from the
         # step's stage at t + dt/2; |u+| is in the stage inputs
-        t_new, mass_new = t + dt, float(weights[:m] @ stepper.stage[1, 1:m + 1])
+        mass_new = float(weights[:m] @ run.stage[1, 1:m + 1])
         mass_acc += dt * abs(m_mid) * (0.5 * (mass_u + mass_new))
-        # the new state is nonzero at node e - 1 and zero from e on: `_window` of it
-        mass_u, cur, t, m = mass_new, 1 - cur, t_new, min(e + 5, size)
+        mass_u = mass_new
         if diverged:
-            diag.diverged, diag.divergence_time, diag.stop_reason = True, t, "diverged"
-            record(FieldState(r, us[cur], vs[cur], t, True, scale))
+            diag.diverged, diag.divergence_time, diag.stop_reason = True, run.t, "diverged"
+            record(run.state(True))
             break
-        if t >= next_record - 1e-12:
-            record(FieldState(r, us[cur], vs[cur], t, False, scale))
+        if run.t >= next_record - 1e-12:
+            record(run.state(False))
             next_record += output_interval
-    else:
-        if diag.t[-1] < t:
-            record(FieldState(r, us[cur], vs[cur], t, False, scale))
+    if diag.t[-1] < run.t:  # a diverged run recorded its last state
+        record(run.state(False))
     return diag

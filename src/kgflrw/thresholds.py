@@ -31,7 +31,6 @@ __all__ = [
     "InitialDataSummary",
     "ThresholdReport",
     "CaseMismatchError",
-    "unit_ball_volume",
     "nonlinearity_weight",
     "damping_rate_N",
     "threshold_S",
@@ -93,18 +92,29 @@ def nonlinearity_weight(
     return background(params, r0).b(a, r, lam, expo)
 
 
+def _case(params: CosmologyParams) -> Optional[str]:
+    """The regime case of a background: "1" static, "2" polynomially expanding
+    (H > 0, sigma > -1), "3" strongly contracting (H < 0, sigma < -1 - 2/n), else None."""
+    H, sigma = params.H, params.sigma
+    if H == 0.0:
+        return "1"
+    if H > 0 and sigma > -1:
+        return "2"
+    if H < 0 and sigma < -1 - 2.0 / params.n:
+        return "3"
+    return None
+
+
 def damping_rate_N(
     params: CosmologyParams, N_user: Optional[float] = None
 ) -> tuple[float, str]:
     """Damping rate N with its regime case label.
 
-    Case dispatch follows the regime enumeration: (1) static background,
-    (2) polynomially expanding, (3) strongly contracting.  A supplied
-    ``N_user`` switches to the raw mode, which only checks the mass
-    hypotheses; "raw" mode without N_user uses the minimal admissible
-    N = sqrt(-inf M^2) when the squared curved mass stays in [-N^2, 0].
+    N = sqrt(-inf M^2), the least N with M^2 in [-N^2, 0], in each case of
+    `_case`, which requires m_sq <= 0, and in "raw" mode elsewhere when M^2
+    stays in some such window.  A supplied ``N_user`` switches to the raw
+    mode, which only checks the mass hypotheses.
     """
-    n, c, H, sigma, m_sq = params.n, params.c, params.H, params.sigma, params.m_sq
     bounds = curved_mass_bounds(params)
     if N_user is not None:
         if N_user < 0:
@@ -112,39 +122,24 @@ def damping_rate_N(
         _require_mass_window(N_user, bounds)
         return N_user, "raw"
 
-    shift_abs = (n * H / (2.0 * c)) ** 2
-    if H == 0.0:
-        if m_sq > 0:
-            raise CaseMismatchError("static case requires purely imaginary mass (m_sq <= 0)")
-        return math.sqrt(-m_sq), "1"
-    if H > 0 and sigma > -1:
-        if m_sq > 0:
-            raise CaseMismatchError("expanding case requires purely imaginary mass (m_sq <= 0)")
-        if sigma > 0:
-            N = math.sqrt(-m_sq)
-            if N < math.sqrt(sigma) * n * H / (2.0 * c) - 1e-15:
-                raise CaseMismatchError(
-                    "expanding case with sigma > 0 requires |m| >= sqrt(sigma) n H / 2c"
-                )
-            return N, "2"
-        if sigma == 0:
-            return math.sqrt(-m_sq), "2"
-        return math.sqrt(-m_sq - sigma * shift_abs), "2"
-    if H < 0 and sigma < -1 - 2.0 / n:
-        if m_sq > 0:
-            raise CaseMismatchError("contracting case requires purely imaginary mass (m_sq <= 0)")
-        return math.sqrt(-m_sq - sigma * shift_abs), "3"
-    # raw fallback: minimal N compatible with the mass window, when one exists
-    if not math.isfinite(bounds.lower):
-        raise CaseMismatchError(
-            f"M^2 is unbounded below (case {bounds.case}); no finite N exists"
-        )
-    if bounds.upper > 1e-12:
-        raise CaseMismatchError(
-            f"M^2 becomes positive (case {bounds.case}); curved mass is not purely imaginary"
-        )
+    case = _case(params)
+    if case is None:  # raw: the least N compatible with the mass window, when one exists
+        if not math.isfinite(bounds.lower):
+            raise CaseMismatchError(f"M^2 is unbounded below (case {bounds.case}); no finite N exists")
+        if bounds.upper > 1e-12:
+            raise CaseMismatchError(
+                f"M^2 becomes positive (case {bounds.case}); curved mass is not purely imaginary"
+            )
+    elif params.m_sq > 0:
+        name = ("static", "expanding", "contracting")[int(case) - 1]
+        raise CaseMismatchError(f"{name} case requires purely imaginary mass (m_sq <= 0)")
     N = math.sqrt(max(0.0, -bounds.lower))
-    return N, "raw"
+    n, c, H, sigma = params.n, params.c, params.H, params.sigma
+    if case == "2" and sigma > 0 and N < math.sqrt(sigma) * n * H / (2.0 * c) - 1e-15:
+        raise CaseMismatchError(
+            "expanding case with sigma > 0 requires |m| >= sqrt(sigma) n H / 2c"
+        )
+    return N, case or "raw"
 
 
 def _require_mass_window(N: float, bounds) -> None:
@@ -291,10 +286,10 @@ def critical_exponent_p0(n: int, sigma: Number) -> Number:
 
 def admissible_p_range(params: CosmologyParams) -> tuple[float, float]:
     """(1, p_upper) for the matched regime case; raises on mismatch."""
-    n, H, sigma = params.n, params.H, params.sigma
-    if H == 0.0:
+    n, sigma, case = params.n, params.sigma, _case(params)
+    if case == "1":
         return 1.0, math.inf if n == 1 else (n + 1.0) / (n - 1.0)
-    if H > 0 and sigma > -1:
+    if case == "2":
         branch = -1.0 + 2.0 / n
         if n == 1 and sigma >= 0:
             return 1.0, math.inf
@@ -307,10 +302,10 @@ def admissible_p_range(params: CosmologyParams) -> tuple[float, float]:
             return 1.0, (n + 2.0) / (n - 2.0)
         # remaining: n=1 with -1<sigma<0, or n>=2 with -1<sigma<branch
         return 1.0, -(2.0 + sigma) / sigma
-    if H < 0 and sigma < -1 - 2.0 / n:
+    if case == "3":
         return 1.0, float(critical_exponent_p0(n, sigma))
     raise CaseMismatchError(
-        f"(H={H}, sigma={sigma}) matches no admissible exponent-range case"
+        f"(H={params.H}, sigma={sigma}) matches no admissible exponent-range case"
     )
 
 
@@ -322,16 +317,16 @@ def analytic_scaling_conditions(
     Returns (h13, h14) -- whether the cutoff-integral limits vanish -- or
     None when the regime is outside the analyzed condition ladder.
     """
-    n, H, sigma = params.n, params.H, params.sigma
-    if H == 0.0:
+    n, sigma, case = params.n, params.sigma, _case(params)
+    if case == "1":
         ok = n == 1 or p < (n + 1.0) / (n - 1.0)
         return ok, ok
     if sigma == -1.0:
-        return (False, True) if H > 0 else (True, False)
-    if H > 0 and sigma > -1:
+        return (False, True) if params.H > 0 else (True, False)
+    if case == "2":
         _, p_up = admissible_p_range(params)
         return p < p_up, True
-    if H < 0 and sigma < -1 - 2.0 / n:
+    if case == "3":
         # polynomially contracting case: a ~ t^(2/q) with q = n(1+sigma) < -2.
         # The cutoff-layer integral grows like R^(n+1+1/(1+sigma)); the
         # annulus integral carries gamma = (1-4p'/n)/(1+sigma) and its decay

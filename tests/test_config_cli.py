@@ -222,6 +222,11 @@ class TestCliCommands:
         assert payload["verdict"] == "admissible"
         assert payload["N"] == pytest.approx(1.0)
 
+    def test_threshold_of_a_massless_static_point_prints_a_positive_zero_N(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": 0.0, "r0": 0.5})
+        assert main(["threshold", "--config", cfg]) == 0
+        assert '"N": 0.0,' in capsys.readouterr().out
+
     def test_ode_command(self, tmp_path):
         cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 0.5,
                                        "w0": 10.0, "t_end": 5.0})
@@ -269,6 +274,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "node-steps" in err
         assert all(key in err for key in ("t = ", "r_max = ", "num_nodes = "))
+
+    @pytest.mark.parametrize("config", [
+        # 9e9 node-steps pass the work bound, yet each array would take 72 GB
+        {"n": 1, "num_nodes": 9000000000, "t_end": 1e-12},
+        # the default 512 r_max + 1 nodes, on a run of about two steps
+        {"n": 1, "r0": 0.5, "r_max": 30000.0, "t_end": 1e-3},
+    ])
+    def test_pde_grid_over_the_node_bound_is_exit_1_before_allocation(self, tmp_path, capsys,
+                                                                     monkeypatch, config):
+        def allocate(*args, **kwargs):
+            raise AssertionError("init_field called")
+
+        monkeypatch.setattr(field_solver, "init_field", allocate)
+        assert main(["pde", "--config", _write_config(tmp_path, config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1e+07 nodes" in err
+        assert all(key in err for key in ("r_max = ", "num_nodes = "))
 
 
 class TestSweep:

@@ -145,6 +145,9 @@ class TestCurvedMass:
         assert curved_mass_bounds(CosmologyParams(n=2, H=1.0, sigma=-0.5)).case == "iv"
         assert curved_mass_bounds(CosmologyParams(n=2, H=-1.0, sigma=1.5)).case == "v"
         assert curved_mass_bounds(RIP).case == "vi"
+        # the case follows the signs of 1 + sigma and H, also where their product underflows
+        bounds = curved_mass_bounds(CosmologyParams(n=2, m_sq=-1.0, H=5e-324, sigma=-0.6))
+        assert (bounds.case, bounds.lower, bounds.upper) == ("iv", -1.0, -1.0)
 
 
 class TestCone:

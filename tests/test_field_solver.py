@@ -500,14 +500,14 @@ class TestRunUntil:
         # is min(last nonzero + 6, N) of the state it read
         params, lam, r0, r_max, nodes, w0, w1, t_end = case
         scans, windows = [], []
-        window, advance = field_solver._window, field_solver._advance
+        window, advance = field_solver._window, field_solver._Run.advance
 
-        def spy(*args):
-            windows.append(args[7].shape[1])  # out, the step's (2, m) window
-            return advance(*args)
+        def spy(run, dt):
+            windows.append(run.m)  # the number of nodes the step updates
+            return advance(run, dt)
 
         monkeypatch.setattr(field_solver, "_window", lambda u, v: scans.append(1) or window(u, v))
-        monkeypatch.setattr(field_solver, "_advance", spy)
+        monkeypatch.setattr(field_solver._Run, "advance", spy)
         state = init_field(n=params.n, r0=r0, r_max=r_max, num_nodes=nodes, w0=w0, w1=w1)
         diag = run_until(params, lam, 2.0, state, t_end, r0,
                          output_interval=1e-9, keep_snapshots=True)
@@ -577,17 +577,15 @@ class TestRunUntil:
 
     def test_snapshots_own_their_memory(self, monkeypatch):
         buffers = []
-        advance = field_solver._advance
+        advance = field_solver._Run.advance
 
-        def spy(*args):
-            # the state block, its u row view and the new state, then the
-            # stepper's stage inputs, scratch rows and folded rows
-            stepper = args[0]
-            buffers.extend(args[5:8])
-            buffers.extend([stepper.stage, stepper.prod, stepper.tmp, stepper.buf])
-            return advance(*args)
+        def spy(run, dt):
+            # the two state blocks, then the run's stage inputs, scratch rows
+            # and folded rows
+            buffers.extend([run.blocks, run.stage, run.prod, run.tmp, run.buf])
+            return advance(run, dt)
 
-        monkeypatch.setattr(field_solver, "_advance", spy)
+        monkeypatch.setattr(field_solver._Run, "advance", spy)
         params = CosmologyParams(n=1, m_sq=1.0)
         state = init_field(n=1, r0=1.0, r_max=4.0, num_nodes=513, w0=1.0)
         diag = run_until(params, 0.0, 2.0, state, 1.0, 1.0,
@@ -604,14 +602,16 @@ class TestRunUntil:
         # written there two steps before nonzero beyond the narrower window,
         # yet the new state must be zero there
         windows = []
-        advance = field_solver._advance
+        advance = field_solver._Run.advance
 
-        def narrowing(*args):
-            windows.append(args[7].shape[1])
-            diverged, e, *rest = advance(*args)
-            return (diverged, e // 2 if len(windows) % 4 in (2, 3) else e, *rest)
+        def narrowing(run, dt):
+            windows.append(run.m)
+            result = advance(run, dt)
+            if len(windows) % 4 in (2, 3):  # the next window is e + 5, e the footprint: halve e
+                run.m = (run.m - 5) // 2 + 5
+            return result
 
-        monkeypatch.setattr(field_solver, "_advance", narrowing)
+        monkeypatch.setattr(field_solver._Run, "advance", narrowing)
         params = CosmologyParams(n=2, m_sq=1.0)
         state = init_field(n=2, r0=1.0, r_max=3.0, num_nodes=257, w0=1.0, w1=0.5)
         diag = run_until(params, 0.0, 2.0, state, 0.2, 1.0,

@@ -141,3 +141,32 @@ def test_records_only_one_dump_holds_are_named(tmp_path, monkeypatch, capsys):
     assert output_digest.main([str(tmp_path / "new.json"), "--compare", str(tmp_path / "old.json")]) == 0
     out = capsys.readouterr().out
     assert "record scaling: crunch III' (new dump only)" in out and "3 of 4 outputs unmoved" in out
+
+
+def test_step_records_chain_forty_steps_on_a_moving_and_a_static_background():
+    records = output_digest._step_outputs()
+    assert set(records) == {"power law", "static"}
+    for record in records.values():
+        n, m_sq, H, sigma, lam, p = record["params"]
+        assert lam > 0 and len(record["t"]) == len(record["mean"]) == len(record["sup"]) == 41
+        assert all(a < b for a, b in zip(record["t"], record["t"][1:]))
+        assert not record["diverged"] and len(record["sha256"]) == 64
+    assert records["power law"]["params"][2] > 0 and records["static"]["params"][2] == 0.0
+    # the hash of the states is compared as one changed record
+    old = {"step": records}
+    new = {"step": {**records, "static": {**records["static"], "sha256": "0" * 64}}}
+    moves = output_digest.compare(new, old)
+    assert moves["step.static.sha256"][:2] == ["changed", 1.0]
+    assert moves["step.power law.sha256"][:2] == ["changed", 0.0]
+    assert moves["step.static.t"][:2] == ["of peak", 0.0]
+
+
+def test_threshold_record_is_the_massless_static_output_with_a_positive_zero_N():
+    record = output_digest._threshold_outputs()["massless static"]
+    assert record["case_label"] == "1" and record["verdict"] == "admissible"
+    assert record["N"] == 0.0 and math.copysign(1.0, record["N"]) == 1.0
+    # a zero that changes sign moves, and so by inf
+    moves = output_digest.compare({"threshold": {"massless static": record}},
+                                  {"threshold": {"massless static": {**record, "N": -0.0}}})
+    assert moves["threshold.N"] == ["relative", math.inf, ("massless static", -0.0, 0.0)]
+    assert moves["threshold.S"][1] == 0.0

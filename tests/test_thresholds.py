@@ -2,6 +2,7 @@
 exponent ranges, the scaling-condition ladder, and the verdict assembly."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from kgflrw import thresholds
 from kgflrw.comparison_ode import OdeProblem, integrate_comparison, verify_lemma21
-from kgflrw.cosmology import CosmologyParams, background, curved_mass_bounds
+from kgflrw.cosmology import CosmologyParams, background, curved_mass_bounds, unit_ball_volume
 from kgflrw.thresholds import (
     CaseMismatchError,
     InitialDataSummary,
@@ -22,7 +23,6 @@ from kgflrw.thresholds import (
     damping_rate_N,
     nonlinearity_weight,
     threshold_S,
-    unit_ball_volume,
 )
 from oracles import prior_S_via_scale_factor, threshold_S_via_scale_factor
 from test_cosmology import _regime_points
@@ -68,6 +68,16 @@ class TestNonlinearityWeight:
         L, r = bg.log_a_r(t)
         a = bg.a0 * math.exp(L)
         assert nonlinearity_weight(params, r0, lam, p, t) == bg.b(a, r, lam, -params.n * (p - 1.0) / 2.0)
+
+
+@st.composite
+def _backgrounds(draw):
+    """(n, c, m^2, H, sigma) over the regime cases, their edges and subnormal H."""
+    n = draw(st.integers(1, 10))
+    H = draw(st.one_of(st.just(0.0), st.sampled_from([5e-324, -5e-324]), st.floats(-100.0, 100.0)))
+    sigma = draw(st.one_of(st.sampled_from([-1.0, 0.0, -1.0 - 2.0 / n]), st.floats(-10.0, 10.0)))
+    m_sq = draw(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)))
+    return CosmologyParams(n=n, c=draw(st.floats(0.1, 10.0)), m_sq=m_sq, H=H, sigma=sigma)
 
 
 class TestDampingRate:
@@ -121,6 +131,32 @@ class TestDampingRate:
         # big rip drives M^2 to -inf: no finite N
         with pytest.raises(CaseMismatchError):
             damping_rate_N(CosmologyParams(n=2, H=1.0, sigma=-2.0, m_sq=-1.0))
+
+    def test_subnormal_expansion_rate(self):
+        # (1 + sigma) H underflows to 0, yet M^2 stays m^2 + sigma (nH/2c)^2 = m^2
+        assert damping_rate_N(CosmologyParams(n=2, m_sq=-1.0, H=5e-324, sigma=-0.6)) == (1.0, "2")
+
+    @pytest.mark.parametrize("params", [CosmologyParams(n=1), CosmologyParams(n=2, H=1.0)])
+    def test_massless_N_is_a_positive_zero(self, params):
+        N, _ = damping_rate_N(params)
+        assert N == 0.0 and math.copysign(1.0, N) == 1.0
+
+    @given(params=_backgrounds())
+    def test_N_is_the_root_of_minus_inf_M2_bit_for_bit(self, params):
+        try:
+            N, _ = damping_rate_N(params)
+        except CaseMismatchError:
+            return
+        expected = math.sqrt(max(0.0, -curved_mass_bounds(params).lower))
+        assert struct.pack("<d", N) == struct.pack("<d", expected)
+
+    @given(params=_backgrounds())
+    def test_p_range_refuses_exactly_the_points_outside_the_cases(self, params):
+        if thresholds._case(params) is None:
+            with pytest.raises(CaseMismatchError):
+                admissible_p_range(params)
+        else:
+            assert admissible_p_range(params)[0] == 1.0
 
 
 class TestThresholdS:

@@ -7,7 +7,11 @@ seeds 1-3, the data threshold S, t*, its error bar, the accepted, rejected
 and right-hand-side counts, the stop reason and the Lemma 2.1 verdicts with
 their worst margins; for each acceptance-7/8 solver run of the pde_physics
 workload, every diagnostics column with its step counts, divergence time and
-(for the weak-identity runs) the residual and its parts I-V; the radii and
+(for the weak-identity runs) the residual and its parts I-V; t, the spatial
+mean and the sup of 40 chained ``field_solver.step`` calls on a power-law
+background with lambda > 0 and on a static one, with the sha256 of every
+state's bytes; ``kgflrw threshold``'s output on a massless static point
+(whose N is a zero, so its sign is compared too); the radii and
 II'_R, III'_R values of every acceptance-6 fit, and III'_R where its integrand
 blows up at a crunch like (T0 - t)^beta; and the sha256 of every file
 ``kgflrw`` regime, threshold, ode and scaling write on README.md's run
@@ -15,12 +19,13 @@ config, and of the three files its sweep writes with ``--jobs 1`` and
 ``--jobs 2`` (pde and identity are left out: the solver outputs above hold
 their numbers, and their bytes move with the BLAS kernel).
 With ``--compare`` it prints the largest move of each output against an older
-dump: relative for scalars, relative to the column's peak for columns, the
-largest relative move of one value for the acceptance-6 lists (inf against
-inf is no move), the old and new totals with their relative change for counts
-(steps, node_steps, rhs_evals, ...), and the number of differing records for
-counts, flags and verdicts (the solver runs are compared one by one); unmoved
-outputs are only counted, and so are the CLI files whose bytes did not change.
+dump: relative for scalars (a zero that changes sign moves by inf), relative
+to the column's peak for columns, the largest relative move of one value for
+the acceptance-6 lists (inf against inf is no move), the old and new totals
+with their relative change for counts (steps, node_steps, rhs_evals, ...),
+and the number of differing records for counts, flags, hashes and verdicts
+(the solver runs are compared one by one); unmoved outputs are only counted,
+and so are the CLI files whose bytes did not change.
 Records that both dumps hold are compared, and each record only one of them
 holds is named, so a dump taken before a record was added still compares.
 Each dump records the OpenBLAS kernel numpy loaded, since the Simpson means
@@ -53,6 +58,11 @@ from test_acceptance import _MATRIX  # noqa: E402
 
 SEEDS = (1, 2, 3)
 _COLUMNS = ("t", "mean", "sup", "energy", "support_radius", "cone_radius", "mass_integral")
+# the groups of records a dump holds, and those whose outputs are named per record
+_GROUPS, _PER_RECORD = ("ode", "pde", "step", "threshold", "scaling"), ("pde", "step")
+# (label, background, lambda, p) of the chained steps
+_STEP_RUNS = (("power law", workloads.CosmologyParams(n=1, m_sq=-1.0, H=0.4, sigma=0.5), 1.0, 2.0),
+              ("static", workloads.CosmologyParams(n=2, m_sq=-1.0), 1.0, 2.5))
 
 
 def _ode_outputs(params, r0, lam, p, theta) -> dict:
@@ -111,6 +121,35 @@ def _pde_outputs() -> dict:
     return runs
 
 
+def _step_outputs() -> dict:
+    """{background: t, mean and sup of 40 chained CFL steps from bump data, and their states' sha256}."""
+    out = {}
+    for label, params, lam, p in _STEP_RUNS:
+        state = field_solver.init_field(n=params.n, r0=0.5, r_max=2.0, num_nodes=257, w0=1.0, w1=0.5)
+        states = [state]
+        for _ in range(40):
+            states.append(field_solver.step(params, lam, p, states[-1]))
+        sha = hashlib.sha256(b"".join(st.u.tobytes() + st.v.tobytes() for st in states)).hexdigest()
+        out[label] = {"params": [params.n, params.m_sq, params.H, params.sigma, lam, p],
+                      "t": [st.t for st in states],
+                      "mean": [field_solver.spatial_mean(st.u, params.n, st.r) for st in states],
+                      "sup": [float(abs(st.u).max()) for st in states],
+                      "diverged": states[-1].diverged, "sha256": sha}
+    return out
+
+
+def _threshold_outputs() -> dict:
+    """{point: what ``kgflrw threshold`` prints}, on a massless static point, whose N is zero."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "massless.json"
+        config.write_text(json.dumps({"n": 1, "m_sq": 0.0, "r0": 0.5}))
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = cli.main(["threshold", "--config", str(config)])
+    if code:
+        raise SystemExit(f"kgflrw threshold exited with {code}")
+    return {"massless static": json.loads(printed.getvalue())}
+
+
 def _scaling_outputs() -> dict:
     """Acceptance 6's fits: {point: the radii and II'_R, III'_R values of both fits}."""
     points = [(params, p) for params, p, _, _ in _MATRIX] + [(workloads.CosmologyParams(n=2), 2.5)]
@@ -155,7 +194,8 @@ def digest() -> dict:
         for i, (params, r0, lam, p, theta, _) in enumerate(workloads.draw_problems(seed, False)):
             ode[f"seed {seed} problem {i}"] = _ode_outputs(params, r0, lam, p, theta)
     return {"seeds": list(SEEDS), "blas_kernel": blas_kernels.corename(), "ode": ode,
-            "pde": _pde_outputs(), "scaling": _scaling_outputs(), "cli": _cli_files()}
+            "pde": _pde_outputs(), "step": _step_outputs(), "threshold": _threshold_outputs(),
+            "scaling": _scaling_outputs(), "cli": _cli_files()}
 
 
 def kernel_warning(new: dict, old: dict):
@@ -167,8 +207,15 @@ def kernel_warning(new: dict, old: dict):
     return None
 
 
+def _same(new, old) -> bool:
+    """new is old: equal and, at zero, of the same sign, or both NaN."""
+    if new == old:
+        return new != 0 or math.copysign(1.0, new) == math.copysign(1.0, old)
+    return isinstance(old, float) and isinstance(new, float) and math.isnan(old) and math.isnan(new)
+
+
 def _rel(new, old) -> float:
-    if new == old or (isinstance(old, float) and math.isnan(old) and math.isnan(new)):
+    if _same(new, old):
         return 0.0
     if old is None or new is None or not (math.isfinite(old) and math.isfinite(new)):
         return math.inf
@@ -226,8 +273,8 @@ def compare(new: dict, old: dict) -> dict:
     (old total, new total) over the records for a count.
     """
     moves: dict = {}
-    for group in ("ode", "pde", "scaling"):
-        if group not in old:  # a dump taken before dumps held it
+    for group in _GROUPS:
+        if group not in old or group not in new:  # a dump taken before dumps held it
             continue
         for label, o in old[group].items():
             if label not in new[group]:
@@ -235,14 +282,14 @@ def compare(new: dict, old: dict) -> dict:
             n = new[group][label]
             if n.get("params") != o.get("params"):
                 raise SystemExit(f"{label}: the problem differs between the dumps")
-            _moves(n, o, f"pde.{label}" if group == "pde" else group, label, moves)
+            _moves(n, o, f"{group}.{label}" if group in _PER_RECORD else group, label, moves)
     return moves
 
 
 def lone_records(new: dict, old: dict) -> list:
     """"group: label (which dump)" of each record that only one of the dumps holds."""
     return [f"{group}: {label} ({'new' if label in new[group] else 'old'} dump only)"
-            for group in ("ode", "pde", "scaling") if group in old
+            for group in _GROUPS if group in old and group in new
             for label in sorted(new[group].keys() ^ old[group].keys())]
 
 
