@@ -109,8 +109,8 @@ def cmd_ode(spec: RunSpec, args) -> int:
     problem = _ode_problem(spec, N)
     try:
         traj = comparison_ode.integrate_comparison(problem)
-    except comparison_ode.StartError as exc:
-        raise ConfigError(f"{exc}: lower w0 = {spec.w0} or w1 = {problem.w1}") from exc
+    except (comparison_ode.StartError, comparison_ode.StepLimitError) as exc:
+        raise ConfigError(str(exc)) from exc
     payload = {
         "blowup": traj.blowup,
         "t_star": traj.t_star,

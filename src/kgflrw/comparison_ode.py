@@ -24,6 +24,7 @@ __all__ = [
     "OdeProblem",
     "Trajectory",
     "StiffnessError",
+    "StepLimitError",
     "PreconditionError",
     "integrate_comparison",
     "verify_lemma21",
@@ -34,6 +35,8 @@ __all__ = [
 # and |w| is growing.
 _SWITCH = 1e3
 _DT_FLOOR = 1e-13
+# The most steps a run may attempt: 200 times the benchmark's longest problems, about 5,000.
+_MAX_ATTEMPTS = 1_000_000
 
 # Dormand-Prince 5(4) tableau
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -53,6 +56,10 @@ _DP_B4 = np.array(
 
 class StiffnessError(RuntimeError):
     """Step size collapsed below the floor before t_end, in either phase."""
+
+
+class StepLimitError(ValueError):
+    """_MAX_ATTEMPTS steps were attempted before t_end or blow-up."""
 
 
 class StartError(ValueError):
@@ -142,8 +149,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     second-order Taylor polynomial.  A run whose |w| falls back below |w_s|
     returns to (w, wdot).  Samples are always (t, w, wdot), with the
     (M^2, b) their last stage evaluated.  A step collapse raises
-    StiffnessError, and a right side that is not finite at t = 0 StartError.
-    Runs are deterministic for fixed inputs.
+    StiffnessError, a right side not finite at t = 0 StartError, and a run
+    past _MAX_ATTEMPTS steps StepLimitError.  Runs are deterministic.
     """
     t_end = min(problem.t_end, background(problem.params).t_end_cap)
     t = 0.0
@@ -213,7 +220,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     cfs = [cf]
     g1 = acc(cf, x, xd)
     if not (math.isfinite(g1) and math.isfinite(xd)):
-        raise StartError(f"the right side (wdot, wddot) = ({xd}, {g1}) is not finite at t = 0")
+        raise StartError(f"the right side (wdot, wddot) = ({xd}, {g1}) is not finite at t = 0:"
+                         f" lower w0 = {problem.w0} or w1 = {problem.w1}")
     while t < t_end:
         if w_s is not None and xd < 0.0:
             # zeta = 0 is singular: stop at the Taylor root once it is resolved
@@ -223,6 +231,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
                 break
             dt = min(dt, 0.5 * x / -xd)
         dt = min(dt, t_end - t)
+        if len(ts) + rejections > _MAX_ATTEMPTS:  # this attempt would pass the cap
+            raise StepLimitError(f"{_MAX_ATTEMPTS} steps tried by t = {t:.6g}: lower t_end = {problem.t_end}")
         # stage derivatives: (k_x, k_v) with k_x = v, k_v = acc
         v1 = xd
         x2 = x + dt * a21 * v1

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _S_OVERFLOW = 1e30
+# Round-off allowed at both edges of the mass window -N^2 <= M^2 <= 0, relative to their terms.
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
 
 
 class CaseMismatchError(ValueError):
@@ -110,43 +112,26 @@ def damping_rate_N(
 ) -> tuple[float, str]:
     """Damping rate N with its regime case label.
 
-    N = sqrt(-inf M^2), the least N with M^2 in [-N^2, 0], in each case of
-    `_case`, which requires m_sq <= 0, and in "raw" mode elsewhere when M^2
-    stays in some such window.  A supplied ``N_user`` switches to the raw
-    mode, which only checks the mass hypotheses.
+    Hypothesis (1.10), -N^2 <= M^2(t) <= 0, on the envelope of
+    `curved_mass_bounds`, with the round-off _ROUNDOFF allowed at each edge
+    relative to the terms it sums: |m^2| + |sup M^2 - m^2| for sup M^2 (m^2,
+    or m^2 + shift), N^2 + |inf M^2| for N^2 + inf M^2.  N = sqrt(-inf M^2),
+    labelled by `_case` or "raw", unless ``N_user`` is set, which is checked
+    and labelled "raw".  CaseMismatchError when no window holds M^2.
     """
+    if N_user is not None and N_user < 0:
+        raise ValueError(f"N must be nonnegative, got {N_user}")
     bounds = curved_mass_bounds(params)
-    if N_user is not None:
-        if N_user < 0:
-            raise ValueError(f"N must be nonnegative, got {N_user}")
-        _require_mass_window(N_user, bounds)
-        return N_user, "raw"
-
-    case = _case(params)
-    if case is None:  # raw: the least N compatible with the mass window, when one exists
-        if not math.isfinite(bounds.lower):
-            raise CaseMismatchError(f"M^2 is unbounded below (case {bounds.case}); no finite N exists")
-        if bounds.upper > 1e-12:
-            raise CaseMismatchError(
-                f"M^2 becomes positive (case {bounds.case}); curved mass is not purely imaginary"
-            )
-    elif params.m_sq > 0:
-        name = ("static", "expanding", "contracting")[int(case) - 1]
-        raise CaseMismatchError(f"{name} case requires purely imaginary mass (m_sq <= 0)")
-    N = math.sqrt(max(0.0, -bounds.lower))
-    n, c, H, sigma = params.n, params.c, params.H, params.sigma
-    if case == "2" and sigma > 0 and N < math.sqrt(sigma) * n * H / (2.0 * c) - 1e-15:
-        raise CaseMismatchError(
-            "expanding case with sigma > 0 requires |m| >= sqrt(sigma) n H / 2c"
-        )
-    return N, case or "raw"
-
-
-def _require_mass_window(N: float, bounds) -> None:
-    if not math.isfinite(bounds.lower):
-        raise CaseMismatchError("M^2 is unbounded below; the mass hypothesis fails for any N")
-    if N * N + bounds.lower < -1e-10 * (1.0 + N * N):
-        raise CaseMismatchError(f"N^2 + inf M^2 = {N*N + bounds.lower} < 0")
+    if not (math.isfinite(bounds.lower) and math.isfinite(bounds.upper)):
+        raise CaseMismatchError(f"M^2 is unbounded (case {bounds.case}); no window holds it")
+    if bounds.upper > _ROUNDOFF * (abs(params.m_sq) + abs(bounds.upper - params.m_sq)):
+        raise CaseMismatchError(f"sup M^2 = {bounds.upper} > 0 (case {bounds.case}): the curved mass is"
+                                f" not purely imaginary; m_sq must drop by at least {bounds.upper}")
+    if N_user is None:
+        return math.sqrt(max(0.0, -bounds.lower)), _case(params) or "raw"
+    if N_user * N_user + bounds.lower < -_ROUNDOFF * (N_user * N_user + abs(bounds.lower)):
+        raise CaseMismatchError(f"N^2 + inf M^2 = {N_user * N_user + bounds.lower} < 0")
+    return N_user, "raw"
 
 
 @functools.lru_cache(maxsize=4)
@@ -157,6 +142,12 @@ def _unit_log_grid(grid_size: int):
     grid = 10.0 ** (-6.0 * (1.0 - np.linspace(0.0, 1.0, grid_size)))
     grid.flags.writeable = False
     return grid
+
+
+def _window(N: float, msq):
+    """(N^2 + M^2, where it is round-off of 0, its infimum under (1.10)) for a float or array M^2."""
+    window = N * N + msq
+    return window, window <= 1e-12 * (N * N + abs(msq) + 1.0)
 
 
 def _log_grid_sup(bg, N: float, log_value, grid_size: int):
@@ -178,9 +169,7 @@ def _log_grid_sup(bg, N: float, log_value, grid_size: int):
     t_max = min(t_max, bg.t_end_cap, sys.float_info.max)
     ts = np.concatenate(([0.0], t_max * _unit_log_grid(grid_size)))
     log_a, log_r, msq = background_arrays(bg.params, bg.r0, ts)
-    window = N * N + msq
-    # the mass hypothesis makes inf(N^2 + M^2) = 0; clamp roundoff residue
-    zero = window <= 1e-12 * (N * N + np.abs(msq) + 1.0)
+    window, zero = _window(N, msq)
     window[zero] = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_vals = log_value(ts, log_a, log_r, np.log(window))
@@ -237,8 +226,8 @@ def threshold_S(
             return math.inf
         except ZeroDivisionError:  # a r^2 underflows, so b is infinite
             return 0.0
-        val = N * N + msq
-        if val <= 1e-12 * (N * N + abs(msq) + 1.0):
+        val, zero = _window(N, msq)
+        if zero:
             return 0.0
         try:
             return math.exp(-params.c * N * t) * (val / ((1.0 - theta) * b)) ** (1.0 / (p - 1.0))

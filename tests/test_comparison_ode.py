@@ -10,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from kgflrw import cli
+from kgflrw import cli, comparison_ode
 from kgflrw.comparison_ode import (
     OdeProblem,
     PreconditionError,
+    StepLimitError,
     integrate_comparison,
     verify_lemma21,
 )
@@ -103,6 +104,21 @@ class TestIntegrator:
         traj = integrate_comparison(problem)
         assert traj.t[-1] <= 2.0 / 3.0
         assert traj.t[-1] == pytest.approx(2.0 / 3.0, rel=1e-6)
+
+    def test_step_cap_stops_a_run_that_attempts_more(self, monkeypatch):
+        # w0 < 0 falls like -2t without blowing up: 514 attempted steps to t = 20, 10 rejected
+        problem = OdeProblem(
+            params=CosmologyParams(n=1, m_sq=-1.0), r0=1.0, lam=1.0, p=2.0, theta=0.5,
+            N=1.0, w0=-0.5, w1=0.0, t_end=20.0,
+        )
+        traj = integrate_comparison(problem)
+        attempts = traj.steps_accepted + traj.rejections
+        monkeypatch.setattr(comparison_ode, "_MAX_ATTEMPTS", attempts)
+        assert np.array_equal(integrate_comparison(problem).w, traj.w)
+        monkeypatch.setattr(comparison_ode, "_MAX_ATTEMPTS", attempts - 1)
+        with pytest.raises(StepLimitError, match=f"{attempts - 1} steps tried .* t_end = 20.0") as err:
+            integrate_comparison(problem)
+        assert isinstance(err.value, ValueError)
 
     def test_validation(self):
         params = CosmologyParams(n=1)

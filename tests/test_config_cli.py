@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgflrw import field_solver
+from kgflrw import comparison_ode, field_solver
 from kgflrw.cli import emit_report, main, run_sweep
 from kgflrw.config import (
     ConfigError,
@@ -242,6 +242,31 @@ class TestCliCommands:
         cfg = _write_config(tmp_path, {"n": 2, "H": 1.0, "sigma": -2.0,
                                        "m_sq": -1.0})
         assert main(["ode", "--config", cfg]) == 1
+
+    def test_threshold_with_a_set_N_refuses_a_real_mass(self, tmp_path, capsys):
+        # M^2 = 5 > 0 lies outside -N^2 <= M^2 <= 0 whatever N is set
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": 5.0, "r0": 0.5, "N": 0.0,
+                                       "w0": 10.0, "w1": 10.0})
+        assert main(["threshold", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"].startswith("inadmissible(case mismatch: sup M^2 = 5.0 > 0")
+        assert payload["hypothesis_flags"] == {"mass_window_1_10": False}
+
+    def test_ode_with_a_set_N_and_a_real_mass_is_exit_1(self, tmp_path, capsys):
+        # an oscillation of c sqrt(M^2) ~ 34 with t_end = 1e300 would never end
+        cfg = _write_config(tmp_path, {"n": 2, "H": 1.48, "sigma": 0.405, "m_sq": 4.58,
+                                       "c": 15.8, "N": 0.0, "t_end": 1e300})
+        assert main(["ode", "--config", cfg]) == 1
+        assert "m_sq must drop by at least" in capsys.readouterr().err
+
+    def test_ode_at_the_step_cap_is_exit_1_naming_t_end(self, tmp_path, capsys, monkeypatch):
+        # w ~ -2t grows without blowing up, so no cap on t_end lets this run end
+        monkeypatch.setattr(comparison_ode, "_MAX_ATTEMPTS", 1000)
+        cfg = _write_config(tmp_path, {"n": 1, "m_sq": -1.0, "r0": 1.0, "w0": -0.5,
+                                       "w1": 0.0, "t_end": 1e300})
+        assert main(["ode", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "1000 steps tried" in err and "lower t_end = 1e+300" in err
 
     def test_pde_command(self, tmp_path):
         cfg = _write_config(tmp_path, {"n": 1, "r0": 1.0, "w0": 1.0,

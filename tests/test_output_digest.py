@@ -168,5 +168,27 @@ def test_threshold_record_is_the_massless_static_output_with_a_positive_zero_N()
     # a zero that changes sign moves, and so by inf
     moves = output_digest.compare({"threshold": {"massless static": record}},
                                   {"threshold": {"massless static": {**record, "N": -0.0}}})
-    assert moves["threshold.N"] == ["relative", math.inf, ("massless static", -0.0, 0.0)]
-    assert moves["threshold.S"][1] == 0.0
+    assert moves["threshold.massless static.N"] == ["relative", math.inf, ("massless static", -0.0, 0.0)]
+    assert moves["threshold.massless static.S"][1] == 0.0
+
+
+def test_threshold_records_at_the_edges_of_the_mass_window_are_compared_one_by_one():
+    records = output_digest._threshold_outputs()
+    refused = ("real mass, set N", "de Sitter, sup M^2 = 1e-13")
+    for label in refused:
+        assert records[label]["verdict"].startswith("inadmissible(case mismatch: sup M^2 = ")
+        assert records[label]["hypothesis_flags"] == {"mass_window_1_10": False}
+    assert records["expanding, m_sq = -shift"]["case_label"] == "2"
+    N = output_digest._threshold_configs()["set N = sqrt(-inf M^2)"]["N"]
+    assert records["set N = sqrt(-inf M^2)"]["N"] == N
+    assert records["set N = sqrt(-inf M^2)"]["hypothesis_flags"]["mass_window_1_10"] is True
+    # a verdict that moves is counted in its own record, and so is each flag only one record sets
+    admitted = {**records[refused[0]], "verdict": "inadmissible(S = inf)", "S": math.inf,
+                "hypothesis_flags": {"mass_window_1_10": True, "S_finite": False}}
+    moves = output_digest.compare({"threshold": records},
+                                  {"threshold": {**records, refused[0]: admitted}})
+    assert moves[f"threshold.{refused[0]}.verdict"][:2] == ["changed", 1.0]
+    assert moves[f"threshold.{refused[0]}.S"][:2] == ["relative", math.inf]
+    assert moves[f"threshold.{refused[0]}.hypothesis_flags.mass_window_1_10"][:2] == ["changed", 1.0]
+    assert moves[f"threshold.{refused[0]}.hypothesis_flags.S_finite"][:2] == ["changed", 1.0]
+    assert moves[f"threshold.{refused[1]}.verdict"][:2] == ["changed", 0.0]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kgflrw import thresholds
 from kgflrw.comparison_ode import OdeProblem, integrate_comparison, verify_lemma21
@@ -157,6 +157,111 @@ class TestDampingRate:
                 admissible_p_range(params)
         else:
             assert admissible_p_range(params)[0] == 1.0
+
+
+@st.composite
+def _window_points(draw):
+    """(params, N or None) over `_backgrounds`, many within a few ulps of an edge of the window.
+
+    m^2 is drawn as it is, or as 0 or -shift (where sup M^2 = 0 in cases i, iv
+    and ii, iii) moved by up to 20 ulps of |shift|, of 1 or of 1e-13; N is
+    None, sqrt(-inf M^2) moved by up to 20 ulps, or any N in [0, 10].
+    """
+    params = draw(_backgrounds())
+    shift = background(params).shift
+    if draw(st.booleans()):
+        ulps = draw(st.integers(-20, 20)) * 2.0**-52 * draw(st.sampled_from([abs(shift), 1.0, 1e-13]))
+        params = CosmologyParams(n=params.n, c=params.c, H=params.H, sigma=params.sigma,
+                                 m_sq=draw(st.sampled_from([0.0, -shift])) + ulps)
+    lower = curved_mass_bounds(params).lower
+    N = draw(st.one_of(
+        st.none(), st.floats(0.0, 10.0),
+        st.integers(-20, 20).map(lambda k: math.sqrt(max(0.0, -lower)) * (1.0 + k * 2.0**-52)),
+    ))
+    return params, N
+
+
+class TestMassWindow:
+    """-N^2 <= M^2 <= 0 on the envelope of M^2, both edges at one relative round-off.
+
+    The round-off is relative to the terms an edge sums: m^2 alone where
+    sup M^2 = m^2, so a real mass is refused however small, and m^2 and the
+    shift where sup M^2 = m^2 + shift.
+    """
+
+    @given(point=_window_points())
+    def test_returns_exactly_when_both_edges_hold(self, point):
+        params, N = point
+        bounds, tol = curved_mass_bounds(params), thresholds._ROUNDOFF
+        holds = (
+            math.isfinite(bounds.lower) and math.isfinite(bounds.upper)
+            and bounds.upper <= tol * (abs(params.m_sq) + abs(bounds.upper - params.m_sq))
+            and (N is None or N * N + bounds.lower >= -tol * (N * N + abs(bounds.lower)))
+        )
+        try:
+            got = damping_rate_N(params, N)
+        except CaseMismatchError:
+            assert not holds
+            return
+        assert holds
+        if N is None:
+            assert got == (math.sqrt(max(0.0, -bounds.lower)), thresholds._case(params) or "raw")
+        else:
+            assert got == (N, "raw")
+
+    @given(point=_window_points(), k=st.integers(-40, 40))
+    def test_verdict_does_not_depend_on_the_scale_of_the_mass(self, point, k):
+        # m^2 -> 4^k m^2 and H -> 2^k H scale M^2(t) by 4^k and N by 2^k exactly
+        # while every value stays in the normal float range
+        params, N = point
+        bounds = curved_mass_bounds(params)
+        values = (params.m_sq, params.H, background(params).shift, N or 0.0, bounds.lower, bounds.upper)
+        assume(all(x == 0.0 or math.isinf(x) or 2.0**-900 < abs(x) < 2.0**900 for x in values))
+        s = 2.0**k
+        scaled = CosmologyParams(n=params.n, c=params.c, m_sq=s * s * params.m_sq,
+                                 H=s * params.H, sigma=params.sigma)
+        N_scaled = None if N is None else s * N
+        try:
+            N_ref, label = damping_rate_N(params, N)
+        except CaseMismatchError:
+            with pytest.raises(CaseMismatchError):
+                damping_rate_N(scaled, N_scaled)
+            return
+        assert damping_rate_N(scaled, N_scaled) == (s * N_ref, label)
+
+    def test_expanding_edge_accepts_m_sq_at_minus_shift_and_an_ulp_either_side(self):
+        # case 2 with sigma > 0: sup M^2 = m^2 + shift, zero at m^2 = -shift as computed
+        shift = background(CosmologyParams(n=3, H=0.7, sigma=0.3)).shift
+        for m_sq in (math.nextafter(-shift, -math.inf), -shift, math.nextafter(-shift, math.inf)):
+            N, case = damping_rate_N(CosmologyParams(n=3, H=0.7, sigma=0.3, m_sq=m_sq))
+            assert (N, case) == (math.sqrt(-m_sq), "2")
+        with pytest.raises(CaseMismatchError, match="m_sq must drop by at least"):
+            damping_rate_N(CosmologyParams(n=3, H=0.7, sigma=0.3, m_sq=-shift * (1.0 - 1e-12)))
+
+    @pytest.mark.parametrize("m_sq", [1e-13, 5e-324])
+    def test_static_real_mass_is_refused_however_small(self, m_sq):
+        with pytest.raises(CaseMismatchError, match=r"sup M\^2 = .* \(case i\)"):
+            damping_rate_N(CosmologyParams(n=1, m_sq=m_sq))
+
+    def test_de_sitter_mass_just_above_the_window_is_refused(self):
+        # n = 3, H = 1: M^2 = m^2 - 9/4, so sup M^2 is about 1e-13 > 0
+        with pytest.raises(CaseMismatchError, match=r"\(case ii\)"):
+            damping_rate_N(CosmologyParams(n=3, H=1.0, sigma=-1.0, m_sq=2.25 + 1e-13))
+        assert damping_rate_N(CosmologyParams(n=3, H=1.0, sigma=-1.0, m_sq=2.25)) == (0.0, "raw")
+
+    def test_user_N_at_the_root_of_minus_inf_M2_is_accepted(self):
+        params = CosmologyParams(n=3, H=-1.0, sigma=-3.0, m_sq=-1.0)
+        N = math.sqrt(-curved_mass_bounds(params).lower)
+        assert damping_rate_N(params, N) == (N, "raw")
+        assert damping_rate_N(params, math.nextafter(N, 0.0)) == (math.nextafter(N, 0.0), "raw")
+        with pytest.raises(CaseMismatchError, match=r"N\^2 \+ inf M\^2"):
+            damping_rate_N(params, N * (1.0 - 1e-14))
+
+    def test_user_N_does_not_admit_a_real_mass(self):
+        # the upper edge holds for a set N too: any N leaves M^2 = 5 outside the window
+        for N in (0.0, 10.0):
+            with pytest.raises(CaseMismatchError, match="m_sq must drop by at least 5.0"):
+                damping_rate_N(CosmologyParams(n=1, m_sq=5.0), N)
 
 
 class TestThresholdS:

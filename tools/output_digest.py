@@ -11,7 +11,8 @@ workload, every diagnostics column with its step counts, divergence time and
 mean and the sup of 40 chained ``field_solver.step`` calls on a power-law
 background with lambda > 0 and on a static one, with the sha256 of every
 state's bytes; ``kgflrw threshold``'s output on a massless static point
-(whose N is a zero, so its sign is compared too); the radii and
+(whose N is a zero, so its sign is compared too) and on points at the edges
+of the mass window -N^2 <= M^2 <= 0; the radii and
 II'_R, III'_R values of every acceptance-6 fit, and III'_R where its integrand
 blows up at a crunch like (T0 - t)^beta; and the sha256 of every file
 ``kgflrw`` regime, threshold, ode and scaling write on README.md's run
@@ -24,8 +25,9 @@ to the column's peak for columns, the largest relative move of one value for
 the acceptance-6 lists (inf against inf is no move), the old and new totals
 with their relative change for counts (steps, node_steps, rhs_evals, ...),
 and the number of differing records for counts, flags, hashes and verdicts
-(the solver runs are compared one by one); unmoved outputs are only counted,
-and so are the CLI files whose bytes did not change.
+(the solver runs and the threshold points are compared one by one);
+unmoved outputs are only counted, and so are the CLI files whose bytes did
+not change.
 Records that both dumps hold are compared, and each record only one of them
 holds is named, so a dump taken before a record was added still compares.
 Each dump records the OpenBLAS kernel numpy loaded, since the Simpson means
@@ -52,14 +54,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools"), str(ROOT / "tests")]
 
 import blas_kernels  # noqa: E402
-from kgflrw import cli, comparison_ode, field_solver, testfn, thresholds  # noqa: E402
+from kgflrw import cli, comparison_ode, cosmology, field_solver, testfn, thresholds  # noqa: E402
 from perfbench import workloads  # noqa: E402
 from test_acceptance import _MATRIX  # noqa: E402
 
 SEEDS = (1, 2, 3)
 _COLUMNS = ("t", "mean", "sup", "energy", "support_radius", "cone_radius", "mass_integral")
 # the groups of records a dump holds, and those whose outputs are named per record
-_GROUPS, _PER_RECORD = ("ode", "pde", "step", "threshold", "scaling"), ("pde", "step")
+_GROUPS = ("ode", "pde", "step", "threshold", "scaling")
+_PER_RECORD = ("pde", "step", "threshold")
 # (label, background, lambda, p) of the chained steps
 _STEP_RUNS = (("power law", workloads.CosmologyParams(n=1, m_sq=-1.0, H=0.4, sigma=0.5), 1.0, 2.0),
               ("static", workloads.CosmologyParams(n=2, m_sq=-1.0), 1.0, 2.5))
@@ -138,16 +141,36 @@ def _step_outputs() -> dict:
     return out
 
 
+def _threshold_configs() -> dict:
+    """{point: config} of the threshold records: a massless static point, whose N is a zero
+    (so its sign is compared too), and points at the edges of the mass window -N^2 <= M^2 <= 0."""
+    CosmologyParams = workloads.CosmologyParams
+    shift = cosmology.background(CosmologyParams(n=3, H=0.7, sigma=0.3)).shift
+    crunch = CosmologyParams(n=3, H=-1.0, sigma=-3.0, m_sq=-1.0)
+    return {
+        "massless static": {"n": 1, "m_sq": 0.0, "r0": 0.5},
+        "real mass, set N": {"n": 1, "m_sq": 5.0, "r0": 0.5, "N": 0.0, "w0": 10.0, "w1": 10.0},
+        "expanding, m_sq = -shift": {"n": 3, "H": 0.7, "sigma": 0.3, "m_sq": -shift, "r0": 0.5},
+        "de Sitter, sup M^2 = 1e-13": {"n": 3, "H": 1.0, "sigma": -1.0, "m_sq": 2.25 + 1e-13,
+                                       "r0": 0.5},
+        "set N = sqrt(-inf M^2)": {"n": 3, "H": -1.0, "sigma": -3.0, "m_sq": -1.0, "r0": 0.5,
+                                   "N": math.sqrt(-cosmology.curved_mass_bounds(crunch).lower)},
+    }
+
+
 def _threshold_outputs() -> dict:
-    """{point: what ``kgflrw threshold`` prints}, on a massless static point, whose N is zero."""
+    """{point: what ``kgflrw threshold`` prints} on each of `_threshold_configs`."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "massless.json"
-        config.write_text(json.dumps({"n": 1, "m_sq": 0.0, "r0": 0.5}))
-        with contextlib.redirect_stdout(io.StringIO()) as printed:
-            code = cli.main(["threshold", "--config", str(config)])
-    if code:
-        raise SystemExit(f"kgflrw threshold exited with {code}")
-    return {"massless static": json.loads(printed.getvalue())}
+        for label, payload in _threshold_configs().items():
+            config = Path(tmp) / "threshold.json"
+            config.write_text(json.dumps(payload))
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                code = cli.main(["threshold", "--config", str(config)])
+            if code:
+                raise SystemExit(f"kgflrw threshold on {label} exited with {code}")
+            out[label] = json.loads(printed.getvalue())
+    return out
 
 
 def _scaling_outputs() -> dict:
@@ -239,12 +262,16 @@ def _values_move(new: list, old: list) -> float:
 
 
 def _moves(new: dict, old: dict, prefix: str, label: str, moves: dict) -> None:
-    """Fold the moves of one record's outputs into ``moves``; a scaling record's lists value by value."""
-    for key, o in old.items():
-        n, name = new[key], f"{prefix}.{key}"
+    """Fold the moves of one record's outputs into ``moves``; a scaling record's lists value by value.
+
+    An output only one of the records holds (a flag a refused threshold point
+    no longer sets) is compared with None, and so moves.
+    """
+    for key in sorted(old.keys() | new.keys()):
+        o, n, name = old.get(key), new.get(key), f"{prefix}.{key}"
         if key == "params" or (o is None and n is None):
             continue
-        if isinstance(o, dict):
+        if isinstance(o, dict) and isinstance(n, dict):
             _moves(n, o, name, label, moves)
             continue
         if isinstance(o, list) and prefix == "scaling":
