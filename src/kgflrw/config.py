@@ -189,7 +189,11 @@ def parse_config_dict(raw: dict) -> RunSpec:
     _require(c * c < math.inf, f"c = {c} is too large: c^2 overflows")
     _require(c / a0 > 0.0, f"c = {c} and a0 = {a0} make the light speed c/a0 underflow")
     try:
-        t0 = background(spec.params(), spec.r0).t0
+        bg = background(spec.params(), spec.r0)
+        if not (math.isfinite(bg.qH) and math.isfinite(bg.shift)
+                and (bg.static or 0.0 < abs(bg.cone_coef) < math.inf)):
+            raise OverflowError(f"n(1+sigma)H = {bg.qH}, mass shift {bg.shift}, c/(a0 H) = {bg.cone_coef}")
+        t0 = bg.t0
     except ArithmeticError as exc:
         raise ConfigError(f"H, c and a0 put the background's constants out of the float range: {exc}") from None
     except ValueError as exc:

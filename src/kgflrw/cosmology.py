@@ -53,6 +53,18 @@ _LOG_R_FAR = 700.0
 _TINY = sys.float_info.min
 
 
+def _expm1_over(e: float, x: float) -> float:
+    """expm1(e x)/e, x itself at e = 0 or where e x is below the normal range (`_r` inlines it)."""
+    ex = e * x
+    return x if e == 0.0 or abs(ex) < _TINY else math.expm1(ex) / e
+
+
+def _log1p_over(e: float, x: float) -> float:
+    """log1p(e x)/e, the inverse of `_expm1_over`, and -inf/e where e x rounds to -1 or below."""
+    ex = e * x
+    return x if e == 0.0 or abs(ex) < _TINY else (math.log1p(ex) if ex > -1.0 else -math.inf) / e
+
+
 class DomainError(ValueError):
     """Time argument outside [0, T0)."""
 
@@ -232,22 +244,6 @@ class Background:
         t = self.check_time(t)
         return self._r(t, self._log_a(t))
 
-    def log_a_r(self, t: float, to_horizon: Optional[float] = None) -> tuple[float, float]:
-        """(L, r(t)), checking t once and taking L once.
-
-        Given to_horizon = T0 - t, for times past the horizon clamp, L is taken
-        from it, as 1 + qHt/2 = (T0 - t)/T0, and an r past the float range is inf.
-        """
-        if to_horizon is None:
-            t = self.check_time(t)
-            L = self._log_a(t)
-            return L, self._r(t, L)
-        L = self.two_over_q * math.log(to_horizon / self.t0)
-        try:
-            return L, self._r(t, L)
-        except OverflowError:  # r grows without bound toward the horizon
-            return L, math.inf
-
     def _r(self, t, L, xp=math):
         """r0 + c/(a0 H) expm1(e L)/e with e = q/2 - 1 and L = `_log_a(t)`.
 
@@ -270,27 +266,28 @@ class Background:
     def cone_time(self, radius: float) -> Optional[float]:
         """The t in [0, t_clamp] with r(t) = radius, or None when there is none.
 
-        The closed inverse of `_r`: e L = log1p(e x) with
-        x = (radius - r0)/(c/(a0 H)), L = x itself at e = 0 or where e x is
-        below the normal range, then t = L/H at sigma = -1 and
-        t = 2 expm1(q L/2)/(q H) otherwise; t = (radius - r0) a0/c when static.
+        t = `_expm1_over`(qH/2, tau) of tau = `_cone_tau(radius)`, as tau = log1p(qHt/2)/(qH/2).
+        """
+        tau = self._cone_tau(radius)
+        try:
+            t = math.inf if tau is None else _expm1_over(self.qH / 2.0, tau)
+        except OverflowError:
+            return None
+        return t if t <= self.t_clamp and math.isfinite(t) else None
+
+    def _cone_tau(self, radius: float) -> Optional[float]:
+        """tau = L/H (t when static) where r = radius, or None where the cone never gets there.
+
+        The closed inverse of `_r`: L = `_log1p_over`(e, x), x = (radius - r0)/(c/(a0 H)).
         """
         if not self.r0 <= radius < self.r_limit:
             return None
         if self.static:
-            t = (radius - self.r0) * self.a0 / self.c
-        else:
-            x = (radius - self.r0) / self.cone_coef
-            e = self.cone_exp
-            ex = e * x
-            if ex <= -1.0:  # beyond the limit by round-off
-                return None
-            L = x if e == 0.0 or abs(ex) < _TINY else math.log1p(ex) / e
-            try:
-                t = L / self.H if self.de_sitter else 2.0 * math.expm1(self.q * L / 2.0) / self.qH
-            except OverflowError:
-                return None
-        return t if t <= self.t_clamp and math.isfinite(t) else None
+            return (radius - self.r0) * self.a0 / self.c
+        x = (radius - self.r0) / self.cone_coef
+        if self.cone_exp * x <= -1.0:  # beyond the limit by round-off
+            return None
+        return _log1p_over(self.cone_exp, x) / self.H
 
     def b(self, a: float, r: float, lam: float, expo: float) -> float:
         """b = lambda * (omega_n^(2/n) a r^2)^expo from a(t) and r(t); expo = -n(p-1)/2."""

@@ -14,9 +14,9 @@ that the reported residual measures solver and quadrature error only.
 
 Its quadratures are its own: eta's partial integral is the exact integral
 of a cubic Hermite interpolant, the identity's time integrals take
-`field_solver`'s Simpson weights, and II'_R and III'_R a tanh-sinh rule
-(Takahasi & Mori, Publ. RIMS 9, 1974) on each smooth piece of their
-integrands.  The package needs numpy alone.
+`field_solver`'s Simpson weights, and II'_R and III'_R are closed form past
+the cone's kink and, before it, a tanh-sinh rule (Takahasi & Mori, Publ. RIMS
+9, 1974) on a bounded integrand over the a^x clock.  The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cosmology import CosmologyParams, background, unit_ball_volume
+from .cosmology import CosmologyParams, _expm1_over, _log1p_over, background, unit_ball_volume
 from .field_solver import _mean_weights, _simpson_weights
 from .thresholds import analytic_scaling_conditions
 
@@ -176,61 +176,67 @@ def _tanh_sinh_level(k: int):
 
 
 def _tanh_sinh(fn, lo: float, hi: float, tol: float) -> float:
-    """int_lo^hi fn(t) dt for a scalar fn smooth on (lo, hi), by the tanh-sinh rule.
+    """int_lo^hi fn(t) dt for a scalar fn bounded and smooth on (lo, hi), by the tanh-sinh rule.
 
-    Halves the step from 1 until two levels agree to tol, relative, with the
-    outermost nodes' share of the sum below tol, as it is where fn decays at
-    both ends (Takahasi & Mori).  inf when that never happens, the integral
-    then diverging at an end, and when fn overflows.  fn is called once per
-    abscissa, so the outer nodes that round onto lo or hi share one call.
+    Halves the step from 1 until two levels agree to tol, relative, and gives
+    the finest level's estimate when none do (Takahasi & Mori).  fn is called
+    once per abscissa, so the outer nodes that round onto lo or hi share one call.
     """
     if hi <= lo:
         return 0.0
     fn = cache(fn)
     half = (hi - lo) / 2.0
-    try:
-        total, last = math.pi / 2.0 * fn(lo + half), None
-        for k in range(_DE_LEVELS):
-            terms = [w * (fn(lo + half * d) + fn(hi - half * d)) for d, w in _tanh_sinh_level(k)]
-            total += sum(terms)
-            estimate = half * total / 2.0**k
-            if (last is not None and abs(estimate - last) <= tol * abs(estimate)
-                    and abs(terms[-1]) <= tol * abs(total)):
-                return estimate
-            last = estimate
-    except OverflowError:
-        pass
-    return math.inf
+    total, last = math.pi / 2.0 * fn(lo + half), None
+    for k in range(_DE_LEVELS):
+        total += sum(w * (fn(lo + half * d) + fn(hi - half * d)) for d, w in _tanh_sinh_level(k))
+        estimate = half * total / 2.0**k
+        if last is not None and abs(estimate - last) <= tol * abs(estimate):
+            break
+        last = estimate
+    return estimate
 
 
-def _growth_integral(params: CosmologyParams, r0: float, R: float, lo: float, x: float,
+def _growth_integral(params: CosmologyParams, r0: float, R: float, t_lo: float, x: float,
                      inner: float, tol: float) -> float:
-    """omega_n int_lo^min(R, T0) a^x max(min(R, r)^n - inner^n, 0) dt.
+    """omega_n int_t_lo^min(R, T0) a^x g dt, with the bracket g = max(min(R, r)^n - inner^n, 0).
 
-    `_tanh_sinh` on each side of the kink `cone_time(R)`, with every power
-    inside the rule, which maps its overflow to inf.  A piece that ends at a
-    horizon T0 < R is integrated over the distance d to T0, L and r taken from
-    d, so that its nodes come as close to T0 as the rule puts them; there a^x
-    comes from log a, since a alone leaves the float range first.  Before the
-    clamp a^x goes through a itself, whose overflow counts as the integrand's.
+    As dt = e^(qL/2) dtau in tau = L/H (t at sigma = -1 and when static), a piece
+    from tau_a is a0^x e^(e L_a) int_0^v_b g dv over the a^x clock
+    v = expm1(e H (tau - tau_a))/(e H), e = x + q/2.  g is 0 until the cone reaches
+    inner, and past the kink where it reaches R the constant R^n - inner^n, both
+    found in tau by `_cone_tau`; between them `_tanh_sinh` takes each node v back to
+    tau_a + log1p(e H v)/(e H).  tau is inf at a horizon, so v_b is finite or inf,
+    and the integral diverges; inf also where a power overflows.
     """
     bg = background(params, r0)
-    n = params.n
+    n, H, eH = params.n, bg.H, (x + bg.q / 2.0) * bg.H
 
-    def integrand(t, to_horizon=None):
-        L, r = bg.log_a_r(t, to_horizon)
-        bracket = min(R, r) ** n - inner ** n
-        if bracket <= 0.0:
+    def reach(radius):  # the tau at which the cone reaches radius, inf if never
+        tau = 0.0 if r0 >= radius else bg._cone_tau(radius)
+        return math.inf if tau is None else tau
+
+    def bracket(tau):  # `_r` reads its t only when static, where tau = t; r_limit at a horizon
+        r = bg._r(tau, H * tau) if tau < math.inf else bg.r_limit
+        return max(min(R, r) ** n - inner**n, 0.0)
+
+    def piece(tau_a: float, tau_b: float, past_kink: bool) -> float:
+        if tau_b <= tau_a:
             return 0.0
-        if to_horizon is None:
-            return (bg.a0 * math.exp(L)) ** x * bracket
-        return math.exp(x * (math.log(bg.a0) + L)) * bracket
+        v_b = _expm1_over(eH, tau_b - tau_a)
+        if v_b == math.inf:
+            return math.inf
+        scale = math.exp(x * math.log(bg.a0) + eH * tau_a)
+        if past_kink:
+            return scale * (R**n - inner**n) * v_b
+        return scale * _tanh_sinh(lambda v: bracket(tau_a + _log1p_over(eH, v)), 0.0, v_b, tol)
 
-    hi, kink = min(R, bg.t0), bg.cone_time(R)
-    cuts = [lo, kink, hi] if kink is not None and lo < kink < hi else [lo, hi]
-    return unit_ball_volume(n) * sum(
-        _tanh_sinh(lambda d: integrand(b - d, d), 0.0, b - a, tol) if b == bg.t0
-        else _tanh_sinh(integrand, a, b, tol) for a, b in zip(cuts, cuts[1:]))
+    start = max(_log1p_over(bg.qH / 2.0, t_lo), reach(inner))
+    end = math.inf if R >= bg.t0 else _log1p_over(bg.qH / 2.0, R)
+    kink = min(max(reach(R), start), end)
+    try:
+        return unit_ball_volume(n) * (piece(start, kink, False) + piece(kink, end, True))
+    except OverflowError:
+        return math.inf
 
 
 def II_prime(
@@ -242,9 +248,8 @@ def II_prime(
     """Cutoff-layer growth integral omega_n int_{R/2}^R min(R, r(t))^n a^(n/2) dt.
 
     a(t) and r(t) come from the problem's `Background`, and the kink where
-    the cone reaches R is its closed-form `cone_time(R)`.  Up to the horizon
-    when the spacetime ends before t = R.  Returns inf when the integral
-    diverges at the horizon.
+    the cone reaches R is closed form.  Up to the horizon when the spacetime
+    ends before t = R.  Returns inf when the integral diverges at the horizon.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
@@ -260,19 +265,15 @@ def III_prime(
 ) -> float:
     """Annulus growth integral int_0^R a^(n/2-2p') vol(R/2 < |x| < min(R, r(t))) dt.
 
-    The integrand starts where the cone enters the annulus,
-    `Background.cone_time(R/2)`, or at t = 0 when r0 >= R/2 and the cone
-    starts inside it, and has its kink at `cone_time(R)`.  Exactly zero
-    when the light cone never reaches radius R/2 before both t = R and the
-    horizon; up to the horizon as II_prime is.
+    The integrand starts where the cone enters the annulus, or at t = 0 when
+    r0 >= R/2 and the cone starts inside it, and has its kink where the cone
+    reaches R.  Exactly zero when the light cone never reaches radius R/2
+    before both t = R and the horizon; up to the horizon as II_prime is.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     pp = _holder_conjugate(p)
-    t_entry = 0.0 if r0 >= R / 2.0 else background(params, r0).cone_time(R / 2.0)
-    if t_entry is None:
-        return 0.0
-    return _growth_integral(params, r0, R, t_entry, params.n / 2.0 - 2.0 * pp, R / 2.0, tol)
+    return _growth_integral(params, r0, R, 0.0, params.n / 2.0 - 2.0 * pp, R / 2.0, tol)
 
 
 @dataclass
@@ -466,8 +467,9 @@ def weak_identity_residual(
     Pairs the numerical field with psi_R^p' and its closed-form derivatives
     and evaluates the five space-time integrals I, II, III, IV (over time)
     and the data term V.  An exact solution satisfies
-    lam I = -c^-2 V + c^-2 II - III + IV, so the normalized defect
-    |lam I + c^-2 V - c^-2 II + III - IV| / (lam I + |V|) measures solver
+    lam I = -c^-2 V + c^-2 II - III + IV, so the defect over the sum of its terms'
+    magnitudes (Oettli & Prager, Numer. Math. 6, 1964), |lam I + c^-2 V - c^-2 II
+    + III - IV| / (|lam I| + c^-2 |V| + c^-2 |II| + |III| + |IV|), measures solver
     discretization plus quadrature error.  The cutoff is separable, so the
     spatial factor eta(|x|/R)^p' and its radial Laplacian are formed once on
     the snapshot grid and folded into the solver's Simpson weights; each
@@ -521,7 +523,7 @@ def weak_identity_residual(
 
     c2 = params.c**2
     defect = lam * I_R + V_R / c2 - II_R / c2 + III_R - IV_R
-    scale_norm = lam * I_R + abs(V_R)
+    scale_norm = abs(lam * I_R) + abs(V_R) / c2 + abs(II_R) / c2 + abs(III_R) + abs(IV_R)
     if scale_norm == 0.0:
         residual = 0.0 if defect == 0.0 else math.inf
     else:

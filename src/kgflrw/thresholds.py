@@ -145,9 +145,10 @@ def _unit_log_grid(grid_size: int):
 
 
 def _window(N: float, msq):
-    """(N^2 + M^2, where it is round-off of 0, its infimum under (1.10)) for a float or array M^2."""
+    """(N^2 + M^2, where it is round-off of its infimum 0 under (1.10): at most _ROUNDOFF of
+    the terms it sums, N^2 + |M^2|) for a float or array M^2."""
     window = N * N + msq
-    return window, window <= 1e-12 * (N * N + abs(msq) + 1.0)
+    return window, window <= _ROUNDOFF * (N * N + abs(msq))
 
 
 def _log_grid_sup(bg, N: float, log_value, grid_size: int):

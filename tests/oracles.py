@@ -328,6 +328,18 @@ def _guarded_quad(fn, lo, hi, points, tol) -> float:
     return val
 
 
+def _r_and_a_pow(bg, t: float, x: float) -> tuple[float, float]:
+    """r(t), inf where it leaves the float range (far past any R), and a(t)^x through log a,
+    which stays finite where a(t) does not."""
+    t = bg.check_time(t)
+    L = bg._log_a(t)
+    try:
+        r = bg._r(t, L)
+    except OverflowError:
+        r = math.inf
+    return r, math.exp(x * (math.log(bg.a0) + L))
+
+
 def II_prime_quad(params: CosmologyParams, r0: float, R: float, tol: float = 1e-10) -> float:
     """`testfn.II_prime` by `quad`, up to the horizon clamp when the spacetime ends before R."""
     bg = background(params, r0)
@@ -335,9 +347,8 @@ def II_prime_quad(params: CosmologyParams, r0: float, R: float, tol: float = 1e-
     n = params.n
 
     def integrand(t):
-        L, r = bg.log_a_r(t)
-        a = bg.a0 * math.exp(L)
-        return min(R, r) ** n * a ** (n / 2.0)
+        r, a_pow = _r_and_a_pow(bg, t, n / 2.0)
+        return min(R, r) ** n * a_pow
 
     return unit_ball_volume(n) * _guarded_quad(integrand, R / 2.0, upper, [bg.cone_time(R)], tol)
 
@@ -355,11 +366,8 @@ def III_prime_quad(params: CosmologyParams, r0: float, R: float, p: float,
         return 0.0
 
     def integrand(t):
-        L, r = bg.log_a_r(t)
-        a = bg.a0 * math.exp(L)
+        r, a_pow = _r_and_a_pow(bg, t, n / 2.0 - 2.0 * pp)
         annulus = min(R, r) ** n - (R / 2.0) ** n
-        if annulus <= 0.0:
-            return 0.0
-        return a ** (n / 2.0 - 2.0 * pp) * wn * annulus
+        return a_pow * wn * annulus if annulus > 0.0 else 0.0
 
     return _guarded_quad(integrand, t_entry, upper, [bg.cone_time(R)], tol)

@@ -52,6 +52,10 @@ class TestConfigParsing:
         ({"n": 1, "safety": 1.5}, "unknown config keys ['safety']"),  # the CFL step is a constant
         ({"n": 1, "num_nodes": 2}, "num_nodes"),
         ({"n": 1, "H": "fast"}, "H must be a number"),
+        # n(1+sigma)H, the mass shift or c/(a0 H) past the float range
+        ({"n": 2, "H": 1.7976931348623157e308}, "out of the float range"),
+        ({"n": 2, "H": 2.0, "a0": 1.7976931348623157e308}, "out of the float range"),
+        ({"n": 2, "H": 5e-324}, "out of the float range"),
     ])
     def test_rejections(self, raw, fragment):
         with pytest.raises(ConfigError) as err:
@@ -483,7 +487,7 @@ def _configs(draw):
 @given(config=_configs())
 def test_any_config_exits_0_or_1_or_2_only_on_a_step_collapse(tmp_path_factory, config):
     cfg = _write_config(tmp_path_factory.mktemp("cfg"), config)
-    for command in ("regime", "threshold", "ode"):
+    for command in ("regime", "threshold", "ode", "scaling"):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, "--config", cfg])

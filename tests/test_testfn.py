@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
-from kgflrw.cosmology import ConeData, CosmologyParams, background, cone_radius, horizon_time
+from kgflrw.cosmology import (ConeData, CosmologyParams, background, cone_radius, horizon_time,
+                              unit_ball_volume)
 from kgflrw import cli, testfn
 from kgflrw.field_solver import init_field, run_until
 from kgflrw.testfn import (
@@ -133,16 +134,19 @@ class TestGrowthIntegrals:
         assert val == pytest.approx(4.0 / 3.0 * math.pi * tail, rel=1e-8)
 
     @pytest.mark.parametrize("p, beta", [(9.0, -0.5), (27.0 / 7.0, -0.8), (57.0 / 17.0, -0.9),
-                                         (117.0 / 37.0, -0.95), (27.0 / 11.0, -1.25)])
+                                         (117.0 / 37.0, -0.95), (591.0 / 191.0, -0.97),
+                                         (597.0 / 197.0, -0.99), (3.0, -1.0), (27.0 / 11.0, -1.25)])
     def test_annulus_integral_up_to_a_crunch(self, p, beta):
         # n=3, H=-1: a = (1 - t/T0)^(2/3) up to T0 = 2/3, and from r0 = R = 1 the
         # annulus is full throughout, so the integrand is omega_3 (1 - 1/8) a^k with
         # k = 3/2 - 2p', a power (1 - t/T0)^beta, beta = 2k/3, of the distance to
         # T0: T0/(1 + beta) in all, or divergent from beta = -1 on
         params = CosmologyParams(n=3, H=-1.0, sigma=0.0)
-        exact = 4.0 / 3.0 * math.pi * 7.0 / 8.0 * (2.0 / 3.0) / (1.0 + beta)
-        assert III_prime(params, 1.0, 1.0, p) == (pytest.approx(exact, rel=1e-12) if beta > -1.0
-                                                  else math.inf)
+        if beta > -1.0:
+            exact = 4.0 / 3.0 * math.pi * 7.0 / 8.0 * (2.0 / 3.0) / (1.0 + beta)
+            assert III_prime(params, 1.0, 1.0, p) == pytest.approx(exact, rel=1e-12)
+        else:
+            assert III_prime(params, 1.0, 1.0, p) == math.inf
 
     def test_rule_calls_each_abscissa_once(self):
         # on a piece before any horizon the outer nodes round onto lo and hi, and
@@ -176,6 +180,81 @@ class TestGrowthIntegrals:
         # so the integrand is 2 R (1 - t)^(-1/2) over (3/4, 1): 2 R = 3 in all
         params = CosmologyParams(n=1, H=1.0, sigma=-3.0)
         assert II_prime(params, 2.0, 1.5) == pytest.approx(3.0, rel=1e-9)
+
+    def test_layer_integral_where_a_leaves_the_float_range(self):
+        # expanding de Sitter, n=1, H=0.9, r0=1/2: r = k - e^(-Ht)/H with k = r0 + 1/H
+        # stays below R, and a = e^(Ht) overflows before t = R = 1500, while
+        # 2 int_(R/2)^R r a^(1/2) dt stays below the float maximum
+        H, R = 0.9, 1500.0
+        k = 0.5 + 1.0 / H
+        exact = 2.0 * (2.0 * k / H * (math.exp(H * R / 2.0) - math.exp(H * R / 4.0))
+                       - 2.0 / H**2 * (math.exp(-H * R / 4.0) - math.exp(-H * R / 2.0)))
+        params = CosmologyParams(n=1, H=H, sigma=-1.0)
+        assert II_prime(params, 0.5, R) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [700.0, 1024.0, 1400.0, 2800.0])
+    def test_layer_integral_where_r_leaves_the_float_range(self, R):
+        # contracting de Sitter, n=2, H=-1: r = r0 + expm1(t) overflows past t ~ 709,
+        # and from r0 = 1/2 the cone passes R before R/2, so the integral is
+        # pi R^2 int_(R/2)^R e^(-t) dt, finite or 0
+        params = CosmologyParams(n=2, H=-1.0, sigma=-1.0)
+        exact = math.pi * R * R * (math.exp(-R / 2.0) - math.exp(-R))
+        assert II_prime(params, 0.5, R) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_annulus_integral_with_its_kink_past_the_horizon_clamp(self, p):
+        # n=6, sigma=-2/3: q = 2, a = 1 - t up to T0 = 1, and the logarithmic cone
+        # r = 1/2 - log(1 - t) reaches R = 30 within 1e-12 of T0.  In s = -log(1 - t)
+        # the integral is omega_6 int e^(-k s) (min(R, 1/2 + s)^6 - (R/2)^6) ds from
+        # s = R/2 - 1/2, k = 4 - 2p' > 0, the part past s = R - 1/2 in closed form
+        params, R, k = CosmologyParams(n=6, H=-1.0, sigma=-2.0 / 3.0), 30.0, 4.0 - 2.0 * p / (p - 1.0)
+        before, _ = quad(lambda s: math.exp(-k * s) * ((0.5 + s) ** 6 - (R / 2.0) ** 6),
+                         R / 2.0 - 0.5, R - 0.5, epsabs=0.0, epsrel=1e-13)
+        past = (R**6 - (R / 2.0) ** 6) * math.exp(-k * (R - 0.5)) / k
+        assert III_prime(params, 0.5, R, p) == pytest.approx(math.pi**3 / 6.0 * (before + past),
+                                                             rel=1e-10)
+
+    def test_no_rule_call_past_the_kink(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(testfn, "_tanh_sinh", lambda *args: calls.append(args))
+        params = CosmologyParams(n=2, H=-0.1, sigma=0.5)
+        assert II_prime(params, 4.0, 4.0) > 0.0 and III_prime(params, 4.0, 4.0, 2.0) > 0.0
+        assert calls == []
+
+    @given(n=st.integers(1, 6), H=st.floats(0.1, 3.0), sigma=st.floats(-1.0, 3.0, exclude_min=True),
+           big_rip=st.booleans(), c=st.floats(0.5, 2.0), a0=st.floats(0.5, 2.0),
+           p=st.floats(1.05, 4.0), log2_R=st.floats(-3.0, 6.0), excess=st.floats(0.0, 2.0))
+    def test_past_the_kink_up_to_a_horizon(self, n, H, sigma, big_rip, c, a0, p, log2_R, excess):
+        # a crunch (H < 0 < 1 + sigma) or a big rip (H > 0 > 1 + sigma) with r0 >= R: the
+        # bracket is constant, and a^x = a0^x (1 - t/T0)^beta with beta = 2x/q, so
+        # int_t1^t2 a^x dt = a0^x T0 (d1^(1+beta) - d2^(1+beta))/(1 + beta), d = 1 - t/T0,
+        # up to t2 = min(R, T0); divergent at T0 from beta = -1 on
+        if big_rip:
+            H, sigma = H, -2.0 - sigma
+        else:
+            H = -H
+        params, R = CosmologyParams(n=n, c=c, H=H, sigma=sigma, a0=a0), 2.0**log2_R
+        T0, q, pp = horizon_time(params), n * (1.0 + sigma), p / (p - 1.0)
+        assume(math.isfinite(T0))
+        for value, t1, x, bracket in (
+                (II_prime(params, R * (1.0 + excess), R), R / 2.0, n / 2.0, R**n),
+                (III_prime(params, R * (1.0 + excess), R, p), 0.0, n / 2.0 - 2.0 * pp,
+                 R**n - (R / 2.0) ** n)):
+            k, t2 = (2.0 * x + q) / q, min(R, T0)  # 1 + beta, without cancelling
+            try:
+                d1_k = math.exp(k * math.log1p(-t1 / T0)) if t1 < T0 else 0.0
+                if t1 >= t2:
+                    exact = 0.0
+                elif t2 == T0:
+                    exact = T0 * d1_k / k if k > 0.0 else math.inf
+                else:  # log(d2/d1), from the distances to T0 where t2 is near it
+                    log_d = (math.log1p((t1 - t2) / (T0 - t1)) if t2 < (T0 + t1) / 2.0
+                             else math.log((T0 - t2) / (T0 - t1)))
+                    exact = -T0 * d1_k * (math.expm1(k * log_d) / k if k else log_d)
+                exact *= unit_ball_volume(n) * bracket * a0**x
+            except OverflowError:  # past the float maximum
+                exact = math.inf
+            assert value == exact or value == pytest.approx(exact, rel=1e-10)
 
     @given(n=st.integers(1, 6), H=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
            sigma=st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(-5.0, 3.0)),
@@ -285,11 +364,11 @@ class TestScalingFits:
 
 
 class TestWeakIdentityContract:
-    def _run(self, t_end, keep=True, interval=0.25, w1=0.8):
+    def _run(self, t_end, keep=True, interval=0.25, w0=1.0, w1=0.8):
         params = CosmologyParams(n=1, m_sq=1.0)
         nodes = max(513, int(256 * (t_end + 1.0)) + 1)
         state = init_field(n=1, r0=0.5, r_max=t_end + 1.0, num_nodes=nodes,
-                           w0=1.0, w1=w1)
+                           w0=w0, w1=w1)
         return params, run_until(params, 0.0, 2.0, state, t_end, 0.5,
                                  output_interval=interval, keep_snapshots=keep)
 
@@ -318,6 +397,21 @@ class TestWeakIdentityContract:
         # carried entirely by the data term V against the cutoff terms
         assert parts["V"] > 0.0
         assert parts["I"] > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 3.0, 1e4])
+    def test_linear_residual_is_invariant_under_scaling_the_data(self, scale):
+        # with lam = 0 every part is linear in (w0, w1), and so is the defect
+        params, diag = self._run(2.0, interval=0.05)
+        ref = weak_identity_residual(diag, params, 0.0, 2.0, 2.0)
+        params, diag = self._run(2.0, interval=0.05, w0=scale, w1=0.8 * scale)
+        assert weak_identity_residual(diag, params, 0.0, 2.0, 2.0) == pytest.approx(ref, rel=1e-12)
+
+    def test_residual_without_a_data_term_is_on_the_scale_of_the_parts(self):
+        # w1 = 0 and lam = 0 leave V = lam I = 0: the defect is measured against II, III and IV
+        params, diag = self._run(2.0, interval=0.05, w1=0.0)
+        residual, parts = weak_identity_residual(diag, params, 0.0, 2.0, 2.0, return_parts=True)
+        assert parts["V"] == 0.0 and abs(parts["II"]) > 1.0
+        assert residual < 1e-3
 
     def test_parts_match_per_snapshot_quadrature(self):
         # the parent form of the identity: scipy's Simpson rule over the full

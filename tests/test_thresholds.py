@@ -59,15 +59,12 @@ class TestNonlinearityWeight:
     @given(point=_regime_points(), lam=st.floats(0.5, 2.0), p=st.floats(1.2, 3.0),
            frac=st.floats(0.0, 1.0))
     def test_equals_b_of_one_background_bit_for_bit(self, point, lam, p, frac):
-        # the module functions a(t) and r(t) give the bits of a0 exp(L) and r from
-        # one Background's log_a_r(t), which takes L once, as the comparison ODE's
-        # right side does
+        # the module function gives the bits of one Background's b of its a(t) and r(t)
         params, r0 = point
         bg = background(params, r0)
         t = frac * min(bg.t_clamp, 5.0)
-        L, r = bg.log_a_r(t)
-        a = bg.a0 * math.exp(L)
-        assert nonlinearity_weight(params, r0, lam, p, t) == bg.b(a, r, lam, -params.n * (p - 1.0) / 2.0)
+        assert nonlinearity_weight(params, r0, lam, p, t) == bg.b(bg.a(t), bg.r(t), lam,
+                                                                  -params.n * (p - 1.0) / 2.0)
 
 
 @st.composite
@@ -277,6 +274,14 @@ class TestThresholdS:
         # de Sitter with m = 0: N^2 + M^2 is identically zero
         params = CosmologyParams(n=3, H=1.0, sigma=-1.0, m_sq=0.0)
         assert threshold_S(params, 1.0, 1.0, 2.0, 0.5, 1.5) == 0.0
+
+    def test_small_window_is_not_round_off(self):
+        # static n=1, m^2 = -1e-12, N = 1.2e-6: N^2 + M^2 = 0.44e-12 is a third of its
+        # terms, not round-off of 0, and with b = lam/(2r), r = 1/2 + t, the sup of
+        # 4 (N^2 + m^2) r e^(-N t) sits at r = 1/N
+        params, N = CosmologyParams(n=1, m_sq=-1e-12), 1.2e-6
+        exact = 4.0 * (N * N - 1e-12) * math.exp(N * 0.5 - 1.0) / N
+        assert threshold_S(params, 0.5, 1.0, 2.0, 0.5, N) == pytest.approx(exact, rel=1e-12)
 
     def test_decreasing_in_lambda_increasing_in_theta(self):
         # S scales like (lam (1 - theta))^(-1/(p-1)) pointwise in t

@@ -13,8 +13,10 @@ background with lambda > 0 and on a static one, with the sha256 of every
 state's bytes; ``kgflrw threshold``'s output on a massless static point
 (whose N is a zero, so its sign is compared too) and on points at the edges
 of the mass window -N^2 <= M^2 <= 0; the radii and
-II'_R, III'_R values of every acceptance-6 fit, and III'_R where its integrand
-blows up at a crunch like (T0 - t)^beta; and the sha256 of every file
+II'_R, III'_R values of every acceptance-6 fit, III'_R where its integrand
+blows up at a crunch like (T0 - t)^beta, and II'_R, III'_R at three points
+where a(t) or r(t) leaves the float range or the integral diverges (a record
+older dumps lack); and the sha256 of every file
 ``kgflrw`` regime, threshold, ode and scaling write on README.md's run
 config, and of the three files its sweep writes with ``--jobs 1`` and
 ``--jobs 2`` (pde and identity are left out: the solver outputs above hold
@@ -188,6 +190,14 @@ def _scaling_outputs() -> dict:
     crunch, betas = workloads.CosmologyParams(n=3, H=-1.0), [-0.8, -0.85, -0.9, -0.95, -0.97, -0.99]
     out["crunch III'"] = {"params": [3, -1.0, 0.0], "beta": betas, "III_prime_crunch": [
         testfn.III_prime(crunch, 1.0, 1.0, pp / (pp - 1.0)) for pp in (0.75 * (1.0 - b) for b in betas)]}
+    # where a(t) or r(t) leaves the float range while the integral does not: expanding de Sitter
+    # (n = 1, H = 0.9, r0 = 0.5) and contracting de Sitter (n = 2, H = -1, r0 = 0.5) II'_R at
+    # R = 1500 and 1024, and the crunch above at beta = -1, where III'_R diverges
+    de_sitter = workloads.CosmologyParams(n=1, H=0.9, sigma=-1.0)
+    contracting = workloads.CosmologyParams(n=2, H=-1.0, sigma=-1.0)
+    out["past the float range"] = {"params": [[1, 0.9, -1.0], [2, -1.0, -1.0], [3, -1.0, 0.0]], "values": [
+        testfn.II_prime(de_sitter, 0.5, 1500.0), testfn.II_prime(contracting, 0.5, 1024.0),
+        testfn.III_prime(crunch, 1.0, 1.0, 3.0)]}
     return out
 
 
