@@ -6,12 +6,16 @@ equality member with an embedded Dormand-Prince 5(4) pair, finds the
 finite-time divergence as the root of a rescaled variable, and verifies the
 four positivity properties the mean is guaranteed to satisfy.  (M^2, b) are
 evaluated once per distinct stage time; the trajectory keeps them at its
-samples, where the positivity check reads them.
+samples, where the positivity check reads them.  One rule guards a step:
+an attempt whose (M^2, b) or right side raises an ArithmeticError or is
+not finite is rejected.  Samples are kept as float64 columns, so a run
+stopped at the step cap holds about 42 bytes a sample.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,6 +111,8 @@ class Trajectory:
 
     `mass_sq` and `b` are the coefficients M^2(t) and b(t) at the samples,
     as the integrator evaluated them: bit for bit `problem.coefficients()(t)`.
+    The five sample arrays are float64 and C-contiguous, views of the
+    columns the integrator appended to.
     """
 
     t: np.ndarray
@@ -148,9 +154,13 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     that root by at most rtol max(1, t), t* is the root of zeta's
     second-order Taylor polynomial.  A run whose |w| falls back below |w_s|
     returns to (w, wdot).  Samples are always (t, w, wdot), with the
-    (M^2, b) their last stage evaluated.  A step collapse raises
-    StiffnessError, a right side not finite at t = 0 StartError, and a run
-    past _MAX_ATTEMPTS steps StepLimitError.  Runs are deterministic.
+    (M^2, b) their last stage evaluated, appended to five float columns.
+    An attempt whose stages, finiteness test or error norm raise an
+    ArithmeticError (an overflow, a / 0 in (M^2, b) or a right side) is
+    rejected as one with a right side that is not finite: dt shrinks by
+    the least factor.  A step collapse raises StiffnessError, a right side
+    not finite at t = 0 StartError, and a run past _MAX_ATTEMPTS steps
+    StepLimitError.  Runs are deterministic.
     """
     t_end = min(problem.t_end, background(problem.params).t_end_cap)
     t = 0.0
@@ -162,21 +172,9 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     coef = problem.coefficients()
     switch_at = _SWITCH * (abs(problem.w0) or abs(problem.w1))
 
-    def coefs(ti):
-        # (M^2, b) at ti, or None where evaluating them overflows or divides by zero (a r^2 = 0)
-        try:
-            return coef(ti)
-        except ArithmeticError:
-            return None
-
     def acc_w(cf, wi, _):
-        if cf is None:
-            return math.inf
         msq, b = cf
-        try:
-            return c2 * (b * abs(wi) ** p_exp - msq * wi)
-        except OverflowError:
-            return math.inf
+        return c2 * (b * abs(wi) ** p_exp - msq * wi)
 
     def acc_zeta(w_s):
         # zeta'' = [(k+1)/k zeta'^2 - k c^2 b sgn(w_s) |w_s|^(2k)] / zeta + k c^2 M^2 zeta
@@ -184,21 +182,13 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         load = kc2 * math.copysign(abs(w_s) ** (2.0 * k), w_s)
 
         def acc(cf, z, zd):
-            if cf is None:
-                return math.inf
             msq, b = cf
-            try:
-                return (k1 * zd * zd - load * b) / z + kc2 * msq * z
-            except (OverflowError, ZeroDivisionError):
-                return math.inf
+            return (k1 * zd * zd - load * b) / z + kc2 * msq * z
 
         return acc
 
     atol = 1e-12
     dt = min(1e-3, t_end / 10.0) or t_end  # t_end / 10 underflows for a subnormal t_end
-    ts = [t]
-    ws = [x]
-    wds = [xd]
     rejections = 0
     blowup = False
     w_s = t_switch = None  # w_s is set while the loop steps zeta
@@ -216,12 +206,15 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
     # step's first (FSAL); a rejected step keeps its first stage.  Stages 6
     # and 7 share the node t + dt and so one evaluation of (M^2, b), which
     # the accepted sample keeps.
-    cf = coefs(t)
-    cfs = [cf]
-    g1 = acc(cf, x, xd)
+    try:
+        cf = coef(t)
+        g1 = acc(cf, x, xd)
+    except ArithmeticError:
+        g1 = math.inf
     if not (math.isfinite(g1) and math.isfinite(xd)):
         raise StartError(f"the right side (wdot, wddot) = ({xd}, {g1}) is not finite at t = 0:"
                          f" lower w0 = {problem.w0} or w1 = {problem.w1}")
+    ts, ws, wds, msqs, bs = (array("d", [v]) for v in (t, x, xd, *cf))
     while t < t_end:
         if w_s is not None and xd < 0.0:
             # zeta = 0 is singular: stop at the Taylor root once it is resolved
@@ -233,39 +226,39 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         dt = min(dt, t_end - t)
         if len(ts) + rejections > _MAX_ATTEMPTS:  # this attempt would pass the cap
             raise StepLimitError(f"{_MAX_ATTEMPTS} steps tried by t = {t:.6g}: lower t_end = {problem.t_end}")
-        # stage derivatives: (k_x, k_v) with k_x = v, k_v = acc
-        v1 = xd
-        x2 = x + dt * a21 * v1
-        v2 = xd + dt * a21 * g1
-        g2 = acc(coefs(t + c2_ * dt), x2, v2)
-        x3 = x + dt * (a31 * v1 + a32 * v2)
-        v3 = xd + dt * (a31 * g1 + a32 * g2)
-        g3 = acc(coefs(t + c3_ * dt), x3, v3)
-        x4 = x + dt * (a41 * v1 + a42 * v2 + a43 * v3)
-        v4 = xd + dt * (a41 * g1 + a42 * g2 + a43 * g3)
-        g4 = acc(coefs(t + c4_ * dt), x4, v4)
-        x5 = x + dt * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
-        v5 = xd + dt * (a51 * g1 + a52 * g2 + a53 * g3 + a54 * g4)
-        g5 = acc(coefs(t + c5_ * dt), x5, v5)
-        x6 = x + dt * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
-        v6 = xd + dt * (a61 * g1 + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5)
-        cf = coefs(t + dt)
-        g6 = acc(cf, x6, v6)
-        # 5th-order solution (FSAL row)
-        x7 = x + dt * (a71 * v1 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
-        v7 = xd + dt * (a71 * g1 + a73 * g3 + a74 * g4 + a75 * g5 + a76 * g6)
-        g7 = acc(cf, x7, v7)
-        x_lo = x + dt * (b41 * v1 + b43 * v3 + b44 * v4 + b45 * v5 + b46 * v6 + b47 * v7)
-        v_lo = xd + dt * (b41 * g1 + b43 * g3 + b44 * g4 + b45 * g5 + b46 * g6 + b47 * g7)
-        bad = not (math.isfinite(x7) and math.isfinite(v7) and math.isfinite(x_lo) and math.isfinite(v_lo))
-        bad = bad or (w_s is not None and x7 <= 0.0)
-        if not bad:
-            sw = atol + rtol * max(abs(x), abs(x7))
-            sv = atol + rtol * max(abs(xd), abs(v7))
-            try:
+        try:
+            # stage derivatives: (k_x, k_v) with k_x = v, k_v = acc
+            v1 = xd
+            x2 = x + dt * a21 * v1
+            v2 = xd + dt * a21 * g1
+            g2 = acc(coef(t + c2_ * dt), x2, v2)
+            x3 = x + dt * (a31 * v1 + a32 * v2)
+            v3 = xd + dt * (a31 * g1 + a32 * g2)
+            g3 = acc(coef(t + c3_ * dt), x3, v3)
+            x4 = x + dt * (a41 * v1 + a42 * v2 + a43 * v3)
+            v4 = xd + dt * (a41 * g1 + a42 * g2 + a43 * g3)
+            g4 = acc(coef(t + c4_ * dt), x4, v4)
+            x5 = x + dt * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
+            v5 = xd + dt * (a51 * g1 + a52 * g2 + a53 * g3 + a54 * g4)
+            g5 = acc(coef(t + c5_ * dt), x5, v5)
+            x6 = x + dt * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+            v6 = xd + dt * (a61 * g1 + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5)
+            cf = coef(t + dt)
+            g6 = acc(cf, x6, v6)
+            # 5th-order solution (FSAL row)
+            x7 = x + dt * (a71 * v1 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
+            v7 = xd + dt * (a71 * g1 + a73 * g3 + a74 * g4 + a75 * g5 + a76 * g6)
+            g7 = acc(cf, x7, v7)
+            x_lo = x + dt * (b41 * v1 + b43 * v3 + b44 * v4 + b45 * v5 + b46 * v6 + b47 * v7)
+            v_lo = xd + dt * (b41 * g1 + b43 * g3 + b44 * g4 + b45 * g5 + b46 * g6 + b47 * g7)
+            bad = not (math.isfinite(x7) and math.isfinite(v7) and math.isfinite(x_lo) and math.isfinite(v_lo))
+            bad = bad or (w_s is not None and x7 <= 0.0)
+            if not bad:
+                sw = atol + rtol * max(abs(x), abs(x7))
+                sv = atol + rtol * max(abs(xd), abs(v7))
                 err = math.sqrt(0.5 * (((x7 - x_lo) / sw) ** 2 + ((v7 - v_lo) / sv) ** 2))
-            except OverflowError:
-                err = math.inf
+        except ArithmeticError:  # an overflow or a / 0 in (M^2, b), a right side or the norm
+            bad = True
         if bad or err > 1.0:
             rejections += 1
             fac = min_fac if bad else max(min_fac, shrink * err ** (-0.2))
@@ -292,7 +285,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         ts.append(t)
         ws.append(w)
         wds.append(wd)
-        cfs.append(cf)
+        msqs.append(cf[0])
+        bs.append(cf[1])
         dt *= min(max_fac, max(min_fac, shrink * (err + 1e-30) ** (-0.2)))
         # switch variables at an accepted sample; zeta'' and w'' follow from
         # the FSAL stage, so a switch costs no right-hand side
@@ -311,13 +305,8 @@ def integrate_comparison(problem: OdeProblem, rtol: float = 1e-10) -> Trajectory
         t_star = t + s
         t_star_err = corr + 100.0 * rtol * max(1.0, t_star)
     stop_reason = "blowup" if blowup else "t_end" if t_end == problem.t_end else "horizon"
-    mass_sq, b = np.array(cfs, dtype=float).T
     return Trajectory(
-        t=np.array(ts),
-        w=np.array(ws),
-        wdot=np.array(wds),
-        mass_sq=mass_sq,
-        b=b,
+        *(np.frombuffer(col, dtype=float) for col in (ts, ws, wds, msqs, bs)),
         blowup=blowup,
         t_star=t_star,
         t_star_err=t_star_err,

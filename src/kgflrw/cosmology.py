@@ -158,6 +158,7 @@ class Background:
     t_end_cap: float = field(init=False, repr=False)  # last time a run reaches
     de_sitter: bool = field(init=False, repr=False)  # sigma = -1
     static: bool = field(init=False, repr=False)  # H = 0
+    flat_cone: bool = field(init=False, repr=False)  # c/(a0 H) not finite: r = r0 + c t/a0
     q: float = field(init=False, repr=False)
     qH: float = field(init=False, repr=False)
     two_over_q: float = field(init=False, repr=False)
@@ -194,6 +195,7 @@ class Background:
             "t_end_cap": _RUN_END * t0 if math.isfinite(t0) else math.inf,
             "de_sitter": de_sitter,
             "static": H == 0.0,
+            "flat_cone": not math.isfinite(cone_coef),
             "q": q,
             "qH": q * H,
             "two_over_q": math.nan if de_sitter else 2.0 / q,
@@ -252,8 +254,10 @@ class Background:
         relative accuracy as e L -> 0, where (a/a0)^e - 1 cancels, and L
         stands in where e L is below the normal range, e = 0 included.
         Raises OverflowError where e L exceeds the float range (a(t) underflows).
+        Where c/(a0 H) is not finite (H = 0, or H subnormal) the cone is the
+        static one, r0 + c t/a0.
         """
-        if self.static:
+        if self.flat_cone:
             return self.r0 + self.c * t / self.a0
         e = self.cone_exp
         eL = e * L
@@ -278,11 +282,12 @@ class Background:
     def _cone_tau(self, radius: float) -> Optional[float]:
         """tau = L/H (t when static) where r = radius, or None where the cone never gets there.
 
-        The closed inverse of `_r`: L = `_log1p_over`(e, x), x = (radius - r0)/(c/(a0 H)).
+        The closed inverse of `_r`: L = `_log1p_over`(e, x), x = (radius - r0)/(c/(a0 H)),
+        and (radius - r0) a0/c where the cone is static.
         """
         if not self.r0 <= radius < self.r_limit:
             return None
-        if self.static:
+        if self.flat_cone:
             return (radius - self.r0) * self.a0 / self.c
         x = (radius - self.r0) / self.cone_coef
         if self.cone_exp * x <= -1.0:  # beyond the limit by round-off

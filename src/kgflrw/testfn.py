@@ -215,7 +215,7 @@ def _growth_integral(params: CosmologyParams, r0: float, R: float, t_lo: float, 
         tau = 0.0 if r0 >= radius else bg._cone_tau(radius)
         return math.inf if tau is None else tau
 
-    def bracket(tau):  # `_r` reads its t only when static, where tau = t; r_limit at a horizon
+    def bracket(tau):  # `_r` reads its t only for a static cone, where tau = t; r_limit at a horizon
         r = bg._r(tau, H * tau) if tau < math.inf else bg.r_limit
         return max(min(R, r) ** n - inner**n, 0.0)
 
@@ -292,6 +292,34 @@ class ScalingFit:
     note: str = ""
 
 
+def _lsq(cols: list, y) -> tuple[list[float], float]:
+    """Least squares of y on one or two columns and a constant: (coefficients + [intercept], rms residual).
+
+    The normal equations of the centred columns, every sum taken by
+    math.fsum and the 2 x 2 system solved by Cramer's rule, so the fit's
+    digits do not depend on a BLAS kernel.  A single column with no spread
+    gets slope 0.
+    """
+    m = len(y)
+    means = [math.fsum(col) / m for col in (*cols, y)]
+    *dx, dy = ([v - mu for v in col] for col, mu in zip((*cols, y), means))
+
+    def dot(u, v):
+        return math.fsum(a * b for a, b in zip(u, v))
+
+    if len(dx) == 1:
+        sxx = dot(dx[0], dx[0])
+        coef = [dot(dx[0], dy) / sxx if sxx > 0.0 else 0.0]
+    else:
+        (s00, s01), (_, s11) = ([dot(u, v) for v in dx] for u in dx)
+        r0, r1 = (dot(u, dy) for u in dx)
+        det = s00 * s11 - s01 * s01
+        coef = [(r0 * s11 - r1 * s01) / det, (s00 * r1 - s01 * r0) / det]
+    intercept = means[-1] - math.fsum(c * mu for c, mu in zip(coef, means))
+    resid = [dy[i] - math.fsum(c * u[i] for c, u in zip(coef, dx)) for i in range(m)]
+    return coef + [intercept], math.sqrt(dot(resid, resid) / m)
+
+
 def scaling_exponent(integral: Callable[[float], float], R_grid: Sequence[float]) -> ScalingFit:
     """Fit the growth of integral(R) on a log-spaced grid.
 
@@ -316,35 +344,26 @@ def scaling_exponent(integral: Callable[[float], float], R_grid: Sequence[float]
         note = f"fit restricted to {int(finite.sum())} of {len(vals)} points"
     x, y = np.log(Rf), np.log(vf)
 
-    def lsq(cols):
-        A = np.column_stack(cols + [np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = float(np.sqrt(np.mean((y - A @ coef) ** 2)))
-        return coef, resid
-
-    (slope, intercept), resid_pow = lsq([x])
-    (rate, _), resid_exp = lsq([Rf])
+    (slope, intercept), resid_pow = _lsq([x], y)
+    (rate, _), resid_exp = _lsq([Rf], y)
     exponential = resid_pow > 0.1 and resid_exp < 0.2 * resid_pow
 
     log_power = None
     if not exponential:
         usable = x > 1.0
         if usable.sum() >= 4:
-            A = np.column_stack([x[usable], np.log(x[usable]), np.ones_like(x[usable])])
-            coef, *_ = np.linalg.lstsq(A, y[usable], rcond=None)
-            resid_log = float(np.sqrt(np.mean((y[usable] - A @ coef) ** 2)))
+            coef, resid_log = _lsq([x[usable], np.log(x[usable])], y[usable])
             if resid_log < 0.1 * max(resid_pow, 1e-300) and abs(coef[1]) > 0.25:
-                slope, log_power = float(coef[0]), float(coef[1])
-                intercept = float(coef[2])
+                slope, log_power, intercept = coef
                 note = (note + "; " if note else "") + "log-factor model selected"
     return ScalingFit(
         R=R_arr,
         values=vals,
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         residual=resid_pow,
         exponential=bool(exponential),
-        exp_rate=float(rate) if exponential else None,
+        exp_rate=rate if exponential else None,
         log_factor_power=log_power,
         note=note,
     )

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from kgflrw.comparison_ode import (
     OdeProblem,
     PreconditionError,
     StepLimitError,
+    StiffnessError,
     integrate_comparison,
     verify_lemma21,
 )
@@ -131,6 +133,77 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             OdeProblem(params=params, r0=1.0, lam=1.0, p=2.0, theta=0.5,
                        N=0.0, w0=1.0, w1=0.0, t_end=-1.0)
+
+
+    def test_step_cap_bounds_the_samples_memory(self, monkeypatch):
+        # the step-capped problem above, stopped one attempt short of a
+        # 5,335-attempt run: its samples sit in float columns, 40 bytes each
+        # plus the columns' over-allocation, where Python floats and a
+        # (M^2, b) tuple took about 190
+        problem = OdeProblem(
+            params=CosmologyParams(n=1, m_sq=-1.0), r0=1.0, lam=1.0, p=2.0, theta=0.5,
+            N=1.0, w0=-0.5, w1=0.0, t_end=500.0,
+        )
+        traj = integrate_comparison(problem)
+        monkeypatch.setattr(comparison_ode, "_MAX_ATTEMPTS", traj.steps_accepted + traj.rejections - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StepLimitError):
+                integrate_comparison(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.steps_accepted > 5000
+        assert peak < 64 * traj.steps_accepted
+
+    def test_samples_are_float64_c_contiguous(self):
+        traj = integrate_comparison(_oracle_problem()[0])
+        for column in (traj.t, traj.w, traj.wdot, traj.mass_sq, traj.b):
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+            assert column.shape == (traj.steps_accepted + 1,)
+
+
+class TestOneGuard:
+    """An attempt whose (M^2, b) raises is rejected as one whose right side is infinite."""
+
+    @staticmethod
+    def _windowed(problem, lo, hi, kind):
+        def coefficients(t):
+            if lo <= t <= hi:
+                if kind == "overflow":
+                    return -1.0, 10.0 ** 400
+                if kind == "zero_division":
+                    return -1.0, 1.0 / 0.0
+                return -1.0, math.inf
+            return -1.0, 0.7
+
+        return dataclasses.replace(problem, coefficients_fn=coefficients)
+
+    @pytest.mark.parametrize("phase, window", [("w", (1.0, 1.0013)), ("zeta", (1.5429, 1.5432))])
+    def test_a_raise_is_an_infinite_right_side(self, phase, window):
+        problem, _ = _oracle_problem(p=2.5, b=0.7, w0=1.3, m_sq=-1.0)
+        base = integrate_comparison(problem)
+        # the run switches to zeta at t = 1.5421
+        assert (window[1] < base.t_switch) if phase == "w" else (window[0] > base.t_switch)
+        inf, overflow, zero_division = (integrate_comparison(self._windowed(problem, *window, kind))
+                                        for kind in ("inf", "overflow", "zero_division"))
+        assert inf.rejections > base.rejections and inf.blowup
+        for traj in (overflow, zero_division):
+            assert np.array_equal(traj.t, inf.t) and np.array_equal(traj.w, inf.w)
+            assert np.array_equal(traj.wdot, inf.wdot) and np.array_equal(traj.b, inf.b)
+            assert (traj.steps_accepted, traj.rejections, traj.rhs_evals) == (
+                inf.steps_accepted, inf.rejections, inf.rhs_evals)
+            assert (traj.t_star, traj.t_star_err, traj.t_switch) == (inf.t_star, inf.t_star_err, inf.t_switch)
+
+    def test_a_raise_collapses_the_step_as_an_infinite_right_side(self):
+        # a window in the zeta phase that no step gets across
+        problem, _ = _oracle_problem(p=2.5, b=0.7, w0=1.3, m_sq=-1.0)
+        messages = set()
+        for kind in ("inf", "overflow", "zero_division"):
+            with pytest.raises(StiffnessError) as err:
+                integrate_comparison(self._windowed(problem, 1.5430, 1.5433, kind))
+            messages.add(str(err.value))
+        assert len(messages) == 1
 
 
 class TestPositivityChecks:

@@ -252,6 +252,15 @@ class TestCone:
         assert bg.cone_time(0.5) is None  # r0 already past the radius
         assert bg.cone_time(3.0) is None  # cone never reaches 3
 
+    @pytest.mark.parametrize("H", [5e-324, -5e-324])
+    def test_subnormal_expansion_rate_gives_the_static_cone(self, H):
+        # c/(a0 H) is not finite, and a(t) = a0 to round-off: r = r0 + c t/a0
+        bg = background(CosmologyParams(n=1, H=H, sigma=-0.96, c=2.0, a0=4.0), 0.5)
+        assert bg.cone_coef in (math.inf, -math.inf)
+        assert bg.r(1.0) == 1.0
+        assert bg.cone_time(1.0) == 1.0
+        assert bg.r_limit == math.inf
+
     @given(t=st.floats(0.0, 5.0), dt=st.floats(0.01, 1.0))
     def test_monotone_in_time(self, t, dt):
         cone = ConeData(1.0, CosmologyParams(n=2, H=0.5, sigma=0.3))

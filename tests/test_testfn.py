@@ -107,6 +107,16 @@ class TestGrowthIntegrals:
         exact = (R / 2.0) ** 2 + r0 * R
         assert III_prime(params, r0, R, p) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("H", [5e-324, -5e-324])
+    def test_subnormal_expansion_rate_gives_the_static_integrals(self, H):
+        # c/(a0 H) is not finite: the integrals are the static ones,
+        # III' = (R/2)^2 + r0 R = 2.3744 in n = 1
+        params, static = CosmologyParams(n=1, H=H, sigma=-0.96), CosmologyParams(n=1)
+        r0, R, p = 0.5, 2.24, 2.94
+        assert III_prime(params, r0, R, p) == pytest.approx((R / 2.0) ** 2 + r0 * R, rel=1e-12)
+        assert III_prime(params, r0, R, p) == III_prime(static, r0, R, p)
+        assert II_prime(params, r0, R) == II_prime(static, r0, R)
+
     @pytest.mark.parametrize("r0, exact", [(1.0, 1.0), (0.5, 0.75), (0.49, 0.74)])
     def test_annulus_integral_from_a_cone_that_starts_inside_it(self, r0, exact):
         # n=1, a=1, R=1: the integrand is 2 (min(1, r0 + t) - 1/2) once r0 + t > 1/2,
